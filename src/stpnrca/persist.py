@@ -87,7 +87,7 @@ def load_stpn(path: str | os.PathLike) -> StpnModel:
         depth=int(p["depth"]),
         lag=int(p["lag"]),
         window_length=int(p["window_length"]),
-        counts=np.array(p["counts"], dtype=np.int64),
+        counts=np.array(p["counts"]),  # StpnModel rejects non-integer counts
         thresholds=np.array(p["thresholds"], dtype=float),
     )
 

@@ -33,7 +33,7 @@ from .persist import (
     save_stpn,
 )
 from .rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
-from .stpn import StpnConfig, StpnModel, index_pattern, scan_windows, train_stpn
+from .stpn import StpnConfig, StpnModel, _train, index_pattern, scan_windows
 from .switching import s3_search
 from .synth import var_fit, var_rca_baseline
 from .timeseries import TimeSeries
@@ -184,11 +184,8 @@ def train_bundle(
 ) -> TrainedBundle:
     """Train the pattern network, the energy model, and optionally the classifier."""
     series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
-    model = train_stpn(series, config.stpn_config())
-    stride = config.stride or config.window_length
-    vectors = np.vstack(
-        [scan_windows(model, ts, stride).vectors for ts in series]
-    ).astype(float)
+    model, scans = _train(series, config.stpn_config())
+    vectors = np.vstack([scan.vectors for scan in scans]).astype(float)
     rbm = train_rbm(vectors, config.rbm_config())
     threshold = calibrate_threshold(rbm, vectors, kappa=config.detector_kappa)
     mlp = None

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DataError
 from .symbolic import (
     PartitionScheme,
-    count_matrix,
     learn_partition,
-    log_inference_metric,
     states_from_symbols,
     symbolize,
 )
@@ -63,8 +63,17 @@ class StpnModel:
 
     def __post_init__(self):
         f = len(self.names)
-        if self.counts.shape[:2] != (f, f):
-            raise DataError(f"count grid shape {self.counts.shape} != ({f}, {f}, ...)")
+        counts = np.asarray(self.counts)
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise DataError(f"count grid must hold integers, not {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
+        n_symbols = self.partition.alphabet_size
+        shape = (f, f, n_symbols**self.depth, n_symbols)
+        if counts.shape != shape:
+            raise DataError(f"count grid shape {counts.shape} != {shape}")
+        if counts.size and counts.min() < 0:
+            raise DataError("count grid must be nonnegative")
+        object.__setattr__(self, "counts", counts)
         if self.thresholds.shape != (f, f):
             raise DataError("threshold grid must be f x f")
         if not np.all(np.isfinite(self.thresholds)):
@@ -79,6 +88,22 @@ class StpnModel:
     @property
     def n_patterns(self) -> int:
         return self.n_channels**2
+
+    @cached_property
+    def _metric_tables(self):
+        """Model-side terms of the log metric, built on first use.
+
+        Every gammaln argument in the metric is an integer no larger than
+        a model row sum plus the window length plus the alphabet size, so
+        one table ``gammaln(k)`` serves every window scored against this
+        model. Returns (table, table[counts + 1], row sums,
+        table[row sums + n_symbols]).
+        """
+        n_symbols = self.partition.alphabet_size
+        rows = self.counts.sum(axis=3)
+        top = int(rows.max(initial=0)) + self.window_length + n_symbols
+        table = gammaln(np.arange(top + 1, dtype=float))
+        return table, table[1:][self.counts], rows, table[rows + n_symbols]
 
 
 def pattern_index(a: int, b: int, f: int) -> int:
@@ -95,34 +120,43 @@ def index_pattern(i: int, f: int) -> tuple[int, int]:
     return divmod(i, f)
 
 
+_BLOCK_ELEMENTS = 1 << 15  # bincount index elements per training block
+
+
 def _symbols_and_states(ts: TimeSeries, partition, depth):
     symbols = symbolize(ts, partition)
     states = states_from_symbols(symbols, partition.alphabet_size, depth)
     return symbols, states
 
 
-def _count_grid(symbols, states, n_states, n_symbols, lag, depth):
-    f = symbols.shape[1]
-    grid = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)
-    for a in range(f):
-        for b in range(f):
-            grid[a, b] = count_matrix(
-                states[:, a], n_states, symbols[:, b], n_symbols, lag=lag, depth=depth
-            )
-    return grid
+def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
+    """Yield, for each source channel a, the state->symbol counts of a
+    against every target b: shape (f, n_states, n_symbols), equal to
+    ``count_matrix(states[:, a], ..., symbols[:, b], ...)`` for each b.
 
-
-def train_stpn(
-    nominal: TimeSeries | Sequence[TimeSeries], config: StpnConfig = StpnConfig()
-) -> StpnModel:
-    """Fit the pattern network from one or more nominal series.
-
-    With several series (multiple nominal operating modes) the counts are
-    pooled into a single grid; disambiguating the modes is the energy
-    model's job, not the network's. Thresholds are set per pattern to the
-    configured quantile of the log metric over all nominal windows.
+    One bincount per source over ``state_a * n_symbols + symbol_b + b *
+    n_states * n_symbols``; looping over sources keeps the index to one
+    (pairs, f) array instead of a (pairs, f, f) one.
     """
-    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
+    n_pairs = states.shape[0] - lag
+    if n_pairs < 1:
+        raise DataError(
+            f"no valid pairs after lag shift (T={symbols.shape[0]}, D={depth}, p={lag})"
+        )
+    f = symbols.shape[1]
+    cell = n_states * n_symbols
+    targets = symbols[depth - 1 + lag :] + np.arange(f) * cell
+    sources = states[:n_pairs] * n_symbols
+    for a in range(f):
+        flat = (targets + sources[:, a, None]).ravel()
+        yield np.bincount(flat, minlength=f * cell).reshape(f, n_states, n_symbols)
+
+
+def _train(
+    series: list[TimeSeries], config: StpnConfig
+) -> tuple[StpnModel, list[WindowScan]]:
+    """:func:`train_stpn`, also returning the binarized calibration scan of
+    each series, so callers need not score the training windows again."""
     if not series:
         raise DataError("no nominal series given")
     names = series[0].names
@@ -142,10 +176,24 @@ def train_stpn(
     f = len(names)
     counts = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)
     per_series = []
+    # Long series are counted in blocks of time steps, so the bincount index
+    # stays about window-sized instead of growing to (n_samples, f).
+    rows = max(1, _BLOCK_ELEMENTS // f)
+    reach = config.depth - 1 + config.lag
     for ts in series:
         symbols, states = _symbols_and_states(ts, partition, config.depth)
         per_series.append((symbols, states))
-        counts += _count_grid(symbols, states, n_states, n_symbols, config.lag, config.depth)
+        for lo in range(0, states.shape[0] - config.lag, rows):
+            block = _source_counts(
+                symbols[lo : lo + rows + reach],
+                states[lo : lo + rows + config.lag],
+                n_states,
+                n_symbols,
+                config.lag,
+                config.depth,
+            )
+            for a, source in enumerate(block):
+                counts[a] += source
 
     model = StpnModel(
         names=names,
@@ -158,43 +206,81 @@ def train_stpn(
     )
 
     stride = config.stride or config.window_length
-    window_values = []  # -> (n_windows, f, f)
-    for (symbols, states), ts in zip(per_series, series):
-        for start in range(0, ts.n_samples - config.window_length + 1, stride):
-            window_values.append(
-                _metrics_from_symbols(
-                    model,
-                    symbols[start : start + config.window_length],
-                    states_from_symbols(
-                        symbols[start : start + config.window_length],
-                        n_symbols,
-                        config.depth,
-                    ),
-                )
-            )
-    if not window_values:
+    scored = [
+        _score_windows(model, symbols, states, stride) for symbols, states in per_series
+    ]
+    n_windows = sum(len(starts) for starts, _ in scored)
+    if not n_windows:
         raise DataError("nominal data yields no calibration windows")
-    if len(window_values) * config.threshold_quantile < 1.0:
+    if n_windows * config.threshold_quantile < 1.0:
         warnings.warn(
             f"calibrating the {config.threshold_quantile} threshold quantile on "
-            f"only {len(window_values)} nominal windows; thresholds degenerate "
+            f"only {n_windows} nominal windows; thresholds degenerate "
             "to training minima, so provide more nominal data for stable bits"
         )
-    stacked = np.stack(window_values)
+    stacked = np.concatenate([metrics for _, metrics in scored])
     thresholds = np.quantile(stacked, config.threshold_quantile, axis=0)
-    return replace(model, thresholds=thresholds)
+    model = replace(model, thresholds=thresholds)
+    return model, [_window_scan(model, starts, metrics) for starts, metrics in scored]
+
+
+def train_stpn(
+    nominal: TimeSeries | Sequence[TimeSeries], config: StpnConfig = StpnConfig()
+) -> StpnModel:
+    """Fit the pattern network from one or more nominal series.
+
+    With several series (multiple nominal operating modes) the counts are
+    pooled into a single grid; disambiguating the modes is the energy
+    model's job, not the network's. Thresholds are set per pattern to the
+    configured quantile of the log metric over all nominal windows.
+    """
+    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
+    return _train(series, config)[0]
 
 
 def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
+    """Log inference metric of every pattern for one window; shape (f, f).
+
+    Bit-identical to ``log_inference_metric(model.counts[a, b], window
+    counts)`` per pattern: the same gammaln values, read from the model's
+    table, are combined in the same order and summed row by row.
+    """
+    table, model_cells, model_rows, model_row_terms = model._metric_tables
     f = model.n_channels
     n_symbols = model.partition.alphabet_size
     n_states = n_symbols**model.depth
-    grid = _count_grid(symbols, states, n_states, n_symbols, model.lag, model.depth)
+    plus_one, plus_symbols = table[1:], table[n_symbols:]  # lg[k + 1], lg[k + A]
     out = np.empty((f, f))
-    for a in range(f):
-        for b in range(f):
-            out[a, b] = log_inference_metric(model.counts[a, b], grid[a, b])
+    for a, window in enumerate(
+        _source_counts(symbols, states, n_states, n_symbols, model.lag, model.depth)
+    ):
+        window_rows = window.sum(axis=2)
+        row_terms = (
+            plus_one[window_rows]
+            + model_row_terms[a]
+            - plus_symbols[window_rows + model_rows[a]]
+        )
+        cell_terms = (
+            plus_one[window + model.counts[a]] - plus_one[window] - model_cells[a]
+        )
+        out[a] = row_terms.sum(axis=1) + cell_terms.reshape(f, -1).sum(axis=1)
     return out
+
+
+def _score_windows(model: StpnModel, symbols, states, stride: int):
+    """Metrics of the windows starting at 0, stride, ... of one symbolized
+    series: (starts, (n, f, f) metrics)."""
+    length = model.window_length
+    n_state_rows = length - model.depth + 1
+    starts = range(0, symbols.shape[0] - length + 1, stride)
+    metrics = np.empty((len(starts), model.n_channels, model.n_channels))
+    for i, start in enumerate(starts):
+        metrics[i] = _metrics_from_symbols(
+            model,
+            symbols[start : start + length],
+            states[start : start + n_state_rows],
+        )
+    return starts, metrics
 
 
 def window_metrics(model: StpnModel, window: TimeSeries) -> np.ndarray:
@@ -231,29 +317,35 @@ class WindowScan:
     vectors: np.ndarray  # (n, f*f) int8
 
 
+def _window_scan(model: StpnModel, starts, metrics: np.ndarray) -> WindowScan:
+    return WindowScan(
+        starts=np.array(starts, dtype=np.int64),
+        metrics=metrics,
+        vectors=(metrics >= model.thresholds).astype(np.int8).reshape(len(metrics), -1),
+    )
+
+
 def scan_windows(
     model: StpnModel, ts: TimeSeries, stride: int | None = None
 ) -> WindowScan:
-    """Slide the model's window over a series and binarize every position."""
+    """Slide the model's window over a series and binarize every position.
+
+    `stride` None or 0 means non-overlapping windows.
+    """
+    if ts.names != model.names:
+        raise DataError(
+            f"series channels {list(ts.names)} do not match the model's "
+            f"{list(model.names)}"
+        )
+    if stride is not None and stride < 0:
+        raise DataError(f"stride must be >= 0 (0 means non-overlapping), got {stride}")
     if ts.n_samples < model.window_length:
         raise DataError(
             f"series of {ts.n_samples} samples shorter than window "
             f"length {model.window_length}"
         )
-    stride = stride or model.window_length
-    starts, metrics, vectors = [], [], []
-    symbols, _ = _symbols_and_states(ts, model.partition, model.depth)
-    n_symbols = model.partition.alphabet_size
-    for start in range(0, ts.n_samples - model.window_length + 1, stride):
-        chunk = symbols[start : start + model.window_length]
-        m = _metrics_from_symbols(
-            model, chunk, states_from_symbols(chunk, n_symbols, model.depth)
-        )
-        starts.append(start)
-        metrics.append(m)
-        vectors.append((m >= model.thresholds).astype(np.int8).ravel())
-    return WindowScan(
-        starts=np.array(starts, dtype=np.int64),
-        metrics=np.stack(metrics),
-        vectors=np.stack(vectors),
+    symbols, states = _symbols_and_states(ts, model.partition, model.depth)
+    starts, metrics = _score_windows(
+        model, symbols, states, stride or model.window_length
     )
+    return _window_scan(model, starts, metrics)

@@ -6,7 +6,7 @@ import pytest
 
 from stpnrca.cli import main
 from stpnrca.pipeline import save_bundle
-from stpnrca.timeseries import read_csv, write_csv
+from stpnrca.timeseries import TimeSeries, read_csv, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,24 @@ class TestDetect:
         short = tmp_path / "short.csv"
         write_csv(toy_fresh_nominal.window(0, 100), short)
         assert run("detect", "--model", workdir / "bundle", "--data", short) == 2
+
+    def test_negative_stride_is_data_error(self, workdir, capsys):
+        data = workdir / "fresh.csv"
+        assert run("detect", "--model", workdir / "bundle", "--data", data, "--stride", -5) == 2
+        assert "stride" in capsys.readouterr().err
+        assert run("detect", "--model", workdir / "bundle", "--data", data, "--stride", 0) == 0
+        assert capsys.readouterr().out.count("verdict=") == 6
+
+    @pytest.mark.parametrize("rename", [False, True])
+    def test_reordered_columns_are_data_error(
+        self, workdir, tmp_path, toy_fresh_nominal, rename, capsys
+    ):
+        names = [f"renamed_{n}" if rename else n for n in toy_fresh_nominal.names]
+        swapped = TimeSeries(tuple(names[::-1]), toy_fresh_nominal.values[:, ::-1])
+        path = tmp_path / "swapped.csv"
+        write_csv(swapped, path)
+        assert run("detect", "--model", workdir / "bundle", "--data", path) == 2
+        assert "channels" in capsys.readouterr().err
 
 
 class TestRca:

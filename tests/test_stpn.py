@@ -1,16 +1,29 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpnrca.errors import DataError
 from stpnrca.persist import load_stpn, save_stpn
 from stpnrca.stpn import (
     StpnConfig,
+    StpnModel,
     binarize,
     index_pattern,
     pattern_index,
     scan_windows,
     train_stpn,
     window_metrics,
+)
+from stpnrca.symbolic import (
+    PartitionScheme,
+    count_matrix,
+    log_inference_metric,
+    states_from_symbols,
+    symbolize,
 )
 from stpnrca.synth import simulate_var
 from stpnrca.timeseries import TimeSeries
@@ -81,6 +94,97 @@ class TestTrainStpn:
         n = scan.vectors.shape[0]
         zero_rate = (scan.vectors == 0).mean(axis=0)
         assert np.all(zero_rate <= small_config.threshold_quantile + 1.0 / n)
+
+
+class TestCountGrid:
+    @pytest.mark.parametrize("depth,lag", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("block", [None, 10])
+    def test_counts_match_reference(self, toy_graph, monkeypatch, depth, lag, block):
+        if block is not None:  # many small training blocks, one per few samples
+            monkeypatch.setattr("stpnrca.stpn._BLOCK_ELEMENTS", block)
+        nominal = simulate_var(toy_graph, 3 * 200, seed=5)
+        config = StpnConfig(
+            alphabet_size=3, depth=depth, lag=lag, window_length=200, threshold_quantile=0.5
+        )
+        model = train_stpn(nominal, config)
+        n_symbols = model.partition.alphabet_size
+        symbols = symbolize(nominal, model.partition)
+        states = states_from_symbols(symbols, n_symbols, model.depth)
+        for a in range(model.n_channels):
+            for b in range(model.n_channels):
+                expected = count_matrix(
+                    states[:, a], n_symbols**model.depth, symbols[:, b], n_symbols,
+                    lag=model.lag, depth=model.depth,
+                )
+                assert np.array_equal(model.counts[a, b], expected)
+
+    def test_float_counts_rejected(self, small_model):
+        model, _ = small_model
+        with pytest.raises(DataError, match="integers"):
+            replace(model, counts=model.counts.astype(float))
+
+    def test_negative_counts_rejected(self, small_model):
+        model, _ = small_model
+        counts = model.counts.copy()
+        counts[0, 1, 0, 0] = -1
+        with pytest.raises(DataError, match="nonnegative"):
+            replace(model, counts=counts)
+
+    def test_counts_stored_as_int64(self, small_model):
+        model, _ = small_model
+        narrow = replace(model, counts=model.counts.astype(np.int32))
+        assert narrow.counts.dtype == np.int64
+        assert np.array_equal(narrow.counts, model.counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    f=st.integers(1, 6),
+    n_symbols=st.integers(2, 5),
+    depth=st.integers(1, 2),
+    lag=st.integers(1, 3),
+    extra=st.integers(0, 60),
+    max_count=st.sampled_from([1, 5, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_metrics_equal_per_pattern_reference(
+    f, n_symbols, depth, lag, extra, max_count, seed
+):
+    """The vectorised kernel reproduces the per-pattern metric bit for bit."""
+    rng = np.random.default_rng(seed)
+    length = max(depth + lag, n_symbols) + extra
+    n_states = n_symbols**depth
+    counts = rng.integers(0, max_count + 1, size=(f, f, n_states, n_symbols))
+    # edges at k + 0.5 map the value k to symbol k
+    edges = np.arange(n_symbols - 1) + 0.5
+    model = StpnModel(
+        names=tuple(f"c{i}" for i in range(f)),
+        partition=PartitionScheme(tuple(edges for _ in range(f)), n_symbols),
+        depth=depth,
+        lag=lag,
+        window_length=length,
+        counts=counts,
+        thresholds=np.zeros((f, f)),
+    )
+    symbols = rng.integers(0, n_symbols, size=(length, f))
+    states = states_from_symbols(symbols, n_symbols, depth)
+    expected = np.array(
+        [
+            [
+                log_inference_metric(
+                    counts[a, b],
+                    count_matrix(
+                        states[:, a], n_states, symbols[:, b], n_symbols,
+                        lag=lag, depth=depth,
+                    ),
+                )
+                for b in range(f)
+            ]
+            for a in range(f)
+        ]
+    )
+    got = window_metrics(model, TimeSeries(model.names, symbols.astype(float)))
+    assert np.array_equal(got, expected)
 
 
 class TestWindowMetrics:
@@ -154,3 +258,13 @@ class TestPersistence:
         window = nominal.window(400, model.window_length)
         assert np.array_equal(window_metrics(model, window), window_metrics(loaded, window))
         assert np.array_equal(model.thresholds, loaded.thresholds)
+
+    def test_fractional_count_in_file_rejected(self, small_model, tmp_path):
+        model, _ = small_model
+        path = tmp_path / "stpn.json"
+        save_stpn(model, path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["counts"][0][0][0][0] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="integers"):
+            load_stpn(path)
