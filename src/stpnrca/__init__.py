@@ -16,12 +16,9 @@ from .errors import (
     UsageError,
 )
 from .metrics import (
-    EvalReport,
     diagnosis_cost,
     error_ratio,
     false_alarm_pattern_fraction,
-    pattern_accuracy,
-    prf,
 )
 from .nodes import NodeInferenceResult, infer_nodes, rank_nodes
 from .pipeline import (
@@ -35,18 +32,7 @@ from .pipeline import (
     save_bundle,
     train_bundle,
 )
-from .rbm import (
-    DetectorConfig,
-    RbmConfig,
-    RbmParams,
-    calibrate_threshold,
-    detect,
-    detect_windows,
-    free_energy,
-    select_hidden_units,
-    switched_free_energy,
-    train_rbm,
-)
+from .rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
 from .stpn import (
     StpnConfig,
     StpnModel,
@@ -57,11 +43,10 @@ from .stpn import (
     train_stpn,
     window_metrics,
 )
-from .switching import S3Result, exhaustive_switch_oracle, kld_distance, s3_search
+from .switching import S3Result, exhaustive_switch_oracle, s3_search
 from .symbolic import (
     PartitionScheme,
     count_matrix,
-    decode_state,
     learn_partition,
     log_inference_metric,
     metric_delta,

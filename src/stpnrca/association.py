@@ -10,11 +10,11 @@ every pattern of a test vector at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DataError
+from .rbm import _sigmoid
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +45,18 @@ class MlpParams:
     biases: tuple[np.ndarray, ...] = field(repr=False)
     dropout: float = 0.0
 
+    def __post_init__(self):
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise DataError("need at least one layer, with one bias vector per weight matrix")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            fan_in = w.shape[0] if i == 0 else self.biases[i - 1].size
+            if b.ndim != 1 or w.shape != (fan_in, b.size):
+                raise DataError(f"layer {i}: weights {w.shape} and biases {b.shape} do not chain")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise DataError("parameters must be finite")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DataError("dropout must lie in [0, 1)")
+
     @property
     def n_inputs(self) -> int:
         return self.weights[0].shape[0]
@@ -71,14 +83,12 @@ def generate_artificial_anomalies(
     flip_orders=(1, 2, 3, 4),
     samples_per_order: int = 20,
     seed: int = 0,
-    exhaustive: bool = False,
 ) -> A3Dataset:
     """Build the training set of flipped vectors and indicator labels.
 
     Every nominal vector contributes its unflipped self (labels all ones)
     plus, per flip order k, perturbed copies with k distinct bits flipped
-    and labels zeroed exactly there. `exhaustive` enumerates every k-subset
-    once instead of sampling `samples_per_order` of them.
+    and labels zeroed exactly there.
     """
     nominal = np.asarray(nominal_vectors, dtype=float)
     if nominal.ndim != 2 or nominal.shape[0] == 0:
@@ -93,15 +103,8 @@ def generate_artificial_anomalies(
         inputs.append(v.copy())
         labels.append(np.ones(L))
         for k in orders:
-            if exhaustive:
-                subsets = combinations(range(L), k)
-            else:
-                subsets = (
-                    rng.choice(L, size=k, replace=False)
-                    for _ in range(samples_per_order)
-                )
-            for subset in subsets:
-                idx = np.asarray(list(subset), dtype=int)
+            for _ in range(samples_per_order):
+                idx = rng.choice(L, size=k, replace=False)
                 x = v.copy()
                 x[idx] = 1.0 - x[idx]
                 y = np.ones(L)
@@ -175,15 +178,6 @@ def loss_and_grads(weights, biases, x, y, dropout=0.0, rng=None):
                 delta = delta * masks[layer - 1]
             delta = delta * (hiddens[layer - 1] > 0.0)
     return loss, grads_w, grads_b
-
-
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def train_a3(data: A3Dataset, config: MlpConfig = MlpConfig()) -> MlpParams:

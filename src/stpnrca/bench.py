@@ -15,7 +15,7 @@ anomaly construction used by the monotonicity suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 import mpmath
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .metrics import prf_counts
-from .pipeline import RunConfig, TrainedBundle, rca_vector, train_bundle
+from .pipeline import RunConfig, TrainedBundle, _scan_and_flag, rca_vector, train_bundle
 from .rbm import RbmConfig, free_energy, train_rbm
 from .stpn import index_pattern, pattern_index, scan_windows
 from .switching import exhaustive_switch_oracle, s3_search
@@ -280,16 +280,7 @@ def energy_gap_suite(
     vectors = ctx.bundle.training_vectors
     ok = True
     for seed in seeds:
-        rbm = train_rbm(
-            vectors,
-            RbmConfig(
-                n_hidden=ctx.config.rbm_hidden,
-                epochs=ctx.config.rbm_epochs,
-                learning_rate=ctx.config.rbm_learning_rate,
-                batch_size=ctx.config.rbm_batch_size,
-                seed=seed,
-            ),
-        )
+        rbm = train_rbm(vectors, replace(ctx.config.rbm_config(), seed=seed))
         rng = np.random.default_rng(9000 + seed)
         flipped = vectors.copy()
         idx = rng.integers(0, vectors.shape[1], size=vectors.shape[0])
@@ -328,9 +319,8 @@ def dataset1_suite(
             spec,
             seed=seed,
         )
-        scan = scan_windows(bundle.stpn, test)
-        energies = free_energy(bundle.rbm, scan.vectors.astype(float))
-        n_detected += int(np.sum(energies > bundle.energy_threshold))
+        scan, _, flags = _scan_and_flag(bundle, test)
+        n_detected += int(np.sum(flags))
         n_windows += len(scan.starts)
         for vec in scan.vectors:
             for method in ("s3", "a3"):

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -41,22 +40,7 @@ from .synth import (
     random_graph,
     simulate_var,
 )
-from .timeseries import read_csv, read_tep_csv, write_csv
-
-# Default root-cause variable lookup for the standard process-monitoring
-# benchmark faults used in comparisons (editable; pass your own labels file
-# to `evaluate` or `--true-node` to override). Variables are named per the
-# 52-column convention of read_tep_csv.
-TEP_FAULT_VARIABLES = {
-    2: "xmv_06",
-    4: "xmv_10",
-    5: "xmv_11",
-    6: "xmeas_01",
-    11: "xmv_10",
-    12: "xmv_11",
-    14: "xmv_10",
-    21: "xmv_04",
-}
+from .timeseries import atomic_open, read_csv, read_tep_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,17 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(doc: dict, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _read_json(path: str):
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_fault(text: str) -> FaultSpec:
@@ -246,18 +230,19 @@ def cmd_evaluate(args) -> int:
         )
     rows = []
     for rpath, lpath in zip(args.reports, args.labels):
-        with open(rpath) as fh:
-            report = json.load(fh)
-        with open(lpath) as fh:
-            labels = json.load(fh)
-        case_id = labels.get("case_id", "")
-        data_stem = _stem(report.get("data", ""))
+        report, labels = _read_json(rpath), _read_json(lpath)
+        try:
+            case_id = labels.get("case_id", "")
+            data_stem = _stem(report.get("data", ""))
+            row = evaluate_case(report, labels)
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise DataError(f"report {rpath} or labels {lpath} malformed ({exc!r})") from None
         if case_id and data_stem and case_id != data_stem:
             raise DataError(
                 f"case id mismatch: report {rpath} is for {data_stem!r}, "
                 f"labels {lpath} for {case_id!r}"
             )
-        rows.append(evaluate_case(report, labels))
+        rows.append(row)
 
     columns = ["case_id", "method", "alpha1", "recall", "precision", "f_measure",
                "error_ratio", "diagnosis_cost", "false_alarm_fraction"]
@@ -279,18 +264,10 @@ def cmd_evaluate(args) -> int:
         print("  ".join(v.ljust(w) for v, w in zip(t, widths)))
 
     if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(",".join(columns) + "\n")
-                for t in table:
-                    fh.write(",".join(t) + "\n")
-            os.replace(tmp, args.out)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_open(args.out) as fh:
+            fh.write(",".join(columns) + "\n")
+            for t in table:
+                fh.write(",".join(t) + "\n")
         print(f"table written to {args.out}")
     return 0
 
@@ -317,7 +294,8 @@ def build_parser() -> _Parser:
     p.add_argument("--modes", choices=["builtin"], help="emit the six nominal modes")
     p.add_argument("--cases", type=int, help="emit the first N pattern-fault cases")
     p.add_argument("--nodes", type=int, help="use a seeded random graph of N nodes")
-    p.add_argument("--mode", type=int, default=0, help="builtin mode index (0-based)")
+    p.add_argument("--mode", type=int, default=0, choices=range(len(builtin_modes())),
+                   help="builtin mode index (0-based)")
     p.add_argument("--fault", help="node-delay:NODE:DELAY or pattern-break:SRC-DST,...")
     p.add_argument("--samples", type=int, default=12000)
     p.add_argument("--name", help="basename for --fault output")

@@ -2,48 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DataError
-
-
-def pattern_accuracy(truth: np.ndarray, pred: np.ndarray) -> float:
-    """Fraction of matching cells in two (m, f*f) binary matrices."""
-    truth = np.asarray(truth)
-    pred = np.asarray(pred)
-    if truth.shape != pred.shape:
-        raise DataError(f"shape mismatch: truth {truth.shape}, pred {pred.shape}")
-    return float(np.mean(truth == pred))
-
-
-def prf(
-    truth_anomalous: set[int], pred_anomalous: set[int], universe: int
-) -> tuple[float, float, float]:
-    """Recall, precision, and F-measure over anomalous-pattern sets.
-
-    An empty prediction has precision 1 when the truth is also empty and 0
-    otherwise; an empty truth has recall 1 (nothing to find). F-measure is
-    the harmonic mean when both parts are positive, else 0.
-    """
-    truth = set(truth_anomalous)
-    pred = set(pred_anomalous)
-    if any(i < 0 or i >= universe for i in truth | pred):
-        raise DataError("set elements must lie inside the universe")
-    tp = len(truth & pred)
-    fn = len(truth - pred)
-    fp = len(pred - truth)
-    recall = tp / (tp + fn) if (tp + fn) else 1.0
-    if pred:
-        precision = tp / (tp + fp)
-    else:
-        precision = 1.0 if not truth else 0.0
-    if recall > 0 and precision > 0:
-        fmeasure = 2.0 / (1.0 / recall + 1.0 / precision)
-    else:
-        fmeasure = 0.0
-    return recall, precision, fmeasure
 
 
 def prf_counts(tp: int, fn: int, fp: int) -> tuple[float, float, float]:
@@ -91,34 +50,3 @@ def false_alarm_pattern_fraction(rca_outputs, f: int) -> float:
         return 0.0
     total = f * f
     return float(np.mean([len(s) / total for s in outputs]))
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """One evaluated case (or pooled suite) of root-cause output."""
-
-    accuracy: float | None = None
-    recall: float | None = None
-    precision: float | None = None
-    f_measure: float | None = None
-    error_ratio: float | None = None
-    n_predicted: int | None = None
-    n_incorrect: int | None = None
-    diagnosis_cost: int | None = None
-    false_alarm_fraction: float | None = None
-
-    def row(self) -> dict:
-        def fmt(x):
-            return "NA" if x is None else (f"{x:.4f}" if isinstance(x, float) else x)
-
-        return {
-            "alpha1": fmt(self.accuracy),
-            "recall": fmt(self.recall),
-            "precision": fmt(self.precision),
-            "f_measure": fmt(self.f_measure),
-            "error_ratio": fmt(self.error_ratio),
-            "n_predicted": fmt(self.n_predicted),
-            "n_incorrect": fmt(self.n_incorrect),
-            "diagnosis_cost": fmt(self.diagnosis_cost),
-            "false_alarm_fraction": fmt(self.false_alarm_fraction),
-        }

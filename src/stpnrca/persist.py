@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -19,37 +18,33 @@ from .errors import DataError
 from .rbm import RbmParams
 from .stpn import StpnModel
 from .symbolic import PartitionScheme
+from .timeseries import atomic_open
 
 FORMAT_TAG = "stpnrca-model"
 FORMAT_VERSION = 1
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dump(kind: str, payload: dict, path: str) -> None:
     doc = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "kind": kind, "payload": payload}
-    _atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _load(kind: str, path: str) -> dict:
+def _load(kind: str, path: str, build):
+    """Check the container at `path`, then build its model from the payload.
+
+    A payload with missing fields or values of the wrong type is reported
+    as a DataError naming the file, like a damaged container.
+    """
     if not os.path.exists(path):
         raise DataError(f"no such model file: {path}")
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes
             raise DataError(f"{path}: not a model container ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a model container")
     if doc.get("format") != FORMAT_TAG:
         raise DataError(f"{path}: unknown container format {doc.get('format')!r}")
     if doc.get("version") != FORMAT_VERSION:
@@ -59,7 +54,10 @@ def _load(kind: str, path: str) -> dict:
         )
     if doc.get("kind") != kind:
         raise DataError(f"{path}: contains a {doc.get('kind')!r} model, expected {kind!r}")
-    return doc["payload"]
+    try:
+        return build(doc["payload"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {kind} payload ({exc!r})") from None
 
 
 def save_stpn(model: StpnModel, path: str | os.PathLike) -> None:
@@ -77,19 +75,21 @@ def save_stpn(model: StpnModel, path: str | os.PathLike) -> None:
 
 
 def load_stpn(path: str | os.PathLike) -> StpnModel:
-    p = _load("stpn", os.fspath(path))
-    partition = PartitionScheme(
-        tuple(np.array(e, dtype=float) for e in p["edges"]), int(p["alphabet_size"])
-    )
-    return StpnModel(
-        names=tuple(p["names"]),
-        partition=partition,
-        depth=int(p["depth"]),
-        lag=int(p["lag"]),
-        window_length=int(p["window_length"]),
-        counts=np.array(p["counts"]),  # StpnModel rejects non-integer counts
-        thresholds=np.array(p["thresholds"], dtype=float),
-    )
+    def build(p):
+        partition = PartitionScheme(
+            tuple(np.array(e, dtype=float) for e in p["edges"]), int(p["alphabet_size"])
+        )
+        return StpnModel(
+            names=tuple(p["names"]),
+            partition=partition,
+            depth=int(p["depth"]),
+            lag=int(p["lag"]),
+            window_length=int(p["window_length"]),
+            counts=np.array(p["counts"]),  # StpnModel rejects non-integer counts
+            thresholds=np.array(p["thresholds"], dtype=float),
+        )
+
+    return _load("stpn", os.fspath(path), build)
 
 
 def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float | None = None) -> None:
@@ -103,14 +103,16 @@ def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float | None
 
 
 def load_rbm(path: str | os.PathLike) -> tuple[RbmParams, float | None]:
-    p = _load("rbm", os.fspath(path))
-    params = RbmParams(
-        visible_bias=np.array(p["visible_bias"], dtype=float),
-        hidden_bias=np.array(p["hidden_bias"], dtype=float),
-        weights=np.array(p["weights"], dtype=float),
-    )
-    thr = p.get("energy_threshold")
-    return params, (None if thr is None else float(thr))
+    def build(p):
+        params = RbmParams(
+            visible_bias=np.array(p["visible_bias"], dtype=float),
+            hidden_bias=np.array(p["hidden_bias"], dtype=float),
+            weights=np.array(p["weights"], dtype=float),
+        )
+        thr = p.get("energy_threshold")
+        return params, (None if thr is None else float(thr))
+
+    return _load("rbm", os.fspath(path), build)
 
 
 def save_mlp(params: MlpParams, path: str | os.PathLike) -> None:
@@ -123,9 +125,11 @@ def save_mlp(params: MlpParams, path: str | os.PathLike) -> None:
 
 
 def load_mlp(path: str | os.PathLike) -> MlpParams:
-    p = _load("mlp", os.fspath(path))
-    return MlpParams(
-        tuple(np.array(w, dtype=float) for w in p["weights"]),
-        tuple(np.array(b, dtype=float) for b in p["biases"]),
-        dropout=float(p["dropout"]),
-    )
+    def build(p):
+        return MlpParams(
+            tuple(np.array(w, dtype=float) for w in p["weights"]),
+            tuple(np.array(b, dtype=float) for b in p["biases"]),
+            dropout=float(p["dropout"]),
+        )
+
+    return _load("mlp", os.fspath(path), build)

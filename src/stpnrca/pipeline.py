@@ -9,8 +9,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +36,7 @@ from .rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_r
 from .stpn import StpnConfig, StpnModel, _train, index_pattern, scan_windows
 from .switching import s3_search
 from .synth import var_fit, var_rca_baseline
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, atomic_open
 
 CONFIG_ENV_VAR = "STPNRCA_CONFIG"
 
@@ -46,7 +46,8 @@ class RunConfig:
     """Every tunable of the pipeline, with reference-experiment defaults.
 
     Readable from a ``key = value`` text file (unknown keys are rejected)
-    with command-line overrides applied on top.
+    with command-line overrides applied on top. Out-of-range values raise
+    UsageError.
     """
 
     alphabet_size: int = 9
@@ -74,6 +75,21 @@ class RunConfig:
     var_lag: int = 1
     var_eta: float = 0.4
     seed: int = 0
+
+    def __post_init__(self):
+        at_least = {
+            "stride": 0, "rbm_hidden": 1, "rbm_epochs": 0, "rbm_batch_size": 1,
+            "a3_batch_size": 1, "a3_epochs": 0, "a3_samples_per_order": 1,
+        }
+        for key, low in at_least.items():
+            if getattr(self, key) < low:
+                raise UsageError(f"config key {key!r} must be >= {low}")
+        if min(self.a3_hidden, default=1) < 1 or min(self.a3_flip_orders, default=1) < 1:
+            raise UsageError("a3_hidden widths and a3_flip_orders must be >= 1")
+        if not 0.0 <= self.a3_dropout < 1.0:
+            raise UsageError("config key 'a3_dropout' must lie in [0, 1)")
+        if not 0.0 < self.a3_cutoff < 1.0:
+            raise UsageError("config key 'a3_cutoff' must lie in (0, 1)")
 
     def stpn_config(self) -> StpnConfig:
         return StpnConfig(
@@ -121,15 +137,20 @@ class RunConfig:
             path = os.environ.get(CONFIG_ENV_VAR) or None
         if path:
             values.update(_parse_config_file(path))
-        for key, raw in (overrides or {}).items():
-            values[key] = raw
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        parsed = {}
-        for key, raw in values.items():
-            if key not in fields:
-                raise UsageError(f"unknown config key {key!r}")
-            parsed[key] = _coerce(raw, fields[key].type, key)
-        return cls(**parsed)
+        values.update(overrides or {})
+        return _config_from_values(values)
+
+
+def _config_from_values(values: dict) -> RunConfig:
+    """RunConfig from text values (config file, --set) or JSON ones (run.json);
+    unknown keys and values of the wrong type are a UsageError."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    parsed = {}
+    for key, raw in values.items():
+        if key not in fields:
+            raise UsageError(f"unknown config key {key!r}")
+        parsed[key] = _coerce(raw, fields[key].type, key)
+    return RunConfig(**parsed)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -148,20 +169,25 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+
+
 def _coerce(raw, annotation, key):
-    if not isinstance(raw, str):
-        return raw
     annotation = str(annotation)
     try:
         if annotation.startswith("tuple"):
-            return tuple(int(x) for x in raw.replace(",", " ").split())
-        if annotation == "int":
-            return int(raw)
-        if annotation == "float":
-            return float(raw)
-        return raw
-    except ValueError:
-        raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
+            items = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
+            return tuple(_coerce(x, "int", key) for x in items)
+        if annotation in _NUMBER_TYPES:
+            if isinstance(raw, str):
+                return int(raw) if annotation == "int" else float(raw)
+            if isinstance(raw, _NUMBER_TYPES[annotation]) and not isinstance(raw, bool):
+                return raw
+        elif isinstance(raw, str):
+            return raw
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,35 +256,35 @@ def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
         "config": dataclasses.asdict(bundle.config),
         "fingerprint": bundle.config.fingerprint(),
     }
-    run_path = os.path.join(directory, BUNDLE_FILES["run"])
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(run, fh, sort_keys=True, indent=1, default=list)
-        os.replace(tmp, run_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(os.path.join(directory, BUNDLE_FILES["run"])) as fh:
+        json.dump(run, fh, sort_keys=True, indent=1, default=list)
 
 
 def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
+    """Load a saved bundle; a damaged or inconsistent one is a DataError."""
     directory = os.fspath(directory)
     run_path = os.path.join(directory, BUNDLE_FILES["run"])
-    if not os.path.exists(run_path):
+    if not os.path.isfile(run_path):
         raise DataError(f"{directory}: not a model bundle (missing run.json)")
-    with open(run_path) as fh:
-        run = json.load(fh)
-    raw = dict(run["config"])
-    for key in ("a3_hidden", "a3_flip_orders"):
-        raw[key] = tuple(raw[key])
-    config = RunConfig(**raw)
+    try:
+        with open(run_path) as fh:
+            config = _config_from_values(json.load(fh)["config"])
+    except (AttributeError, LookupError, TypeError, ValueError, UsageError) as exc:
+        raise DataError(f"{run_path}: bad run file ({exc})") from None
     stpn = load_stpn(os.path.join(directory, BUNDLE_FILES["stpn"]))
     rbm, threshold = load_rbm(os.path.join(directory, BUNDLE_FILES["rbm"]))
     if threshold is None:
         raise DataError(f"{directory}: energy model saved without a threshold")
     mlp_path = os.path.join(directory, BUNDLE_FILES["mlp"])
     mlp = load_mlp(mlp_path) if os.path.exists(mlp_path) else None
+    widths = {"energy model": rbm.n_visible}
+    if mlp is not None:
+        widths.update({"classifier input": mlp.n_inputs, "classifier output": mlp.n_outputs})
+    for part, width in widths.items():
+        if width != stpn.n_patterns:
+            raise DataError(
+                f"{directory}: {part} width {width} != {stpn.n_patterns} patterns"
+            )
     return TrainedBundle(
         stpn=stpn, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp
     )
@@ -283,11 +309,49 @@ def rca_vector(bundle: TrainedBundle, vector: np.ndarray, method: str):
     raise UsageError(f"unknown method {method!r} (use s3, a3, or var)")
 
 
-def run_detect(bundle: TrainedBundle, ts: TimeSeries, stride: int | None = None):
-    """Per-window verdict stream: (starts, free energies, anomalous flags)."""
+def _scan_and_flag(bundle: TrainedBundle, ts: TimeSeries, stride: int | None = None):
+    """The detection rule: scan the windows, then flag those whose free
+    energy exceeds the calibrated threshold. Returns (scan, energies, flags)."""
     scan = scan_windows(bundle.stpn, ts, stride)
     energies = np.atleast_1d(free_energy(bundle.rbm, scan.vectors.astype(float)))
-    return scan.starts, energies, energies > bundle.energy_threshold
+    return scan, energies, energies > bundle.energy_threshold
+
+
+def run_detect(bundle: TrainedBundle, ts: TimeSeries, stride: int | None = None):
+    """Per-window verdict stream: (starts, free energies, anomalous flags)."""
+    scan, energies, flags = _scan_and_flag(bundle, ts, stride)
+    return scan.starts, energies, flags
+
+
+def _pattern_entry(p: int, f: int, weight: float) -> dict:
+    source, target = index_pattern(p, f)
+    return {"index": int(p), "source": source, "target": target, "weight": float(weight)}
+
+
+def _report(head: dict, failed: list[tuple[int, float, float]]) -> dict:
+    """`head` plus the case-level aggregate built from the failed patterns,
+    given as (pattern, weight, window fraction): the patterns, the greedy
+    node cover, and the ranking of every channel in head["channels"]."""
+    names = head["channels"]
+    f = len(names)
+    weighted = [(p, w) for p, w, _ in failed]
+    inference = infer_nodes(weighted, f)
+    ranking, ranking_scores = rank_nodes(weighted, f)
+
+    def nodes(ids, scores):
+        return [{"node": int(n), "name": names[n], "score": float(s)} for n, s in zip(ids, scores)]
+
+    return {
+        **head,
+        "aggregate": {
+            "failed_patterns": [
+                {**_pattern_entry(p, f, w), "window_fraction": fraction}
+                for p, w, fraction in failed
+            ],
+            "nodes": nodes(inference.nodes, inference.scores),
+            "ranking": nodes(ranking, ranking_scores),
+        },
+    }
 
 
 def run_rca(
@@ -307,9 +371,7 @@ def run_rca(
     the remaining channels by anomaly score.
     """
     f = bundle.stpn.n_channels
-    scan = scan_windows(bundle.stpn, ts, stride)
-    energies = np.atleast_1d(free_energy(bundle.rbm, scan.vectors.astype(float)))
-    flags = energies > bundle.energy_threshold
+    scan, energies, flags = _scan_and_flag(bundle, ts, stride)
 
     windows = []
     flagged_counts: dict[int, int] = {}
@@ -328,15 +390,7 @@ def run_rca(
             patterns, weights, trace = rca_vector(
                 bundle, scan.vectors[i].astype(float), method
             )
-            entry["patterns"] = [
-                {
-                    "index": int(p),
-                    "source": index_pattern(p, f)[0],
-                    "target": index_pattern(p, f)[1],
-                    "weight": float(w),
-                }
-                for p, w in zip(patterns, weights)
-            ]
+            entry["patterns"] = [_pattern_entry(p, f, w) for p, w in zip(patterns, weights)]
             if trace:
                 entry["trace"] = [float(x) for x in trace]
             for p, w in zip(patterns, weights):
@@ -344,15 +398,8 @@ def run_rca(
                 weight_sums[p] = weight_sums.get(p, 0.0) + float(w)
         windows.append(entry)
 
-    majority = {
-        p for p, c in flagged_counts.items() if n_analyzed and c >= 0.5 * n_analyzed
-    }
-    failed = sorted(majority)
-    weighted = [(p, weight_sums[p]) for p in failed]
-    inference = infer_nodes(weighted, f)
-    ranking, ranking_scores = rank_nodes(weighted, f)
-
-    return {
+    failed = sorted(p for p, c in flagged_counts.items() if c >= 0.5 * n_analyzed)
+    head = {
         "method": method,
         "config_fingerprint": bundle.config.fingerprint(),
         "data": data_path,
@@ -363,27 +410,10 @@ def run_rca(
         "forced": bool(force),
         "energy_threshold": float(bundle.energy_threshold),
         "windows": windows,
-        "aggregate": {
-            "failed_patterns": [
-                {
-                    "index": int(p),
-                    "source": index_pattern(p, f)[0],
-                    "target": index_pattern(p, f)[1],
-                    "weight": float(w),
-                    "window_fraction": flagged_counts[p] / max(n_analyzed, 1),
-                }
-                for p, w in weighted
-            ],
-            "nodes": [
-                {"node": int(n), "name": bundle.stpn.names[n], "score": float(s)}
-                for n, s in zip(inference.nodes, inference.scores)
-            ],
-            "ranking": [
-                {"node": int(n), "name": bundle.stpn.names[n], "score": float(s)}
-                for n, s in zip(ranking, ranking_scores)
-            ],
-        },
     }
+    return _report(
+        head, [(p, weight_sums[p], flagged_counts[p] / max(n_analyzed, 1)) for p in failed]
+    )
 
 
 def evaluate_case(report: dict, labels: dict) -> dict:
@@ -463,14 +493,10 @@ def run_var_rca(
     """Baseline report from differencing two least-squares fits."""
     if nominal.names != test.names:
         raise DataError("nominal and test series must share channels")
-    f = test.n_channels
     a_nom = var_fit(nominal, config.var_lag)
     a_ano = var_fit(test, config.var_lag)
     failed = var_rca_baseline(a_nom, a_ano, eta=config.var_eta)
-    weighted = [(p, 1.0) for p in failed]  # baseline weights fixed at 1
-    inference = infer_nodes(weighted, f)
-    ranking, ranking_scores = rank_nodes(weighted, f)
-    return {
+    head = {
         "method": "var",
         "config_fingerprint": config.fingerprint(),
         "data": data_path,
@@ -479,24 +505,5 @@ def run_var_rca(
         "n_analyzed": 1,
         "forced": True,
         "windows": [],
-        "aggregate": {
-            "failed_patterns": [
-                {
-                    "index": int(p),
-                    "source": index_pattern(p, f)[0],
-                    "target": index_pattern(p, f)[1],
-                    "weight": 1.0,
-                    "window_fraction": 1.0,
-                }
-                for p in failed
-            ],
-            "nodes": [
-                {"node": int(n), "name": test.names[n], "score": float(s)}
-                for n, s in zip(inference.nodes, inference.scores)
-            ],
-            "ranking": [
-                {"node": int(n), "name": test.names[n], "score": float(s)}
-                for n, s in zip(ranking, ranking_scores)
-            ],
-        },
     }
+    return _report(head, [(p, 1.0, 1.0) for p in failed])  # baseline weights fixed at 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +113,6 @@ def free_energy(params: RbmParams, v: np.ndarray) -> float | np.ndarray:
     return float(f[0]) if single else f
 
 
-def switched_free_energy(
-    params: RbmParams, v: np.ndarray, flip_set
-) -> float:
-    """Free energy after flipping the given visible positions of `v`."""
-    v = np.asarray(v, dtype=float).copy()
-    idx = np.asarray(sorted(set(int(i) for i in flip_set)), dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= params.n_visible):
-        raise DataError("flip index out of range")
-    v[idx] = 1.0 - v[idx]
-    return free_energy(params, v)
-
-
 def calibrate_threshold(
     params: RbmParams, nominal_vectors: np.ndarray, kappa: float = 1.0
 ) -> float:
@@ -134,74 +122,3 @@ def calibrate_threshold(
     if f.size == 0:
         raise DataError("need at least one nominal vector to calibrate")
     return float(np.max(f) + kappa * np.std(f))
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Free-energy cutoff plus the window-aggregation rule."""
-
-    energy_threshold: float
-    aggregation: str = "single"  # "single" or "mean"
-    mean_window: int = 1
-
-    def __post_init__(self):
-        if not np.isfinite(self.energy_threshold):
-            raise DataError("energy_threshold must be finite")
-        if self.aggregation not in ("single", "mean"):
-            raise DataError("aggregation must be 'single' or 'mean'")
-        if self.mean_window < 1:
-            raise DataError("mean_window must be >= 1")
-
-
-def detect(params: RbmParams, v: np.ndarray, cfg: DetectorConfig) -> bool:
-    """True when the vector is anomalous (free energy above the threshold)."""
-    return bool(free_energy(params, v) > cfg.energy_threshold)
-
-
-def detect_windows(
-    params: RbmParams, vectors: np.ndarray, cfg: DetectorConfig
-) -> np.ndarray:
-    """Verdict per window; "mean" aggregation smooths F over trailing windows."""
-    f = np.atleast_1d(free_energy(params, np.asarray(vectors, dtype=float)))
-    if cfg.aggregation == "mean" and cfg.mean_window > 1:
-        k = cfg.mean_window
-        padded = np.concatenate([np.full(k - 1, f[0]), f])
-        f = np.convolve(padded, np.full(k, 1.0 / k), mode="valid")
-    return f > cfg.energy_threshold
-
-
-def select_hidden_units(
-    vectors: np.ndarray,
-    candidates=(16, 32, 64, 128, 256),
-    holdout_fraction: float = 0.25,
-    config: RbmConfig = RbmConfig(),
-) -> int:
-    """Pick the hidden-layer width giving the lowest mean held-out free energy.
-
-    Candidate widths follow the reference sweep range 16..256.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.shape[0] < 4:
-        raise DataError("need at least 4 vectors for a holdout split")
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(vectors.shape[0])
-    n_hold = max(1, int(round(holdout_fraction * vectors.shape[0])))
-    hold, train = vectors[order[:n_hold]], vectors[order[n_hold:]]
-    best_nh, best_f = None, np.inf
-    for nh in candidates:
-        params = train_rbm(
-            train,
-            RbmConfig(
-                n_hidden=int(nh),
-                epochs=config.epochs,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                seed=config.seed,
-            ),
-        )
-        mean_f = float(np.mean(free_energy(params, hold)))
-        if not np.isfinite(mean_f):
-            raise NumericalError(f"free energy diverged for n_hidden={nh}")
-        if mean_f < best_f:
-            best_nh, best_f = int(nh), mean_f
-    return best_nh

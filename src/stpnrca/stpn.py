@@ -296,16 +296,18 @@ def window_metrics(model: StpnModel, window: TimeSeries) -> np.ndarray:
 
 
 def binarize(metrics: np.ndarray, model: StpnModel) -> np.ndarray:
-    """Threshold a metric grid into a flat 0/1 pattern vector of length f*f.
+    """Threshold a metric grid into a flat 0/1 pattern vector of length f*f,
+    or an (n, f, f) stack of grids into an (n, f*f) matrix of such vectors.
 
     A metric exactly at its threshold maps to 1 (inclusive rule).
     """
     metrics = np.asarray(metrics, dtype=float)
-    if metrics.shape != model.thresholds.shape:
+    if metrics.ndim not in (2, 3) or metrics.shape[-2:] != model.thresholds.shape:
         raise DataError(
             f"metric grid {metrics.shape} does not match model {model.thresholds.shape}"
         )
-    return (metrics >= model.thresholds).astype(np.int8).ravel()
+    bits = (metrics >= model.thresholds).astype(np.int8)
+    return bits.reshape(metrics.shape[:-2] + (model.n_patterns,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +323,7 @@ def _window_scan(model: StpnModel, starts, metrics: np.ndarray) -> WindowScan:
     return WindowScan(
         starts=np.array(starts, dtype=np.int64),
         metrics=metrics,
-        vectors=(metrics >= model.thresholds).astype(np.int8).reshape(len(metrics), -1),
+        vectors=binarize(metrics, model),
     )
 
 

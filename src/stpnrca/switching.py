@@ -128,30 +128,3 @@ def exhaustive_switch_oracle(
             best_f = float(f[k])
             best_set = subsets[k]
     return best_set, best_f
-
-
-def kld_distance(
-    nominal_samples: np.ndarray, test_samples: np.ndarray, bins: int = 20
-) -> float:
-    """KL divergence of test free energies from nominal ones.
-
-    Histograms share one binning over the pooled range and get add-one
-    smoothing, so disjoint supports stay finite. Useful alongside raw free
-    energy when scoring a batch of windows against the nominal population.
-    """
-    nominal = np.asarray(nominal_samples, dtype=float).ravel()
-    test = np.asarray(test_samples, dtype=float).ravel()
-    if nominal.size < 2 or test.size < 2:
-        raise DataError("need at least 2 samples on each side")
-    if bins < 2:
-        raise DataError("need at least 2 bins")
-    lo = min(nominal.min(), test.min())
-    hi = max(nominal.max(), test.max())
-    if lo == hi:
-        raise DataError("degenerate histograms: all samples identical")
-    edges = np.linspace(lo, hi, bins + 1)
-    p, _ = np.histogram(test, bins=edges)
-    q, _ = np.histogram(nominal, bins=edges)
-    p = (p + 1.0) / (p.sum() + bins)
-    q = (q + 1.0) / (q.sum() + bins)
-    return float(np.sum(p * np.log(p / q)))

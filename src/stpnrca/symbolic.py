@@ -127,15 +127,6 @@ def states_from_symbols(symbols: np.ndarray, n_symbols: int, depth: int) -> np.n
     return states
 
 
-def decode_state(state: int, n_symbols: int, depth: int) -> tuple[int, ...]:
-    """Invert the positional state encoding back to its D symbols."""
-    out = []
-    for _ in range(depth):
-        out.append(state % n_symbols)
-        state //= n_symbols
-    return tuple(reversed(out))
-
-
 def count_matrix(
     states_a: np.ndarray,
     n_states: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,60 +64,66 @@ class TimeSeries:
             )
         return TimeSeries(self.names, self.values[start : start + length].copy())
 
-    def iter_windows(self, length: int, stride: int | None = None):
-        """Yield (start, window) pairs; stride defaults to the window length."""
-        stride = length if stride is None else stride
-        if stride < 1:
-            raise DataError("stride must be >= 1")
-        for start in range(0, self.n_samples - length + 1, stride):
-            yield start, self.window(start, length)
-
 
 def read_csv(path: str | os.PathLike) -> TimeSeries:
     """Load a TimeSeries from a header+rows CSV file."""
     path = os.fspath(path)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        names = [n.strip() for n in names]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
-                )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+                names = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            names = [n.strip() for n in names]
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(names):
+                    raise DataError(
+                        f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(x) for x in row])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a text CSV file ({exc})") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 sample rows, got {len(rows)}")
     return TimeSeries(tuple(names), np.array(rows, dtype=float))
 
 
-def write_csv(ts: TimeSeries, path: str | os.PathLike) -> None:
-    """Write a TimeSeries to CSV atomically (temp file + rename)."""
+@contextmanager
+def atomic_open(path: str | os.PathLike, newline: str | None = None):
+    """Open a text file for writing that appears at `path` only when complete.
+
+    Yields a temporary file in the same directory; on normal exit it is
+    renamed over `path`, and on any failure it is deleted, so readers never
+    see a partial file.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ts.names)
-            for row in ts.values:
-                writer.writerow([repr(float(x)) for x in row])
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(ts: TimeSeries, path: str | os.PathLike) -> None:
+    """Write a TimeSeries to CSV atomically (temp file + rename)."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ts.names)
+        for row in ts.values:
+            writer.writerow([repr(float(x)) for x in row])
 
 
 TEP_N_MEASURED = 41
@@ -138,23 +145,26 @@ def read_tep_csv(path: str | os.PathLike) -> TimeSeries:
     ``xmeas_01..41`` / ``xmv_01..11`` names when no header is present.
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     rows: list[list[float]] = []
     header: list[str] | None = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                if lineno == 1 and header is None:
-                    header = [p.strip() for p in parts]
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                raise DataError(f"{path}:{lineno}: non-numeric row") from None
+                parts = line.split(",") if "," in line else line.split()
+                try:
+                    rows.append([float(x) for x in parts])
+                except ValueError:
+                    if lineno == 1 and header is None:
+                        header = [p.strip() for p in parts]
+                        continue
+                    raise DataError(f"{path}:{lineno}: non-numeric row") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])

@@ -40,16 +40,6 @@ class TestGeneration:
         assert np.all(data.labels == 1)
         assert np.array_equal(data.inputs, nominal)
 
-    def test_exhaustive_single_flips(self):
-        nominal = np.ones((1, 5))
-        data = generate_artificial_anomalies(
-            nominal, flip_orders=(1,), exhaustive=True
-        )
-        flipped = data.inputs[1:]
-        assert flipped.shape == (5, 5)
-        # every single-bit flip appears exactly once
-        assert np.array_equal(np.sort(np.argmin(flipped, axis=1)), np.arange(5))
-
     def test_label_zero_exactly_at_flips(self):
         rng = np.random.default_rng(2)
         nominal = (rng.random((10, 9)) > 0.1).astype(float)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestSimulate:
     def test_nothing_requested(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x") == 1
 
+    @pytest.mark.parametrize("mode", [6, 9, -1])
+    def test_mode_out_of_range_is_usage_error(self, tmp_path, mode, capsys):
+        out = tmp_path / "sim"
+        code = run("simulate", "--out", out, "--modes", "builtin", "--mode", mode)
+        assert code == 1
+        assert "--mode" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainDeterminism:
     def test_same_seed_byte_identical_bundles(self, tmp_path, toy_nominal):
@@ -118,6 +127,28 @@ class TestDetect:
         write_csv(swapped, path)
         assert run("detect", "--model", workdir / "bundle", "--data", path) == 2
         assert "channels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage", ["unknown_key", "out_of_range", "garbled"]
+    )
+    def test_damaged_run_file_is_data_error(self, workdir, tmp_path, damage, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        run_json = bundle / "run.json"
+        doc = json.loads(run_json.read_text())
+        if damage == "unknown_key":
+            doc["config"]["rbm_hiden"] = 8
+        elif damage == "out_of_range":
+            doc["config"]["rbm_batch_size"] = 0
+        run_json.write_text("{garbled" if damage == "garbled" else json.dumps(doc))
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        assert "run.json" in capsys.readouterr().err
+
+    def test_binary_data_file_is_data_error(self, workdir, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        assert run("detect", "--model", workdir / "bundle", "--data", path) == 2
+        assert "binary.csv" in capsys.readouterr().err
 
 
 class TestRca:
@@ -210,6 +241,21 @@ class TestEvaluate:
         wrong.write_text(json.dumps(labels))
         assert run("evaluate", "--reports", report_path, "--labels", wrong) == 2
 
+    @pytest.mark.parametrize("which", ["report", "labels"])
+    @pytest.mark.parametrize("content", [None, "{garbled", b"\xff\xfe", "[1, 2]"])
+    def test_unreadable_input_is_data_error(
+        self, report_and_labels, tmp_path, which, content, capsys
+    ):
+        report_path, labels_path = report_and_labels
+        bad = tmp_path / f"bad.{which}.json"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        elif content is not None:  # None: the file is missing
+            bad.write_text(content)
+        paths = (bad, labels_path) if which == "report" else (report_path, bad)
+        assert run("evaluate", "--reports", paths[0], "--labels", paths[1]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_count_mismatch(self, report_and_labels):
         report_path, labels_path = report_and_labels
         code = run(
@@ -240,6 +286,17 @@ class TestUsageErrors:
         data = tmp_path / "n.csv"
         write_csv(toy_nominal.window(0, 900), data)
         assert run("train", "--nominal", data, "--out", tmp_path / "b", "--set", "oops") == 1
+
+    @pytest.mark.parametrize(
+        "item", ["rbm_batch_size=0", "a3_batch_size=0", "a3_dropout=1", "a3_cutoff=1"]
+    )
+    def test_out_of_range_set_value_is_usage_error(self, tmp_path, toy_nominal, item, capsys):
+        data = tmp_path / "n.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        argv = ["train", "--nominal", data, "--out", tmp_path / "b", "--a3"]
+        assert run(*argv, "--set", "window_length=400", "--set", item) == 1
+        assert item.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 class TestTepFormat:

@@ -1,66 +1,74 @@
 import numpy as np
 import pytest
 
-from stpnrca.errors import DataError
 from stpnrca.metrics import (
     diagnosis_cost,
     error_ratio,
     false_alarm_pattern_fraction,
-    pattern_accuracy,
-    prf,
+    prf_counts,
 )
+from stpnrca.pipeline import evaluate_case
+
+
+def alpha1(truth: set[int], predicted: list[set[int]], f: int) -> float:
+    """Pattern accuracy of per-window predictions, as `evaluate` reports it."""
+    report = {
+        "method": "s3",
+        "n_analyzed": len(predicted),
+        "windows": [
+            {"analyzed": True, "patterns": [{"index": i} for i in sorted(s)]}
+            for s in predicted
+        ],
+        "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
+    }
+    labels = {
+        "channels": [f"x{i}" for i in range(f)],
+        "fault": {"kind": "pattern_break"},
+        "failed_patterns": sorted(truth),
+    }
+    return evaluate_case(report, labels)["alpha1"]
 
 
 class TestPatternAccuracy:
     def test_perfect(self):
-        t = np.array([[1, 0], [0, 1]])
-        assert pattern_accuracy(t, t.copy()) == 1.0
+        assert alpha1({0, 3}, [{0, 3}], f=2) == 1.0
 
     def test_complement(self):
-        t = np.array([[1, 0], [0, 1]])
-        assert pattern_accuracy(t, 1 - t) == 0.0
+        assert alpha1({0, 3}, [{1, 2}], f=2) == 0.0
 
     def test_six_of_eight(self):
-        truth = np.array([[1, 1, 0, 0], [1, 1, 0, 0]])
-        pred = np.array([[1, 1, 0, 1], [1, 0, 0, 0]])
-        assert pattern_accuracy(truth, pred) == 0.75
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DataError):
-            pattern_accuracy(np.zeros((2, 4)), np.zeros((3, 4)))
+        # two windows of four cells each; one miss and one false alarm
+        assert alpha1({0, 1}, [{0, 1, 3}, {0}], f=2) == 0.75
 
     def test_invariant_under_joint_column_permutation(self):
         rng = np.random.default_rng(0)
-        truth = rng.integers(0, 2, size=(10, 9))
-        pred = rng.integers(0, 2, size=(10, 9))
+        truth = set(np.flatnonzero(rng.integers(0, 2, size=9)).tolist())
+        pred = [set(np.flatnonzero(row).tolist()) for row in rng.integers(0, 2, size=(10, 9))]
         perm = rng.permutation(9)
-        assert pattern_accuracy(truth, pred) == pattern_accuracy(
-            truth[:, perm], pred[:, perm]
+        assert alpha1(truth, pred, f=3) == alpha1(
+            {int(perm[i]) for i in truth}, [{int(perm[i]) for i in s} for s in pred], f=3
         )
 
 
 class TestPrf:
     def test_exact_match(self):
-        assert prf({1, 2}, {1, 2}, universe=9) == (1.0, 1.0, 1.0)
+        assert prf_counts(tp=2, fn=0, fp=0) == (1.0, 1.0, 1.0)
 
     def test_one_extra_prediction(self):
-        recall, precision, f = prf({1, 2}, {1, 2, 3}, universe=9)
+        recall, precision, f = prf_counts(tp=2, fn=0, fp=1)
         assert recall == 1.0
         assert precision == pytest.approx(2 / 3)
         assert f == pytest.approx(2 / (1 / recall + 1 / precision))
 
     def test_empty_prediction_conventions(self):
-        assert prf(set(), set(), universe=4) == (1.0, 1.0, 1.0)
-        recall, precision, f = prf({1}, set(), universe=4)
+        assert prf_counts(tp=0, fn=0, fp=0) == (1.0, 1.0, 1.0)
+        recall, precision, f = prf_counts(tp=0, fn=1, fp=0)
         assert (recall, precision, f) == (0.0, 0.0, 0.0)
 
     def test_harmonic_mean_identity(self):
-        recall, precision, f = prf({0, 1, 2}, {1, 2, 3, 4}, universe=9)
+        # truth {0, 1, 2} against prediction {1, 2, 3, 4}
+        recall, precision, f = prf_counts(tp=2, fn=1, fp=2)
         assert f == pytest.approx(2 / (1 / recall + 1 / precision))
-
-    def test_outside_universe(self):
-        with pytest.raises(DataError):
-            prf({10}, set(), universe=9)
 
 
 class TestErrorRatio:
@@ -76,7 +84,9 @@ class TestErrorRatio:
     def test_equals_one_minus_precision_with_ground_truth(self):
         truth = {1, 4, 7}
         pred = {1, 4, 5, 8}
-        _, precision, _ = prf(truth, pred, universe=9)
+        _, precision, _ = prf_counts(
+            tp=len(truth & pred), fn=len(truth - pred), fp=len(pred - truth)
+        )
         eps = error_ratio(sorted(pred), lambda i: i in truth)
         assert eps == pytest.approx(1.0 - precision)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stpnrca.association import MlpConfig, init_mlp
+from stpnrca.association import MlpConfig, MlpParams, init_mlp
 from stpnrca.errors import DataError
 from stpnrca.persist import (
     load_mlp,
@@ -51,6 +51,38 @@ class TestContainerChecks:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_mlp(tmp_path / "absent.json")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(DataError):
+            load_rbm(path)
+
+    @pytest.mark.parametrize("payload", [{}, [], {"visible_bias": [1.0, [2.0]]}])
+    def test_malformed_payload(self, tmp_path, payload):
+        path = tmp_path / "m.json"
+        save_rbm(make_rbm(), path)
+        doc = json.loads(path.read_text())
+        doc["payload"] = {**doc["payload"], **payload} if payload else payload
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed rbm payload"):
+            load_rbm(path)
+
+
+class TestMlpShapes:
+    def test_layers_that_do_not_chain_rejected(self, tmp_path):
+        path = tmp_path / "mlp.json"
+        save_mlp(init_mlp(6, 6, MlpConfig(hidden=(5,))), path)
+        doc = json.loads(path.read_text())
+        doc["payload"]["biases"][0].append(0.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="chain"):
+            load_mlp(path)
+
+    def test_dropout_range(self):
+        params = init_mlp(3, 3, MlpConfig(hidden=(2,)))
+        with pytest.raises(DataError, match="dropout"):
+            MlpParams(params.weights, params.biases, dropout=1.0)
 
 
 class TestMlpRoundtrip:

@@ -1,9 +1,12 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from stpnrca.association import MlpConfig, init_mlp
 from stpnrca.errors import DataError, UsageError
+from stpnrca.persist import save_mlp, save_rbm
 from stpnrca.pipeline import (
     CONFIG_ENV_VAR,
     RunConfig,
@@ -14,6 +17,7 @@ from stpnrca.pipeline import (
     run_var_rca,
     save_bundle,
 )
+from stpnrca.rbm import RbmParams
 from stpnrca.stpn import pattern_index, window_metrics
 from stpnrca.synth import case_labels, FaultSpec, simulate_var
 
@@ -60,6 +64,25 @@ class TestRunConfig:
         monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
         assert RunConfig.from_sources().seed == 123
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rbm_batch_size", "0"), ("a3_batch_size", "0"), ("rbm_hidden", "0"),
+            ("a3_hidden", "64 0"), ("rbm_epochs", "-1"), ("a3_epochs", "-1"),
+            ("stride", "-1"), ("a3_dropout", "1"), ("a3_dropout", "-0.1"),
+            ("a3_cutoff", "0"), ("a3_cutoff", "1"), ("a3_flip_orders", "0 1"),
+            ("a3_samples_per_order", "0"),
+        ],
+    )
+    def test_out_of_range_rejected(self, key, value, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        with pytest.raises(UsageError, match=key):
+            RunConfig.from_sources(None, {key: value})
+
+    def test_range_boundaries_accepted(self):
+        cfg = RunConfig(stride=0, rbm_epochs=0, a3_epochs=0, a3_dropout=0.0, a3_hidden=())
+        assert cfg.a3_dropout == 0.0
+
     def test_fingerprint_stable_and_sensitive(self):
         a = RunConfig()
         b = RunConfig()
@@ -93,6 +116,31 @@ class TestBundleRoundtrip:
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(DataError):
             load_bundle(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alphabet_size", 9.5), ("a3_hidden", "wide"), ("seed", True), ("depth", None)],
+    )
+    def test_mistyped_run_value_rejected(self, toy_bundle, tmp_path, key, value):
+        save_bundle(toy_bundle, tmp_path)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["config"][key] = value
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=key):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("part", ["rbm", "a3_inputs", "a3_outputs"])
+    def test_inconsistent_widths_rejected(self, toy_bundle, tmp_path, part):
+        save_bundle(toy_bundle, tmp_path)
+        n = toy_bundle.stpn.n_patterns
+        if part == "rbm":
+            rbm = RbmParams(np.zeros(n + 1), np.zeros(2), np.zeros((n + 1, 2)))
+            save_rbm(rbm, tmp_path / "rbm.json", threshold=toy_bundle.energy_threshold)
+        else:
+            shape = (n - 1, n) if part == "a3_inputs" else (n, n - 1)
+            save_mlp(init_mlp(*shape, MlpConfig(hidden=(3,))), tmp_path / "a3.json")
+        with pytest.raises(DataError, match="width"):
+            load_bundle(tmp_path)
 
 
 class TestDetectAndRca:

@@ -5,18 +5,7 @@ import pytest
 
 from stpnrca.errors import DataError
 from stpnrca.persist import load_rbm, save_rbm
-from stpnrca.rbm import (
-    DetectorConfig,
-    RbmConfig,
-    RbmParams,
-    calibrate_threshold,
-    detect,
-    detect_windows,
-    free_energy,
-    select_hidden_units,
-    switched_free_energy,
-    train_rbm,
-)
+from stpnrca.rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
 
 
 def zero_params(n_v=4, n_h=3):
@@ -63,38 +52,6 @@ class TestFreeEnergy:
             assert fb[i] == pytest.approx(free_energy(params, batch[i]))
 
 
-class TestSwitchedFreeEnergy:
-    @pytest.fixture
-    def params(self):
-        rng = np.random.default_rng(11)
-        return RbmParams(rng.normal(size=5), rng.normal(size=3), rng.normal(size=(5, 3)))
-
-    def test_empty_flip_is_identity(self, params):
-        v = np.array([1, 0, 1, 0, 1], dtype=float)
-        assert switched_free_energy(params, v, []) == free_energy(params, v)
-
-    def test_double_flip_involution(self, params):
-        v = np.array([1, 1, 0, 0, 1], dtype=float)
-        flipped = v.copy()
-        flipped[[0, 3]] = 1 - flipped[[0, 3]]
-        once = switched_free_energy(params, v, [0, 3])
-        assert once == pytest.approx(free_energy(params, flipped))
-        back = switched_free_energy(params, flipped, [0, 3])
-        assert back == pytest.approx(free_energy(params, v))
-
-    def test_single_flip_equals_hand_flip(self, params):
-        v = np.zeros(5)
-        by_hand = v.copy()
-        by_hand[2] = 1.0
-        assert switched_free_energy(params, v, [2]) == pytest.approx(
-            free_energy(params, by_hand)
-        )
-
-    def test_index_out_of_range(self, params):
-        with pytest.raises(DataError):
-            switched_free_energy(params, np.zeros(5), [7])
-
-
 class TestTraining:
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -119,20 +76,6 @@ class TestTraining:
         with pytest.raises(DataError):
             train_rbm(np.zeros((0, 4)))
 
-    def test_hidden_unit_selection_runs(self):
-        rng = np.random.default_rng(3)
-        vectors = (rng.random((40, 6)) < 0.85).astype(float)
-        best = select_hidden_units(
-            vectors, candidates=(2, 4), config=RbmConfig(epochs=20, seed=0)
-        )
-        assert best in (2, 4)
-
-    def test_hidden_unit_sweep_default_range(self):
-        import inspect
-
-        sig = inspect.signature(select_hidden_units)
-        assert tuple(sig.parameters["candidates"].default) == (16, 32, 64, 128, 256)
-
 
 class TestDetector:
     def test_training_vectors_nominal_by_construction(self):
@@ -140,8 +83,7 @@ class TestDetector:
         vectors = (rng.random((50, 8)) < 0.9).astype(float)
         params = train_rbm(vectors, RbmConfig(n_hidden=6, epochs=80, seed=1))
         threshold = calibrate_threshold(params, vectors, kappa=1.0)
-        cfg = DetectorConfig(energy_threshold=threshold)
-        assert not any(detect(params, v, cfg) for v in vectors)
+        assert not np.any(free_energy(params, vectors) > threshold)
 
     def test_flipped_high_weight_bits_anomalous(self):
         rng = np.random.default_rng(6)
@@ -150,30 +92,14 @@ class TestDetector:
         params = train_rbm(vectors, RbmConfig(n_hidden=6, epochs=150, seed=1))
         threshold = calibrate_threshold(params, vectors, kappa=1.0)
         broken = np.zeros(8)
-        assert detect(params, broken, DetectorConfig(energy_threshold=threshold))
+        assert free_energy(params, broken) > threshold
 
     def test_kappa_infinite_everything_nominal(self):
         rng = np.random.default_rng(7)
         vectors = (rng.random((30, 6)) < 0.9).astype(float)
         params = train_rbm(vectors, RbmConfig(n_hidden=4, epochs=40, seed=2))
         threshold = calibrate_threshold(params, vectors, kappa=1e9)
-        cfg = DetectorConfig(energy_threshold=threshold)
-        assert not detect(params, np.zeros(6), cfg)
-
-    def test_mean_aggregation_suppresses_isolated_spike(self):
-        # positive visible biases: all-ones is low energy, all-zeros a spike
-        params = RbmParams(np.ones(2), np.zeros(1), np.zeros((2, 1)))
-        vectors = np.array([[1, 1], [0, 0], [1, 1], [1, 1]], dtype=float)
-        f_low = free_energy(params, np.ones(2))
-        f_high = free_energy(params, np.zeros(2))
-        threshold = (f_low + f_high) / 2
-        single = DetectorConfig(energy_threshold=threshold)
-        flags = detect_windows(params, vectors, single)
-        assert flags.tolist() == [False, True, False, False]
-        smoothed = DetectorConfig(
-            energy_threshold=threshold, aggregation="mean", mean_window=4
-        )
-        assert not detect_windows(params, vectors, smoothed).any()
+        assert free_energy(params, np.zeros(6)) <= threshold
 
 
 class TestThresholdConstruction:

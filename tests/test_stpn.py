@@ -219,12 +219,8 @@ class TestWindowMetrics:
             FaultSpec(kind="pattern_break", edges=((0, 1),)),
             seed=99,
         )
-        nominal_vals = [
-            window_metrics(model, w)[0, 1] for _, w in base.iter_windows(200)
-        ]
-        broken_vals = [
-            window_metrics(model, w)[0, 1] for _, w in broken.iter_windows(200)
-        ]
+        nominal_vals = scan_windows(model, base).metrics[:, 0, 1]
+        broken_vals = scan_windows(model, broken).metrics[:, 0, 1]
         assert np.mean(broken_vals) < np.mean(nominal_vals)
 
 

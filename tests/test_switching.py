@@ -3,11 +3,7 @@ import pytest
 
 from stpnrca.errors import DataError
 from stpnrca.rbm import RbmConfig, RbmParams, free_energy, train_rbm
-from stpnrca.switching import (
-    exhaustive_switch_oracle,
-    kld_distance,
-    s3_search,
-)
+from stpnrca.switching import exhaustive_switch_oracle, s3_search
 
 
 @pytest.fixture(scope="module")
@@ -106,30 +102,3 @@ class TestExhaustiveOracle:
         params = RbmParams(np.zeros(3), np.zeros(2), np.zeros((3, 2)))
         flip_set, _ = exhaustive_switch_oracle(params, np.zeros(3))
         assert flip_set == ()
-
-
-class TestKldDistance:
-    def test_identical_samples_zero(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=500)
-        assert kld_distance(x, x.copy(), bins=15) == pytest.approx(0.0, abs=1e-12)
-
-    def test_disjoint_supports_finite(self):
-        a = np.linspace(0, 1, 100)
-        b = np.linspace(10, 11, 100)
-        d = kld_distance(a, b, bins=10)
-        assert np.isfinite(d)
-        assert d > 1.0
-
-    def test_increases_with_shift(self):
-        rng = np.random.default_rng(1)
-        base = rng.normal(0, 1, size=2000)
-        shifted_1 = rng.normal(1, 1, size=2000)
-        shifted_2 = rng.normal(2, 1, size=2000)
-        d1 = kld_distance(base, shifted_1, bins=30)
-        d2 = kld_distance(base, shifted_2, bins=30)
-        assert 0 < d1 < d2
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DataError):
-            kld_distance(np.ones(10), np.ones(10))

@@ -7,7 +7,6 @@ from stpnrca.bench import exact_log_metric, two_state_counts
 from stpnrca.errors import DataError, DegeneratePartitionError
 from stpnrca.symbolic import (
     count_matrix,
-    decode_state,
     learn_partition,
     log_inference_metric,
     metric_delta,
@@ -102,8 +101,10 @@ class TestStates:
         symbols = rng.integers(0, 4, size=(50, 1))
         states = states_from_symbols(symbols, 4, depth)
         for k, state in enumerate(states[:, 0]):
-            expected = tuple(symbols[k : k + depth, 0].tolist())
-            assert decode_state(int(state), 4, depth) == expected
+            history = symbols[k : k + depth, 0]
+            # base-4 digits, oldest symbol most significant
+            expected = sum(int(s) * 4 ** (depth - 1 - j) for j, s in enumerate(history))
+            assert state == expected
 
 
 class TestCountMatrix:
