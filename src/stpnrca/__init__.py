@@ -2,12 +2,12 @@
 
 from .association import (
     A3Dataset,
-    MlpConfig,
     MlpParams,
     generate_artificial_anomalies,
     infer_a3,
     train_a3,
 )
+from .config import RunConfig
 from .errors import (
     DataError,
     DegeneratePartitionError,
@@ -22,7 +22,6 @@ from .metrics import (
 )
 from .nodes import NodeInferenceResult, infer_nodes, rank_nodes
 from .pipeline import (
-    RunConfig,
     TrainedBundle,
     evaluate_case,
     load_bundle,
@@ -32,9 +31,8 @@ from .pipeline import (
     save_bundle,
     train_bundle,
 )
-from .rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
+from .rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
 from .stpn import (
-    StpnConfig,
     StpnModel,
     binarize,
     index_pattern,

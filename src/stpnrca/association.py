@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError
 from .rbm import _sigmoid
 
@@ -66,18 +67,6 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
 
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden: tuple[int, ...] = (256, 256)
-    dropout: float = 0.5
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    batch_size: int = 128
-    epochs: int = 200
-    patience: int = 10
-    seed: int = 0
-
-
 def generate_artificial_anomalies(
     nominal_vectors: np.ndarray,
     flip_orders=(1, 2, 3, 4),
@@ -114,15 +103,15 @@ def generate_artificial_anomalies(
     return A3Dataset(np.stack(inputs), np.stack(labels))
 
 
-def init_mlp(n_inputs: int, n_outputs: int, config: MlpConfig) -> MlpParams:
+def init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
     """Scaled random initialization (deterministic per seed)."""
     rng = np.random.default_rng(config.seed)
-    sizes = [n_inputs, *config.hidden, n_outputs]
+    sizes = [n_inputs, *config.a3_hidden, n_outputs]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(tuple(weights), tuple(biases), dropout=config.dropout)
+    return MlpParams(tuple(weights), tuple(biases), dropout=config.a3_dropout)
 
 
 def _forward(weights, biases, x, dropout=0.0, rng=None):
@@ -180,7 +169,7 @@ def loss_and_grads(weights, biases, x, y, dropout=0.0, rng=None):
     return loss, grads_w, grads_b
 
 
-def train_a3(data: A3Dataset, config: MlpConfig = MlpConfig()) -> MlpParams:
+def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     """Train with mini-batch gradient descent plus momentum and early stopping.
 
     The dataset is shuffled (by seed) and split into equal training and
@@ -210,16 +199,17 @@ def train_a3(data: A3Dataset, config: MlpConfig = MlpConfig()) -> MlpParams:
     best_w = [w.copy() for w in weights]
     best_b = [b.copy() for b in biases]
     stale = 0
-    for _ in range(config.epochs):
+    momentum, lr = config.a3_momentum, config.a3_learning_rate
+    for _ in range(config.a3_epochs):
         idx = rng.permutation(tr_x.shape[0])
-        for lo in range(0, tr_x.shape[0], config.batch_size):
-            batch = idx[lo : lo + config.batch_size]
+        for lo in range(0, tr_x.shape[0], config.a3_batch_size):
+            batch = idx[lo : lo + config.a3_batch_size]
             _, gw, gb = loss_and_grads(
-                weights, biases, tr_x[batch], tr_y[batch], config.dropout, rng
+                weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
             )
             for layer in range(len(weights)):
-                vel_w[layer] = config.momentum * vel_w[layer] - config.learning_rate * gw[layer]
-                vel_b[layer] = config.momentum * vel_b[layer] - config.learning_rate * gb[layer]
+                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
+                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
                 weights[layer] += vel_w[layer]
                 biases[layer] += vel_b[layer]
         current = val_loss()
@@ -230,9 +220,9 @@ def train_a3(data: A3Dataset, config: MlpConfig = MlpConfig()) -> MlpParams:
             stale = 0
         else:
             stale += 1
-            if stale >= config.patience:
+            if stale >= config.a3_patience:
                 break
-    return MlpParams(tuple(best_w), tuple(best_b), dropout=config.dropout)
+    return MlpParams(tuple(best_w), tuple(best_b), dropout=config.a3_dropout)
 
 
 def infer_a3(

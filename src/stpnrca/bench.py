@@ -21,10 +21,11 @@ from math import factorial
 import mpmath
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError, UsageError
 from .metrics import prf_counts
-from .pipeline import RunConfig, TrainedBundle, _scan_and_flag, rca_vector, train_bundle
-from .rbm import RbmConfig, free_energy, train_rbm
+from .pipeline import TrainedBundle, _scan_and_flag, rca_vector, train_bundle
+from .rbm import free_energy, train_rbm
 from .stpn import index_pattern, pattern_index, scan_windows
 from .switching import exhaustive_switch_oracle, s3_search
 from .symbolic import log_inference_metric, metric_delta
@@ -184,8 +185,8 @@ def greedy_oracle_suite(n_cases: int = 100, seed: int = 7) -> SuiteResult:
         train = np.abs(train - noise)
         params = train_rbm(
             train,
-            RbmConfig(n_hidden=6, epochs=60, learning_rate=0.1, batch_size=10,
-                      seed=seed + case),
+            RunConfig(rbm_hidden=6, rbm_epochs=60, rbm_learning_rate=0.1,
+                      rbm_batch_size=10, seed=seed + case),
         )
         v = prototypes[0].copy()
         flips = rng.choice(n_v, size=int(rng.integers(1, 4)), replace=False)
@@ -280,7 +281,7 @@ def energy_gap_suite(
     vectors = ctx.bundle.training_vectors
     ok = True
     for seed in seeds:
-        rbm = train_rbm(vectors, replace(ctx.config.rbm_config(), seed=seed))
+        rbm = train_rbm(vectors, replace(ctx.config, seed=seed))
         rng = np.random.default_rng(9000 + seed)
         flipped = vectors.copy()
         idx = rng.integers(0, vectors.shape[1], size=vectors.shape[0])

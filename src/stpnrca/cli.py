@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: simulate, train, detect, rca, evaluate, bench. Exit codes:
-0 success, 1 usage error, 2 data error, 3 numerical failure. A default
-config file can be pointed to by the STPNRCA_CONFIG environment variable;
-explicit --config and --set overrides win. All outputs are written
-atomically (temp file + rename), so failures leave no partial files.
+0 success, 1 usage error, 2 data error or unwritable output, 3 numerical
+failure. Only train, simulate and rca --method var read --config, --set and
+the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
+--method s3/a3 use the config fixed in the bundle's run.json. All outputs
+are written atomically (temp file + rename), so failures leave no partial files.
 
 Channel indices on the command line are 0-based column positions of the
 input CSV; reports carry the channel names alongside.
@@ -20,9 +21,9 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
+from .config import RunConfig
 from .errors import DataError, NumericalError, StpnRcaError, UsageError
 from .pipeline import (
-    RunConfig,
     evaluate_case,
     load_bundle,
     run_detect,
@@ -198,6 +199,11 @@ def cmd_rca(args) -> int:
         test = _load_series(args.data, args.format)
         report = run_var_rca(nominal, test, config, data_path=config_path_marker)
     else:
+        if args.config is not None or args.set:
+            raise UsageError(
+                f"--config and --set apply to --method var only; for {args.method} "
+                "the bundle's run.json fixes the config"
+            )
         bundle = load_bundle(args.model)
         ts = _load_series(args.data, args.format)
         report = run_rca(
@@ -282,14 +288,16 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stpn-rca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config(p):
         p.add_argument("--config", help="config file (key = value lines)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
+
+    def add_format(p):
         p.add_argument("--format", choices=["csv", "tep"], default="csv")
 
     p = sub.add_parser("simulate", help="generate synthetic benchmark data")
-    add_common(p)
+    add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--modes", choices=["builtin"], help="emit the six nominal modes")
     p.add_argument("--cases", type=int, help="emit the first N pattern-fault cases")
@@ -302,7 +310,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the pattern network and energy model")
-    add_common(p)
+    add_config(p)
+    add_format(p)
     p.add_argument("--nominal", nargs="+", required=True, help="nominal CSV file(s)")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.add_argument("--a3", action="store_true",
@@ -310,14 +319,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="window verdicts for a test series")
-    add_common(p)
+    add_format(p)
     p.add_argument("--model", required=True, help="bundle directory")
     p.add_argument("--data", required=True)
     p.add_argument("--stride", type=int)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("rca", help="root-cause analysis of a test series")
-    add_common(p)
+    add_config(p)
+    add_format(p)
     p.add_argument("--model", help="bundle directory (s3/a3)")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=["s3", "a3", "var"], default="s3")
@@ -329,7 +339,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_rca)
 
     p = sub.add_parser("evaluate", help="score RCA reports against label sidecars")
-    add_common(p)
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--labels", nargs="+", required=True)
     p.add_argument("--out", help="write a CSV table here")
@@ -359,7 +368,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except StpnRcaError as exc:
+    except (StpnRcaError, OSError) as exc:  # OSError: e.g. an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: configuration, training bundles, detection, RCA.
+"""End-to-end orchestration: training bundles, detection, RCA.
 
 Everything the command-line layer does is implemented here so library users
 and the benchmark suites drive the exact same code paths.
@@ -7,21 +7,14 @@ and the benchmark suites drive the exact same code paths.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import (
-    MlpConfig,
-    MlpParams,
-    generate_artificial_anomalies,
-    infer_a3,
-    train_a3,
-)
+from .association import MlpParams, generate_artificial_anomalies, infer_a3, train_a3
+from .config import RunConfig, _config_from_values
 from .errors import DataError, UsageError
 from .nodes import infer_nodes, rank_nodes
 from .persist import (
@@ -32,162 +25,11 @@ from .persist import (
     save_rbm,
     save_stpn,
 )
-from .rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
-from .stpn import StpnConfig, StpnModel, _train, index_pattern, scan_windows
+from .rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
+from .stpn import StpnModel, index_pattern, scan_windows, train_stpn
 from .switching import s3_search
 from .synth import var_fit, var_rca_baseline
 from .timeseries import TimeSeries, atomic_open
-
-CONFIG_ENV_VAR = "STPNRCA_CONFIG"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Every tunable of the pipeline, with reference-experiment defaults.
-
-    Readable from a ``key = value`` text file (unknown keys are rejected)
-    with command-line overrides applied on top. Out-of-range values raise
-    UsageError.
-    """
-
-    alphabet_size: int = 9
-    depth: int = 1
-    lag: int = 1
-    window_length: int = 1200
-    stride: int = 0  # 0 -> window_length
-    threshold_quantile: float = 0.05
-    partition_method: str = "mep"
-    rbm_hidden: int = 64
-    rbm_epochs: int = 200
-    rbm_learning_rate: float = 0.05
-    rbm_batch_size: int = 32
-    detector_kappa: float = 1.0
-    a3_hidden: tuple[int, ...] = (256, 256)
-    a3_dropout: float = 0.5
-    a3_learning_rate: float = 0.1
-    a3_momentum: float = 0.9
-    a3_batch_size: int = 128
-    a3_epochs: int = 200
-    a3_patience: int = 10
-    a3_flip_orders: tuple[int, ...] = (1, 2, 3, 4)
-    a3_samples_per_order: int = 20
-    a3_cutoff: float = 0.5
-    var_lag: int = 1
-    var_eta: float = 0.4
-    seed: int = 0
-
-    def __post_init__(self):
-        at_least = {
-            "stride": 0, "rbm_hidden": 1, "rbm_epochs": 0, "rbm_batch_size": 1,
-            "a3_batch_size": 1, "a3_epochs": 0, "a3_samples_per_order": 1,
-        }
-        for key, low in at_least.items():
-            if getattr(self, key) < low:
-                raise UsageError(f"config key {key!r} must be >= {low}")
-        if min(self.a3_hidden, default=1) < 1 or min(self.a3_flip_orders, default=1) < 1:
-            raise UsageError("a3_hidden widths and a3_flip_orders must be >= 1")
-        if not 0.0 <= self.a3_dropout < 1.0:
-            raise UsageError("config key 'a3_dropout' must lie in [0, 1)")
-        if not 0.0 < self.a3_cutoff < 1.0:
-            raise UsageError("config key 'a3_cutoff' must lie in (0, 1)")
-
-    def stpn_config(self) -> StpnConfig:
-        return StpnConfig(
-            alphabet_size=self.alphabet_size,
-            depth=self.depth,
-            lag=self.lag,
-            window_length=self.window_length,
-            stride=self.stride or None,
-            threshold_quantile=self.threshold_quantile,
-            partition_method=self.partition_method,
-        )
-
-    def rbm_config(self) -> RbmConfig:
-        return RbmConfig(
-            n_hidden=self.rbm_hidden,
-            epochs=self.rbm_epochs,
-            learning_rate=self.rbm_learning_rate,
-            batch_size=self.rbm_batch_size,
-            seed=self.seed,
-        )
-
-    def mlp_config(self) -> MlpConfig:
-        return MlpConfig(
-            hidden=self.a3_hidden,
-            dropout=self.a3_dropout,
-            learning_rate=self.a3_learning_rate,
-            momentum=self.a3_momentum,
-            batch_size=self.a3_batch_size,
-            epochs=self.a3_epochs,
-            patience=self.a3_patience,
-            seed=self.seed,
-        )
-
-    def fingerprint(self) -> str:
-        doc = json.dumps(dataclasses.asdict(self), sort_keys=True, default=list)
-        return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-    @classmethod
-    def from_sources(
-        cls, path: str | None = None, overrides: dict | None = None
-    ) -> "RunConfig":
-        """Defaults, then an optional config file, then explicit overrides."""
-        values: dict = {}
-        if path is None:
-            path = os.environ.get(CONFIG_ENV_VAR) or None
-        if path:
-            values.update(_parse_config_file(path))
-        values.update(overrides or {})
-        return _config_from_values(values)
-
-
-def _config_from_values(values: dict) -> RunConfig:
-    """RunConfig from text values (config file, --set) or JSON ones (run.json);
-    unknown keys and values of the wrong type are a UsageError."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    parsed = {}
-    for key, raw in values.items():
-        if key not in fields:
-            raise UsageError(f"unknown config key {key!r}")
-        parsed[key] = _coerce(raw, fields[key].type, key)
-    return RunConfig(**parsed)
-
-
-def _parse_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-_NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
-
-
-def _coerce(raw, annotation, key):
-    annotation = str(annotation)
-    try:
-        if annotation.startswith("tuple"):
-            items = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
-            return tuple(_coerce(x, "int", key) for x in items)
-        if annotation in _NUMBER_TYPES:
-            if isinstance(raw, str):
-                return int(raw) if annotation == "int" else float(raw)
-            if isinstance(raw, _NUMBER_TYPES[annotation]) and not isinstance(raw, bool):
-                return raw
-        elif isinstance(raw, str):
-            return raw
-    except (TypeError, ValueError):
-        pass
-    raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +51,9 @@ def train_bundle(
     keep_vectors: bool = True,
 ) -> TrainedBundle:
     """Train the pattern network, the energy model, and optionally the classifier."""
-    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
-    model, scans = _train(series, config.stpn_config())
+    model, scans = train_stpn(nominal, config)
     vectors = np.vstack([scan.vectors for scan in scans]).astype(float)
-    rbm = train_rbm(vectors, config.rbm_config())
+    rbm = train_rbm(vectors, config)
     threshold = calibrate_threshold(rbm, vectors, kappa=config.detector_kappa)
     mlp = None
     if with_a3:
@@ -222,7 +63,7 @@ def train_bundle(
             samples_per_order=config.a3_samples_per_order,
             seed=config.seed,
         )
-        mlp = train_a3(data, config.mlp_config())
+        mlp = train_a3(data, config)
     return TrainedBundle(
         stpn=model,
         rbm=rbm,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError
 
 
@@ -47,15 +48,6 @@ class RbmParams:
         return self.hidden_bias.size
 
 
-@dataclass(frozen=True)
-class RbmConfig:
-    n_hidden: int = 64
-    epochs: int = 200
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    seed: int = 0
-
-
 def _sigmoid(x):
     out = np.empty_like(x, dtype=float)
     pos = x >= 0
@@ -65,24 +57,22 @@ def _sigmoid(x):
     return out
 
 
-def train_rbm(vectors: np.ndarray, config: RbmConfig = RbmConfig()) -> RbmParams:
+def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams:
     """Fit the machine to binary vectors with CD-1; deterministic per seed."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise DataError("training set must be a nonempty (n, n_v) matrix")
-    if config.n_hidden < 1:
-        raise DataError("n_hidden must be >= 1")
     n, n_v = vectors.shape
     rng = np.random.default_rng(config.seed)
-    w = rng.normal(0.0, 0.01, size=(n_v, config.n_hidden))
+    w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
     a = np.zeros(n_v)
-    b = np.zeros(config.n_hidden)
-    lr = config.learning_rate
+    b = np.zeros(config.rbm_hidden)
+    lr = config.rbm_learning_rate
 
-    for _ in range(config.epochs):
+    for _ in range(config.rbm_epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            v0 = vectors[order[lo : lo + config.batch_size]]
+        for lo in range(0, n, config.rbm_batch_size):
+            v0 = vectors[order[lo : lo + config.rbm_batch_size]]
             m = v0.shape[0]
             ph0 = _sigmoid(v0 @ w + b)
             h0 = (rng.random(ph0.shape) < ph0).astype(float)

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from .config import RunConfig
 from .errors import DataError
 from .symbolic import (
     PartitionScheme,
@@ -26,27 +27,6 @@ from .symbolic import (
     symbolize,
 )
 from .timeseries import TimeSeries
-
-
-@dataclass(frozen=True)
-class StpnConfig:
-    """Knobs for model learning; defaults follow the reference experiment."""
-
-    alphabet_size: int = 9
-    depth: int = 1
-    lag: int = 1
-    window_length: int = 1200
-    stride: int | None = None  # None -> non-overlapping windows
-    threshold_quantile: float = 0.05
-    partition_method: str = "mep"
-
-    def __post_init__(self):
-        if self.depth < 1 or self.lag < 1:
-            raise DataError("depth and lag must be >= 1")
-        if self.window_length < self.alphabet_size:
-            raise DataError("window_length must be >= alphabet_size")
-        if not 0.0 <= self.threshold_quantile < 1.0:
-            raise DataError("threshold_quantile must be in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +42,8 @@ class StpnModel:
     thresholds: np.ndarray = field(repr=False)  # (f, f) float
 
     def __post_init__(self):
+        if min(self.depth, self.lag) < 1 or self.window_length < self.depth + self.lag:
+            raise DataError("need depth, lag >= 1 and window_length >= depth + lag")
         f = len(self.names)
         counts = np.asarray(self.counts)
         if not np.issubdtype(counts.dtype, np.integer):
@@ -152,11 +134,19 @@ def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
         yield np.bincount(flat, minlength=f * cell).reshape(f, n_states, n_symbols)
 
 
-def _train(
-    series: list[TimeSeries], config: StpnConfig
+def train_stpn(
+    nominal: TimeSeries | Sequence[TimeSeries], config: RunConfig = RunConfig()
 ) -> tuple[StpnModel, list[WindowScan]]:
-    """:func:`train_stpn`, also returning the binarized calibration scan of
-    each series, so callers need not score the training windows again."""
+    """Fit the pattern network from one or more nominal series.
+
+    With several series (multiple nominal operating modes) the counts are
+    pooled into a single grid; disambiguating the modes is the energy
+    model's job, not the network's. Thresholds are set per pattern to the
+    configured quantile of the log metric over all nominal windows. Also
+    returns the binarized calibration scan of each series, so callers need
+    not score the training windows again.
+    """
+    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
     if not series:
         raise DataError("no nominal series given")
     names = series[0].names
@@ -222,20 +212,6 @@ def _train(
     thresholds = np.quantile(stacked, config.threshold_quantile, axis=0)
     model = replace(model, thresholds=thresholds)
     return model, [_window_scan(model, starts, metrics) for starts, metrics in scored]
-
-
-def train_stpn(
-    nominal: TimeSeries | Sequence[TimeSeries], config: StpnConfig = StpnConfig()
-) -> StpnModel:
-    """Fit the pattern network from one or more nominal series.
-
-    With several series (multiple nominal operating modes) the counts are
-    pooled into a single grid; disambiguating the modes is the energy
-    model's job, not the network's. Thresholds are set per pattern to the
-    configured quantile of the log metric over all nominal windows.
-    """
-    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
-    return _train(series, config)[0]
 
 
 def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:

@@ -3,7 +3,6 @@ import pytest
 
 from stpnrca.association import (
     A3Dataset,
-    MlpConfig,
     a3_loss,
     generate_artificial_anomalies,
     infer_a3,
@@ -11,6 +10,7 @@ from stpnrca.association import (
     loss_and_grads,
     train_a3,
 )
+from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
 
 
@@ -25,9 +25,9 @@ def flip_dataset():
 
 @pytest.fixture(scope="module")
 def trained(flip_dataset):
-    cfg = MlpConfig(
-        hidden=(48,), dropout=0.2, learning_rate=0.2, batch_size=64,
-        epochs=120, patience=12, seed=0,
+    cfg = RunConfig(
+        a3_hidden=(48,), a3_dropout=0.2, a3_learning_rate=0.2, a3_batch_size=64,
+        a3_epochs=120, a3_patience=12, seed=0,
     )
     return train_a3(flip_dataset, cfg), cfg
 
@@ -70,7 +70,7 @@ class TestGeneration:
 
 class TestLoss:
     def test_decomposes_into_per_position_terms(self, flip_dataset):
-        cfg = MlpConfig(hidden=(16,), seed=5)
+        cfg = RunConfig(a3_hidden=(16,), seed=5)
         params = init_mlp(12, 12, cfg)
         total = a3_loss(params, flip_dataset.inputs, flip_dataset.labels)
         per_position = a3_loss(
@@ -83,7 +83,7 @@ class TestLoss:
         # 3-unit toy net, dropout off; biases randomized so no rectifier
         # sits exactly at its kink (where the subgradient is one-sided)
         rng = np.random.default_rng(7)
-        cfg = MlpConfig(hidden=(3,), dropout=0.0, seed=7)
+        cfg = RunConfig(a3_hidden=(3,), a3_dropout=0.0, seed=7)
         params = init_mlp(3, 3, cfg)
         weights = [w.copy() for w in params.weights]
         biases = [b + rng.normal(0.0, 0.3, size=b.shape) for b in params.biases]
@@ -139,9 +139,9 @@ class TestTraining:
     def test_early_stopping_returns_best_epoch(self, flip_dataset):
         # with a huge learning rate late epochs diverge; the returned model
         # must still be the best-validation one, i.e. usable
-        cfg = MlpConfig(
-            hidden=(8,), dropout=0.0, learning_rate=2.0, batch_size=32,
-            epochs=40, patience=40, seed=3,
+        cfg = RunConfig(
+            a3_hidden=(8,), a3_dropout=0.0, a3_learning_rate=2.0, a3_batch_size=32,
+            a3_epochs=40, a3_patience=40, seed=3,
         )
         params = train_a3(flip_dataset, cfg)
         rng = np.random.default_rng(11)
@@ -153,7 +153,7 @@ class TestTraining:
         assert np.isfinite(final_like)
 
     def test_seed_determinism(self, flip_dataset):
-        cfg = MlpConfig(hidden=(8,), epochs=10, seed=21)
+        cfg = RunConfig(a3_hidden=(8,), a3_epochs=10, seed=21)
         p1 = train_a3(flip_dataset, cfg)
         p2 = train_a3(flip_dataset, cfg)
         for w1, w2 in zip(p1.weights, p2.weights):

@@ -24,6 +24,27 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture()
+def report_and_labels(workdir, tmp_path):
+    report_path = tmp_path / "fault.report.json"
+    run(
+        "rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+        "--method", "s3", "--force", "--out", report_path,
+    )
+    labels_path = tmp_path / "fault.labels.json"
+    labels = {
+        "case_id": "fault",
+        "mode": 0,
+        "channels": ["x1", "x2", "x3", "x4"],
+        "seed": 3,
+        "fault": {"kind": "node_delay", "node": 0, "delay": 5},
+        "failed_patterns": [],
+        "failed_nodes": [0],
+    }
+    labels_path.write_text(json.dumps(labels))
+    return report_path, labels_path
+
+
 class TestSimulate:
     def test_builtin_modes_and_cases(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -144,6 +165,20 @@ class TestDetect:
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         assert "run.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("window_length", -40), ("window_length", 1), ("lag", 0)]
+    )
+    def test_meaningless_model_structure_is_data_error(
+        self, workdir, tmp_path, key, value, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        doc = json.loads((bundle / "stpn.json").read_text())
+        doc["payload"][key] = value
+        (bundle / "stpn.json").write_text(json.dumps(doc))
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        assert "depth + lag" in capsys.readouterr().err
+
     def test_binary_data_file_is_data_error(self, workdir, tmp_path, capsys):
         path = tmp_path / "binary.csv"
         path.write_bytes(b"\xff\xfe\x00garbage")
@@ -197,28 +232,40 @@ class TestRca:
     def test_model_required_for_s3(self, workdir):
         assert run("rca", "--data", workdir / "fault.csv") == 1
 
+    @pytest.mark.parametrize("method", ["s3", "a3"])
+    @pytest.mark.parametrize("flag", ["--set", "--config"])
+    def test_config_flags_rejected_for_bundle_methods(
+        self, workdir, tmp_path, method, flag, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a3_cutoff = 0.9\n")
+        code = run(
+            "rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+            "--method", method, "--force", flag, "a3_cutoff=0.9" if flag == "--set" else cfg,
+        )
+        assert code == 1
+        assert "run.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rca", "evaluate", "simulate"])
+    def test_unwritable_out_is_data_error(
+        self, workdir, report_and_labels, tmp_path, command, capsys
+    ):
+        missing = tmp_path / "missing" / "dir" / "out.json"
+        report, labels = report_and_labels
+        argv = {
+            "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+                    "--force", "--out", missing],
+            "evaluate": ["evaluate", "--reports", report, "--labels", labels, "--out", missing],
+            # a directory cannot be made under a regular file
+            "simulate": ["simulate", "--out", report / "sim", "--modes", "builtin",
+                         "--samples", "50"],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEvaluate:
-    @pytest.fixture()
-    def report_and_labels(self, workdir, tmp_path):
-        report_path = tmp_path / "fault.report.json"
-        run(
-            "rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
-            "--method", "s3", "--force", "--out", report_path,
-        )
-        labels_path = tmp_path / "fault.labels.json"
-        labels = {
-            "case_id": "fault",
-            "mode": 0,
-            "channels": ["x1", "x2", "x3", "x4"],
-            "seed": 3,
-            "fault": {"kind": "node_delay", "node": 0, "delay": 5},
-            "failed_patterns": [],
-            "failed_nodes": [0],
-        }
-        labels_path.write_text(json.dumps(labels))
-        return report_path, labels_path
-
     def test_table_output(self, report_and_labels, tmp_path, capsys):
         report_path, labels_path = report_and_labels
         out_csv = tmp_path / "table.csv"
@@ -282,13 +329,40 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         assert run("detect", "--bogus", "x") == 1
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("detect", "--set=nonsense_key=1"), ("detect", "--config=/nonexistent"),
+            ("evaluate", "--set=seed=1"), ("evaluate", "--config=/nonexistent"),
+            ("evaluate", "--format=csv"), ("simulate", "--format=csv"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(
+        self, workdir, report_and_labels, tmp_path, command, flag, capsys
+    ):
+        """Each subcommand accepts only the flags it reads."""
+        report, labels = report_and_labels
+        argv = {
+            "detect": ["detect", "--model", workdir / "bundle", "--data", workdir / "fresh.csv"],
+            "evaluate": ["evaluate", "--reports", report, "--labels", labels],
+            "simulate": ["simulate", "--out", tmp_path / "sim", "--modes", "builtin",
+                         "--samples", "50"],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, flag) == 1
+        assert flag.split("=")[0] in capsys.readouterr().err
+
     def test_bad_set_syntax(self, tmp_path, toy_nominal):
         data = tmp_path / "n.csv"
         write_csv(toy_nominal.window(0, 900), data)
         assert run("train", "--nominal", data, "--out", tmp_path / "b", "--set", "oops") == 1
 
     @pytest.mark.parametrize(
-        "item", ["rbm_batch_size=0", "a3_batch_size=0", "a3_dropout=1", "a3_cutoff=1"]
+        "item",
+        [
+            "rbm_batch_size=0", "a3_batch_size=0", "a3_dropout=1", "a3_cutoff=1", "depth=0",
+            "lag=0", "alphabet_size=1", "var_lag=0", "threshold_quantile=1",
+        ],
     )
     def test_out_of_range_set_value_is_usage_error(self, tmp_path, toy_nominal, item, capsys):
         data = tmp_path / "n.csv"

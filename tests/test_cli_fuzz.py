@@ -131,8 +131,10 @@ def bad_setting():
         return False
 
     lows = {
-        "stride": 0, "rbm_hidden": 1, "rbm_epochs": 0, "rbm_batch_size": 1,
-        "a3_batch_size": 1, "a3_epochs": 0, "a3_samples_per_order": 1,
+        "alphabet_size": 2, "depth": 1, "lag": 1, "stride": 0, "rbm_hidden": 1,
+        "rbm_epochs": 0, "rbm_batch_size": 1, "a3_batch_size": 1, "a3_epochs": 0,
+        "a3_samples_per_order": 1, "var_lag": 1,
+        "window_length": RunConfig().alphabet_size,
     }
     unit = st.floats(allow_nan=True, allow_infinity=True)
     return st.one_of(
@@ -146,6 +148,7 @@ def bad_setting():
             lambda k: st.integers(max_value=lows[k] - 1).map(lambda v: f"{k}={v}")
         ),
         unit.filter(lambda x: not 0.0 <= x < 1.0).map(lambda x: f"a3_dropout={x!r}"),
+        unit.filter(lambda x: not 0.0 <= x < 1.0).map(lambda x: f"threshold_quantile={x!r}"),
         unit.filter(lambda x: not 0.0 < x < 1.0).map(lambda x: f"a3_cutoff={x!r}"),
         st.integers(max_value=0).map(lambda v: f"a3_hidden=64,{v}"),
         st.integers(max_value=0).map(lambda v: f"a3_flip_orders=1 {v}"),

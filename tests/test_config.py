@@ -1,0 +1,75 @@
+import ast
+import dataclasses
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stpnrca.config import RunConfig, _config_from_values
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stpnrca"
+
+
+def ints(low):
+    return st.integers(min_value=low, max_value=10**6)
+
+
+def reals():
+    return st.floats(allow_nan=False)
+
+
+@st.composite
+def valid_configs(draw):
+    alphabet_size = draw(st.integers(2, 50))
+    return RunConfig(
+        alphabet_size=alphabet_size,
+        depth=draw(ints(1)),
+        lag=draw(ints(1)),
+        window_length=draw(st.integers(alphabet_size, 10**6)),
+        stride=draw(ints(0)),
+        threshold_quantile=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        partition_method=draw(st.text()),
+        rbm_hidden=draw(ints(1)),
+        rbm_epochs=draw(ints(0)),
+        rbm_learning_rate=draw(reals()),
+        rbm_batch_size=draw(ints(1)),
+        detector_kappa=draw(reals()),
+        a3_hidden=tuple(draw(st.lists(ints(1), max_size=4))),
+        a3_dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        a3_learning_rate=draw(reals()),
+        a3_momentum=draw(reals()),
+        a3_batch_size=draw(ints(1)),
+        a3_epochs=draw(ints(0)),
+        a3_patience=draw(st.integers()),
+        a3_flip_orders=tuple(draw(st.lists(ints(1), max_size=6))),
+        a3_samples_per_order=draw(ints(1)),
+        a3_cutoff=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        var_lag=draw(ints(1)),
+        var_eta=draw(reals()),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cfg=valid_configs())
+def test_config_survives_run_json(cfg):
+    """A valid config written the way run.json stores it reads back equal."""
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg), default=list))
+    loaded = _config_from_values(doc)
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(loaded, f.name) == getattr(cfg, f.name), f.name
+        assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
+    assert loaded.fingerprint() == cfg.fingerprint()
+
+
+def test_every_config_key_is_read():
+    """Each RunConfig field is read as an attribute outside config.py, so a
+    key that no code reads cannot stay settable."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert not unread

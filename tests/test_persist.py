@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stpnrca.association import MlpConfig, MlpParams, init_mlp
+from stpnrca.association import MlpParams, init_mlp
+from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
 from stpnrca.persist import (
     load_mlp,
@@ -72,7 +73,7 @@ class TestContainerChecks:
 class TestMlpShapes:
     def test_layers_that_do_not_chain_rejected(self, tmp_path):
         path = tmp_path / "mlp.json"
-        save_mlp(init_mlp(6, 6, MlpConfig(hidden=(5,))), path)
+        save_mlp(init_mlp(6, 6, RunConfig(a3_hidden=(5,))), path)
         doc = json.loads(path.read_text())
         doc["payload"]["biases"][0].append(0.0)
         path.write_text(json.dumps(doc))
@@ -80,14 +81,14 @@ class TestMlpShapes:
             load_mlp(path)
 
     def test_dropout_range(self):
-        params = init_mlp(3, 3, MlpConfig(hidden=(2,)))
+        params = init_mlp(3, 3, RunConfig(a3_hidden=(2,)))
         with pytest.raises(DataError, match="dropout"):
             MlpParams(params.weights, params.biases, dropout=1.0)
 
 
 class TestMlpRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
-        params = init_mlp(6, 6, MlpConfig(hidden=(5,), dropout=0.4, seed=3))
+        params = init_mlp(6, 6, RunConfig(a3_hidden=(5,), a3_dropout=0.4, seed=3))
         path = tmp_path / "mlp.json"
         save_mlp(params, path)
         loaded = load_mlp(path)

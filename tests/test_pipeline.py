@@ -4,12 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from stpnrca.association import MlpConfig, init_mlp
+from stpnrca.association import init_mlp
+from stpnrca.config import CONFIG_ENV_VAR, RunConfig
 from stpnrca.errors import DataError, UsageError
 from stpnrca.persist import save_mlp, save_rbm
 from stpnrca.pipeline import (
-    CONFIG_ENV_VAR,
-    RunConfig,
     evaluate_case,
     load_bundle,
     run_detect,
@@ -71,7 +70,9 @@ class TestRunConfig:
             ("a3_hidden", "64 0"), ("rbm_epochs", "-1"), ("a3_epochs", "-1"),
             ("stride", "-1"), ("a3_dropout", "1"), ("a3_dropout", "-0.1"),
             ("a3_cutoff", "0"), ("a3_cutoff", "1"), ("a3_flip_orders", "0 1"),
-            ("a3_samples_per_order", "0"),
+            ("a3_samples_per_order", "0"), ("depth", "0"), ("lag", "0"),
+            ("alphabet_size", "1"), ("var_lag", "0"), ("window_length", "8"),
+            ("threshold_quantile", "1"), ("threshold_quantile", "-0.1"),
         ],
     )
     def test_out_of_range_rejected(self, key, value, monkeypatch):
@@ -138,7 +139,7 @@ class TestBundleRoundtrip:
             save_rbm(rbm, tmp_path / "rbm.json", threshold=toy_bundle.energy_threshold)
         else:
             shape = (n - 1, n) if part == "a3_inputs" else (n, n - 1)
-            save_mlp(init_mlp(*shape, MlpConfig(hidden=(3,))), tmp_path / "a3.json")
+            save_mlp(init_mlp(*shape, RunConfig(a3_hidden=(3,))), tmp_path / "a3.json")
         with pytest.raises(DataError, match="width"):
             load_bundle(tmp_path)
 

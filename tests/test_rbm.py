@@ -5,7 +5,8 @@ import pytest
 
 from stpnrca.errors import DataError
 from stpnrca.persist import load_rbm, save_rbm
-from stpnrca.rbm import RbmConfig, RbmParams, calibrate_threshold, free_energy, train_rbm
+from stpnrca.config import RunConfig
+from stpnrca.rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
 
 
 def zero_params(n_v=4, n_h=3):
@@ -56,7 +57,7 @@ class TestTraining:
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         vectors = (rng.random((40, 8)) < 0.8).astype(float)
-        cfg = RbmConfig(n_hidden=6, epochs=30, seed=42)
+        cfg = RunConfig(rbm_hidden=6, rbm_epochs=30, seed=42)
         p1 = train_rbm(vectors, cfg)
         p2 = train_rbm(vectors, cfg)
         assert np.array_equal(p1.weights, p2.weights)
@@ -65,7 +66,7 @@ class TestTraining:
     def test_nominal_below_random(self):
         rng = np.random.default_rng(2)
         nominal = (rng.random((60, 10)) < 0.9).astype(float)
-        params = train_rbm(nominal, RbmConfig(n_hidden=8, epochs=100, seed=0))
+        params = train_rbm(nominal, RunConfig(rbm_hidden=8, rbm_epochs=100, seed=0))
         random_vectors = (rng.random((60, 10)) < 0.5).astype(float)
         gap = np.mean(free_energy(params, random_vectors)) - np.mean(
             free_energy(params, nominal)
@@ -81,7 +82,7 @@ class TestDetector:
     def test_training_vectors_nominal_by_construction(self):
         rng = np.random.default_rng(5)
         vectors = (rng.random((50, 8)) < 0.9).astype(float)
-        params = train_rbm(vectors, RbmConfig(n_hidden=6, epochs=80, seed=1))
+        params = train_rbm(vectors, RunConfig(rbm_hidden=6, rbm_epochs=80, seed=1))
         threshold = calibrate_threshold(params, vectors, kappa=1.0)
         assert not np.any(free_energy(params, vectors) > threshold)
 
@@ -89,7 +90,7 @@ class TestDetector:
         rng = np.random.default_rng(6)
         vectors = np.ones((50, 8))
         vectors[rng.random((50, 8)) < 0.05] = 0.0
-        params = train_rbm(vectors, RbmConfig(n_hidden=6, epochs=150, seed=1))
+        params = train_rbm(vectors, RunConfig(rbm_hidden=6, rbm_epochs=150, seed=1))
         threshold = calibrate_threshold(params, vectors, kappa=1.0)
         broken = np.zeros(8)
         assert free_energy(params, broken) > threshold
@@ -97,7 +98,7 @@ class TestDetector:
     def test_kappa_infinite_everything_nominal(self):
         rng = np.random.default_rng(7)
         vectors = (rng.random((30, 6)) < 0.9).astype(float)
-        params = train_rbm(vectors, RbmConfig(n_hidden=4, epochs=40, seed=2))
+        params = train_rbm(vectors, RunConfig(rbm_hidden=4, rbm_epochs=40, seed=2))
         threshold = calibrate_threshold(params, vectors, kappa=1e9)
         assert free_energy(params, np.zeros(6)) <= threshold
 

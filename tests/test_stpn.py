@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
 from stpnrca.persist import load_stpn, save_stpn
 from stpnrca.stpn import (
-    StpnConfig,
     StpnModel,
     binarize,
     index_pattern,
@@ -31,13 +31,13 @@ from stpnrca.timeseries import TimeSeries
 
 @pytest.fixture(scope="module")
 def small_config():
-    return StpnConfig(alphabet_size=5, window_length=200, threshold_quantile=0.05)
+    return RunConfig(alphabet_size=5, window_length=200, threshold_quantile=0.05)
 
 
 @pytest.fixture(scope="module")
 def small_model(toy_graph, small_config):
     nominal = simulate_var(toy_graph, 40 * 200, seed=17)
-    return train_stpn(nominal, small_config), nominal
+    return train_stpn(nominal, small_config)[0], nominal
 
 
 class TestPatternIndex:
@@ -67,12 +67,12 @@ class TestTrainStpn:
         assert model.n_patterns == 16
 
     def test_default_window_length(self):
-        assert StpnConfig().window_length == 1200
+        assert RunConfig().window_length == 1200
 
     def test_quantile_zero_gives_all_ones(self, toy_graph):
-        config = StpnConfig(alphabet_size=5, window_length=200, threshold_quantile=0.0)
+        config = RunConfig(alphabet_size=5, window_length=200, threshold_quantile=0.0)
         nominal = simulate_var(toy_graph, 30 * 200, seed=23)
-        model = train_stpn(nominal, config)
+        model = train_stpn(nominal, config)[0]
         scan = scan_windows(model, nominal)
         assert np.all(scan.vectors == 1)
 
@@ -83,8 +83,8 @@ class TestTrainStpn:
 
     def test_determinism(self, toy_graph, small_config):
         nominal = simulate_var(toy_graph, 20 * 200, seed=3)
-        m1 = train_stpn(nominal, small_config)
-        m2 = train_stpn(nominal, small_config)
+        m1 = train_stpn(nominal, small_config)[0]
+        m2 = train_stpn(nominal, small_config)[0]
         assert np.array_equal(m1.counts, m2.counts)
         assert np.array_equal(m1.thresholds, m2.thresholds)
 
@@ -103,10 +103,10 @@ class TestCountGrid:
         if block is not None:  # many small training blocks, one per few samples
             monkeypatch.setattr("stpnrca.stpn._BLOCK_ELEMENTS", block)
         nominal = simulate_var(toy_graph, 3 * 200, seed=5)
-        config = StpnConfig(
+        config = RunConfig(
             alphabet_size=3, depth=depth, lag=lag, window_length=200, threshold_quantile=0.5
         )
-        model = train_stpn(nominal, config)
+        model = train_stpn(nominal, config)[0]
         n_symbols = model.partition.alphabet_size
         symbols = symbolize(nominal, model.partition)
         states = states_from_symbols(symbols, n_symbols, model.depth)
@@ -198,7 +198,7 @@ class TestWindowMetrics:
         x = rng.normal(size=2000)
         x[1:] += 0.5 * x[:-1]
         ts = TimeSeries(("solo",), x[:, None])
-        model = train_stpn(ts, StpnConfig(alphabet_size=4, window_length=300))
+        model = train_stpn(ts, RunConfig(alphabet_size=4, window_length=300))[0]
         metrics = window_metrics(model, ts.window(0, 300))
         assert metrics.shape == (1, 1)
 
@@ -211,7 +211,7 @@ class TestWindowMetrics:
         from stpnrca.synth import FaultSpec, inject_fault
 
         nominal = simulate_var(toy_graph, 40 * 200, seed=17)
-        model = train_stpn(nominal, small_config)
+        model = train_stpn(nominal, small_config)[0]
         base = simulate_var(toy_graph, 5 * 200, seed=99)
         broken = inject_fault(
             toy_graph,

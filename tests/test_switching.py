@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stpnrca.errors import DataError
-from stpnrca.rbm import RbmConfig, RbmParams, free_energy, train_rbm
+from stpnrca.config import RunConfig
+from stpnrca.rbm import RbmParams, free_energy, train_rbm
 from stpnrca.switching import exhaustive_switch_oracle, s3_search
 
 
@@ -14,7 +15,9 @@ def toy_rbm():
     train = np.tile(prototype, (60, 1))
     noise = rng.random(train.shape) < 0.03
     train = np.abs(train - noise)
-    return train_rbm(train, RbmConfig(n_hidden=4, epochs=200, learning_rate=0.1, seed=1))
+    return train_rbm(
+        train, RunConfig(rbm_hidden=4, rbm_epochs=200, rbm_learning_rate=0.1, seed=1)
+    )
 
 
 class TestS3Search:
@@ -52,7 +55,7 @@ class TestS3Search:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         train = (rng.random((50, 6)) < 0.8).astype(float)
-        params = train_rbm(train, RbmConfig(n_hidden=5, epochs=120, seed=0))
+        params = train_rbm(train, RunConfig(rbm_hidden=5, rbm_epochs=120, seed=0))
         v = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
         base = s3_search(params, v)
         perm = np.array([3, 0, 5, 1, 4, 2])
