@@ -39,7 +39,6 @@ from .stpn import (
     pattern_index,
     scan_windows,
     train_stpn,
-    window_metrics,
 )
 from .switching import S3Result, exhaustive_switch_oracle, s3_search
 from .symbolic import (

@@ -4,7 +4,9 @@ Each suite regenerates its data from frozen seeds, checks its thresholds,
 and reports one pass/fail line per check. The desk-scale suites mirror the
 reference experiments at a size that runs on one core in minutes; where a
 desk run cannot reproduce a full-scale published number, the suite reports
-the reference value alongside its own.
+the reference value alongside its own. The root-cause suites run each case
+through `run_rca` (or `run_var_rca`) and score its report with
+`evaluate_case`, the path behind `stpn-rca rca` and `stpn-rca evaluate`.
 
 Shared oracles live here too: the exact-arithmetic factorial evaluation of
 the inference metric (big integers plus arbitrary-precision logs, fully
@@ -24,20 +26,19 @@ import numpy as np
 from .config import RunConfig
 from .errors import DataError, UsageError
 from .metrics import prf_counts
-from .pipeline import TrainedBundle, _scan_and_flag, rca_vector, train_bundle
+from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
 from .rbm import free_energy, train_rbm
-from .stpn import index_pattern, pattern_index, scan_windows
 from .switching import exhaustive_switch_oracle, s3_search
 from .symbolic import log_inference_metric, metric_delta
 from .synth import (
     FaultSpec,
     builtin_modes,
+    case_labels,
     inject_fault,
     pattern_fault_cases,
     random_graph,
     simulate_var,
     var_fit,
-    var_rca_baseline,
 )
 
 
@@ -248,40 +249,37 @@ DESK_CONFIG = RunConfig(
 DESK_TRAIN_WINDOWS = 80
 
 
-@dataclass
-class DeskContext:
-    """Trained six-mode desk bundle reused across suites."""
-
-    modes: tuple
-    bundle: TrainedBundle
-    config: RunConfig
-
-
-def build_desk_context(
-    with_a3: bool = True,
-    config: RunConfig = DESK_CONFIG,
-    n_train_windows: int = DESK_TRAIN_WINDOWS,
-) -> DeskContext:
-    modes = builtin_modes()
+def build_desk_context(with_a3: bool = True) -> TrainedBundle:
+    """The six-mode desk bundle shared by the desk suites."""
     nominal = [
-        simulate_var(m, n_train_windows * config.window_length, seed=100 + i)
-        for i, m in enumerate(modes)
+        simulate_var(m, DESK_TRAIN_WINDOWS * DESK_CONFIG.window_length, seed=100 + i)
+        for i, m in enumerate(builtin_modes())
     ]
-    bundle = train_bundle(nominal, config, with_a3=with_a3)
-    return DeskContext(modes=modes, bundle=bundle, config=config)
+    return train_bundle(nominal, DESK_CONFIG, with_a3=with_a3)
+
+
+def _pooled(rows: list[dict], key: str) -> float:
+    """A per-window score pooled over cases: the window-weighted mean."""
+    return float(
+        np.average([r[key] for r in rows], weights=[r["n_windows_analyzed"] for r in rows])
+    )
+
+
+def _total(rows: list[dict], key: str) -> int:
+    return sum(r[key] for r in rows)
 
 
 def energy_gap_suite(
-    ctx: DeskContext | None = None, seeds=(0, 1, 2, 3, 4)
+    bundle: TrainedBundle | None = None, seeds=(0, 1, 2, 3, 4)
 ) -> SuiteResult:
     """Nominal vectors sit at lower mean free energy than 1-flip perturbations."""
     t0 = time.time()
     lines: list[str] = []
-    ctx = ctx or build_desk_context(with_a3=False)
-    vectors = ctx.bundle.training_vectors
+    bundle = bundle or build_desk_context(with_a3=False)
+    vectors = bundle.training_vectors
     ok = True
     for seed in seeds:
-        rbm = train_rbm(vectors, replace(ctx.config, seed=seed))
+        rbm = train_rbm(vectors, replace(bundle.config, seed=seed))
         rng = np.random.default_rng(9000 + seed)
         flipped = vectors.copy()
         idx = rng.integers(0, vectors.shape[1], size=vectors.shape[0])
@@ -296,41 +294,28 @@ def energy_gap_suite(
 
 
 def dataset1_suite(
-    ctx: DeskContext | None = None, n_test_windows: int = 50
+    bundle: TrainedBundle | None = None, n_test_windows: int = 50
 ) -> SuiteResult:
     """Desk-scale 30-case pattern-fault suite (reference: 97.04 / 98.66)."""
     t0 = time.time()
     lines: list[str] = []
-    ctx = ctx or build_desk_context(with_a3=True)
-    bundle = ctx.bundle
-    wl = bundle.stpn.window_length
+    bundle = bundle or build_desk_context(with_a3=True)
+    mode = builtin_modes()[0]
     cases = pattern_fault_cases()
-    total = bundle.stpn.n_patterns
-
-    results = {"s3": {"alpha": [], "tp": 0, "fn": 0, "fp": 0}, "a3": {"alpha": [], "tp": 0, "fn": 0, "fp": 0}}
-    n_detected = 0
-    n_windows = 0
+    rows: dict[str, list[dict]] = {"s3": [], "a3": []}
+    n_detected = n_windows = 0
     for ci, case_edges in enumerate(cases):
         spec = FaultSpec(kind="pattern_break", edges=tuple(case_edges))
-        truth = {pattern_index(s, d, bundle.stpn.n_channels) for s, d in case_edges}
         seed = 9000 + ci
-        test = inject_fault(
-            ctx.modes[0],
-            simulate_var(ctx.modes[0], n_test_windows * wl, seed=seed),
-            spec,
-            seed=seed,
-        )
-        scan, _, flags = _scan_and_flag(bundle, test)
-        n_detected += int(np.sum(flags))
-        n_windows += len(scan.starts)
-        for vec in scan.vectors:
-            for method in ("s3", "a3"):
-                patterns, _, _ = rca_vector(bundle, vec.astype(float), method)
-                pred = set(patterns)
-                results[method]["alpha"].append((total - len(truth ^ pred)) / total)
-                results[method]["tp"] += len(truth & pred)
-                results[method]["fn"] += len(truth - pred)
-                results[method]["fp"] += len(pred - truth)
+        base = simulate_var(mode, n_test_windows * bundle.stpn.window_length, seed=seed)
+        test = inject_fault(mode, base, spec, seed=seed)
+        labels = case_labels(f"case{ci + 1:02d}", 0, spec, test.names, seed)
+        for method, method_rows in rows.items():
+            report = run_rca(bundle, test, method=method, force=True)
+            method_rows.append(evaluate_case(report, labels))
+        # the detector's flags do not depend on the method: any report serves
+        n_detected += sum(w["anomalous"] for w in report["windows"])
+        n_windows += report["n_windows"]
 
     lines.append(
         f"{len(cases)} cases x {n_test_windows} windows; detector flagged "
@@ -338,11 +323,9 @@ def dataset1_suite(
     )
     ok = True
     reference = {"s3": "97.04", "a3": "98.66"}
-    for method in ("s3", "a3"):
-        alpha = float(np.mean(results[method]["alpha"]))
-        r, p, f1 = prf_counts(
-            results[method]["tp"], results[method]["fn"], results[method]["fp"]
-        )
+    for method, method_rows in rows.items():
+        alpha = _pooled(method_rows, "alpha1")
+        r, p, f1 = prf_counts(*(_total(method_rows, k) for k in ("tp", "fn", "fp")))
         ok &= _check(
             lines,
             alpha >= 0.90,
@@ -354,29 +337,27 @@ def dataset1_suite(
 
 
 def false_alarm_suite(
-    ctx: DeskContext | None = None, n_windows: int = 510
+    bundle: TrainedBundle | None = None, n_windows: int = 510
 ) -> SuiteResult:
     """Forced RCA on nominal windows flags few patterns (reference 6.65/1.30%)."""
     t0 = time.time()
     lines: list[str] = []
-    ctx = ctx or build_desk_context(with_a3=True)
-    bundle = ctx.bundle
-    wl = bundle.stpn.window_length
-    per_mode = int(np.ceil(n_windows / len(ctx.modes)))
-    fractions = {"s3": [], "a3": []}
-    total = bundle.stpn.n_patterns
-    for i, mode in enumerate(ctx.modes):
-        ts = simulate_var(mode, per_mode * wl, seed=40000 + i)
-        scan = scan_windows(bundle.stpn, ts)
-        for vec in scan.vectors:
-            for method in ("s3", "a3"):
-                patterns, _, _ = rca_vector(bundle, vec.astype(float), method)
-                fractions[method].append(len(patterns) / total)
-    n_total = len(fractions["s3"])
+    bundle = bundle or build_desk_context(with_a3=True)
+    modes = builtin_modes()
+    per_mode = int(np.ceil(n_windows / len(modes)))
+    rows: dict[str, list[dict]] = {"s3": [], "a3": []}
+    for i, mode in enumerate(modes):
+        seed = 40000 + i
+        ts = simulate_var(mode, per_mode * bundle.stpn.window_length, seed=seed)
+        labels = case_labels(f"nominal_mode{i + 1}", i, None, ts.names, seed)
+        for method, method_rows in rows.items():
+            report = run_rca(bundle, ts, method=method, force=True)
+            method_rows.append(evaluate_case(report, labels))
+    n_total = _total(rows["s3"], "n_windows_analyzed")
     ok = _check(lines, n_total >= 500, f"{n_total} nominal windows analyzed (need >= 500)")
     reference = {"s3": "6.65", "a3": "1.30"}
-    for method in ("s3", "a3"):
-        mean_frac = float(np.mean(fractions[method]))
+    for method, method_rows in rows.items():
+        mean_frac = _pooled(method_rows, "false_alarm_fraction")
         ok &= _check(
             lines,
             mean_frac <= 0.10,
@@ -396,58 +377,44 @@ NODE_FAULT_DELAY = 5
 NODE_FAULT_WINDOWS = 6
 
 
-def _node_fault_run(graph, label, config, n_train_windows, lines):
-    wl = config.window_length
-    f = graph.n_channels
-    nominal = simulate_var(graph, n_train_windows * wl, seed=11)
-    bundle = train_bundle([nominal], config, with_a3=False)
-    nominal_fit = var_fit(nominal, config.var_lag)
-    tp = fn = fp = 0
-    s3_pred = s3_bad = var_pred = var_bad = 0
-    from .pipeline import run_rca
-
-    for node in range(f):
-        spec = FaultSpec(kind="node_delay", node=node, delay=NODE_FAULT_DELAY)
-        seed = 500 + node
-        base = simulate_var(graph, NODE_FAULT_WINDOWS * wl, seed=seed)
-        test = inject_fault(graph, base, spec, seed=seed)
-        rep = run_rca(bundle, test, method="s3", force=True)
-        selected = {n["node"] for n in rep["aggregate"]["nodes"]}
-        tp += int(node in selected)
-        fn += int(node not in selected)
-        fp += len(selected - {node})
-        agg = {p["index"] for p in rep["aggregate"]["failed_patterns"]}
-        s3_pred += len(agg)
-        s3_bad += sum(1 for i in agg if node not in index_pattern(i, f))
-        failed = var_rca_baseline(
-            nominal_fit, var_fit(test, config.var_lag), eta=config.var_eta
-        )
-        var_pred += len(failed)
-        var_bad += sum(1 for i in failed if node not in index_pattern(i, f))
-    lines.append(
-        f"{label}: {f} delay cases; s3 patterns {s3_bad}/{s3_pred} off-node, "
-        f"baseline {var_bad}/{var_pred}"
-    )
-    return tp, fn, fp, s3_pred, s3_bad, var_pred, var_bad
-
-
 def dataset23_suite(config: RunConfig | None = None) -> SuiteResult:
     """Node-delay localization vs the coefficient baseline (ref: 0% vs 21.7%)."""
     t0 = time.time()
     lines: list[str] = []
     config = config or DESK_CONFIG
-    modes = builtin_modes()
-    g10 = random_graph(**DATASET3_GRAPH)
+    wl = config.window_length
+    rows: dict[str, list[dict]] = {"s3": [], "var": []}
+    graphs = ((builtin_modes()[0], "5-node"), (random_graph(**DATASET3_GRAPH), "10-node"))
+    for graph, label in graphs:
+        nominal = simulate_var(graph, DESK_TRAIN_WINDOWS * wl, seed=11)
+        bundle = train_bundle([nominal], config, with_a3=False)
+        s3_rows, var_rows = [], []
+        for node in range(graph.n_channels):
+            spec = FaultSpec(kind="node_delay", node=node, delay=NODE_FAULT_DELAY)
+            seed = 500 + node
+            base = simulate_var(graph, NODE_FAULT_WINDOWS * wl, seed=seed)
+            test = inject_fault(graph, base, spec, seed=seed)
+            labels = case_labels(f"node{node}", 0, spec, test.names, seed)
+            s3_rows.append(evaluate_case(run_rca(bundle, test, method="s3", force=True), labels))
+            var_rows.append(evaluate_case(run_var_rca(nominal, test, config), labels))
+        lines.append(
+            f"{label}: {graph.n_channels} delay cases; s3 patterns "
+            f"{_total(s3_rows, 'n_incorrect')}/{_total(s3_rows, 'n_predicted')} off-node, "
+            f"baseline {_total(var_rows, 'n_incorrect')}/{_total(var_rows, 'n_predicted')}"
+        )
+        rows["s3"] += s3_rows
+        rows["var"] += var_rows
     tp = fn = fp = 0
-    s3_pred = s3_bad = var_pred = var_bad = 0
-    for graph, label in ((modes[0], "5-node"), (g10, "10-node")):
-        r = _node_fault_run(graph, label, config, DESK_TRAIN_WINDOWS, lines)
-        tp, fn, fp = tp + r[0], fn + r[1], fp + r[2]
-        s3_pred, s3_bad = s3_pred + r[3], s3_bad + r[4]
-        var_pred, var_bad = var_pred + r[5], var_bad + r[6]
+    for row in rows["s3"]:
+        predicted, true = set(row["predicted_nodes"]), set(row["true_nodes"])
+        tp += len(predicted & true)
+        fn += len(true - predicted)
+        fp += len(predicted - true)
     recall, precision, f1 = prf_counts(tp, fn, fp)
-    eps_s3 = s3_bad / max(s3_pred, 1)
-    eps_var = var_bad / max(var_pred, 1)
+    eps_s3, eps_var = (
+        _total(rows[m], "n_incorrect") / max(_total(rows[m], "n_predicted"), 1)
+        for m in ("s3", "var")
+    )
     ok = _check(
         lines,
         f1 >= 0.9,
@@ -473,7 +440,6 @@ def tep_pipeline_suite(csv_path: str, config: RunConfig | None = None) -> SuiteR
     t0 = time.time()
     lines: list[str] = []
     from .metrics import diagnosis_cost
-    from .pipeline import run_rca
     from .timeseries import read_tep_csv
 
     ts = read_tep_csv(csv_path)

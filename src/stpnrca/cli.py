@@ -101,6 +101,14 @@ def _load_series(path: str, fmt: str):
     return read_tep_csv(path) if fmt == "tep" else read_csv(path)
 
 
+def _write_case(ts, labels: dict, out: str, written: list) -> None:
+    """Write `ts` as <case_id>.csv with its .labels.json sidecar, and note it."""
+    path = os.path.join(out, labels["case_id"] + ".csv")
+    write_csv(ts, path)
+    _write_json(labels, path[:-4] + ".labels.json")
+    written.append(path)
+
+
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = args.out
@@ -110,20 +118,14 @@ def cmd_simulate(args) -> int:
     if args.nodes:
         graph = random_graph(args.nodes, seed=config.seed)
     else:
-        modes = builtin_modes()
-        graph = modes[args.mode]
+        graph = builtin_modes()[args.mode]
 
     written = []
     if args.modes == "builtin" and not args.nodes:
         for i, mode in enumerate(builtin_modes()):
             ts = simulate_var(mode, args.samples, seed=config.seed + i)
-            path = os.path.join(out, f"nominal_mode{i + 1}.csv")
-            write_csv(ts, path)
-            _write_json(
-                case_labels(f"nominal_mode{i + 1}", i, None, ts.names, config.seed + i),
-                path[:-4] + ".labels.json",
-            )
-            written.append(path)
+            labels = case_labels(f"nominal_mode{i + 1}", i, None, ts.names, config.seed + i)
+            _write_case(ts, labels, out, written)
 
     if args.cases:
         if args.nodes:
@@ -136,30 +138,18 @@ def cmd_simulate(args) -> int:
             seed = config.seed + 9000 + ci
             base = simulate_var(graph, args.samples, seed=seed)
             ts = inject_fault(graph, base, case_spec, seed=seed)
-            name = f"case{ci + 1:02d}"
-            path = os.path.join(out, name + ".csv")
-            write_csv(ts, path)
-            _write_json(
-                case_labels(name, args.mode, case_spec, ts.names, seed),
-                path[:-4] + ".labels.json",
-            )
-            written.append(path)
+            labels = case_labels(f"case{ci + 1:02d}", args.mode, case_spec, ts.names, seed)
+            _write_case(ts, labels, out, written)
 
     if spec is not None:
         seed = config.seed + 777
         base = simulate_var(graph, args.samples, seed=seed)
         ts = inject_fault(graph, base, spec, seed=seed)
         name = args.name or "fault"
-        path = os.path.join(out, name + ".csv")
-        write_csv(ts, path)
-        _write_json(
-            case_labels(name, args.mode, spec, ts.names, seed),
-            path[:-4] + ".labels.json",
-        )
+        _write_case(ts, case_labels(name, args.mode, spec, ts.names, seed), out, written)
         # a nominal companion for baseline fitting
         nom_path = os.path.join(out, name + "_nominal.csv")
         write_csv(simulate_var(graph, args.samples, seed=seed + 1), nom_path)
-        written.append(path)
 
     if not written:
         raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -54,8 +55,8 @@ class RunConfig:
         at_least = {
             "alphabet_size": 2, "depth": 1, "lag": 1, "stride": 0,
             "rbm_hidden": 1, "rbm_epochs": 0, "rbm_batch_size": 1,
-            "a3_batch_size": 1, "a3_epochs": 0, "a3_samples_per_order": 1,
-            "var_lag": 1,
+            "a3_batch_size": 1, "a3_epochs": 0, "a3_patience": 1,
+            "a3_samples_per_order": 1, "var_lag": 1, "seed": 0,
         }
         for key, low in at_least.items():
             if getattr(self, key) < low:
@@ -70,6 +71,16 @@ class RunConfig:
             raise UsageError("config key 'a3_dropout' must lie in [0, 1)")
         if not 0.0 < self.a3_cutoff < 1.0:
             raise UsageError("config key 'a3_cutoff' must lie in (0, 1)")
+        if self.partition_method.lower() not in ("mep", "up"):
+            raise UsageError("config key 'partition_method' must be 'mep' or 'up'")
+        for key in ("rbm_learning_rate", "a3_learning_rate"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise UsageError(f"config key {key!r} must be finite and > 0")
+        if not 0.0 <= self.detector_kappa < math.inf:
+            raise UsageError("config key 'detector_kappa' must be finite and >= 0")
+        for key in ("a3_momentum", "var_eta"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise UsageError(f"config key {key!r} must lie in [0, 1)")
 
     def fingerprint(self) -> str:
         doc = json.dumps(dataclasses.asdict(self), sort_keys=True, default=list)

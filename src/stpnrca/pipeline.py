@@ -48,7 +48,6 @@ def train_bundle(
     nominal: TimeSeries | list[TimeSeries],
     config: RunConfig = RunConfig(),
     with_a3: bool = False,
-    keep_vectors: bool = True,
 ) -> TrainedBundle:
     """Train the pattern network, the energy model, and optionally the classifier."""
     model, scans = train_stpn(nominal, config)
@@ -70,7 +69,7 @@ def train_bundle(
         energy_threshold=threshold,
         config=config,
         mlp=mlp,
-        training_vectors=vectors if keep_vectors else None,
+        training_vectors=vectors,
     )
 
 
@@ -131,7 +130,7 @@ def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
     )
 
 
-def rca_vector(bundle: TrainedBundle, vector: np.ndarray, method: str):
+def _rca_vector(bundle: TrainedBundle, vector: np.ndarray, method: str):
     """Failed patterns and weights for one pattern vector.
 
     Returns (patterns, weights, trace); the trace is empty for the
@@ -228,7 +227,7 @@ def run_rca(
         }
         if entry["analyzed"]:
             n_analyzed += 1
-            patterns, weights, trace = rca_vector(
+            patterns, weights, trace = _rca_vector(
                 bundle, scan.vectors[i].astype(float), method
             )
             entry["patterns"] = [_pattern_entry(p, f, w) for p, w in zip(patterns, weights)]
@@ -260,10 +259,11 @@ def run_rca(
 def evaluate_case(report: dict, labels: dict) -> dict:
     """Score one RCA report against its ground-truth sidecar.
 
-    Pattern-break cases get per-window accuracy and pooled recall/precision/
-    F-measure; node faults get the error ratio (patterns not incident to the
-    injected node), node-set agreement, and the diagnosis cost; label files
-    without a fault are treated as false-alarm cases.
+    Pattern-break cases get per-window accuracy, the TP/FN/FP counts pooled
+    over the windows and the recall/precision/F-measure from them; node
+    faults get the error ratio (patterns not incident to the injected node),
+    node-set agreement, and the diagnosis cost; label files without a fault
+    are treated as false-alarm cases.
     """
     from .metrics import (
         diagnosis_cost,
@@ -299,10 +299,10 @@ def evaluate_case(report: dict, labels: dict) -> dict:
         truth = set(labels["failed_patterns"])
         matches = [total - len(truth ^ s) for s in window_sets]
         out["alpha1"] = float(np.mean(matches)) / total
-        tp = sum(len(truth & s) for s in window_sets)
-        fn = sum(len(truth - s) for s in window_sets)
-        fp = sum(len(s - truth) for s in window_sets)
-        recall, precision, fmeasure = prf_counts(tp, fn, fp)
+        out["tp"] = sum(len(truth & s) for s in window_sets)
+        out["fn"] = sum(len(truth - s) for s in window_sets)
+        out["fp"] = sum(len(s - truth) for s in window_sets)
+        recall, precision, fmeasure = prf_counts(out["tp"], out["fn"], out["fp"])
         out.update(recall=recall, precision=precision, f_measure=fmeasure)
         out["error_ratio"] = error_ratio(sorted(agg_patterns), lambda i: i in truth)
         return out

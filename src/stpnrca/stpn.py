@@ -259,18 +259,6 @@ def _score_windows(model: StpnModel, symbols, states, stride: int):
     return starts, metrics
 
 
-def window_metrics(model: StpnModel, window: TimeSeries) -> np.ndarray:
-    """Log inference metric of one window for every pattern; shape (f, f)."""
-    if window.n_samples != model.window_length:
-        raise DataError(
-            f"window of {window.n_samples} samples, model expects {model.window_length}"
-        )
-    if window.names != model.names:
-        raise DataError("window channels do not match the model")
-    symbols, states = _symbols_and_states(window, model.partition, model.depth)
-    return _metrics_from_symbols(model, symbols, states)
-
-
 def binarize(metrics: np.ndarray, model: StpnModel) -> np.ndarray:
     """Threshold a metric grid into a flat 0/1 pattern vector of length f*f,
     or an (n, f, f) stack of grids into an (n, f*f) matrix of such vectors.

@@ -106,7 +106,10 @@ def atomic_open(path: str | os.PathLike, newline: str | None = None):
     see a partial file.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:  # name the user's path, not the temp file's
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             yield fh

@@ -2,7 +2,7 @@
 
 Each test prints its pass/fail line(s); run with `pytest -v -s
 tests/test_acceptance.py` to see them. The desk-scale suites share one
-trained six-mode context; its build time is charged to every suite that
+trained six-mode bundle; its build time is charged to every suite that
 uses it when checking the runtime budgets.
 """
 
@@ -20,12 +20,12 @@ DESK = {}
 
 
 @pytest.fixture(scope="module")
-def desk_ctx():
-    if "ctx" not in DESK:
+def desk_bundle():
+    if "bundle" not in DESK:
         t0 = time.time()
-        DESK["ctx"] = bench.build_desk_context(with_a3=True)
+        DESK["bundle"] = bench.build_desk_context(with_a3=True)
         DESK["build_time"] = time.time() - t0
-    return DESK["ctx"]
+    return DESK["bundle"]
 
 
 def finish(result, budget, extra_time=0.0):
@@ -52,8 +52,8 @@ class TestCriterion3GreedyVsExhaustive:
 
 
 class TestCriterion4PatternFaultSuite:
-    def test_thirty_cases_fifty_windows(self, desk_ctx):
-        result = bench.dataset1_suite(desk_ctx, n_test_windows=50)
+    def test_thirty_cases_fifty_windows(self, desk_bundle):
+        result = bench.dataset1_suite(desk_bundle, n_test_windows=50)
         finish(result, budget=900.0, extra_time=DESK["build_time"])
 
 
@@ -63,13 +63,13 @@ class TestCriterion5NodeFaultSuite:
 
 
 class TestCriterion6EnergyGap:
-    def test_five_seeds(self, desk_ctx):
-        result = bench.energy_gap_suite(desk_ctx)
+    def test_five_seeds(self, desk_bundle):
+        result = bench.energy_gap_suite(desk_bundle)
         finish(result, budget=300.0, extra_time=DESK["build_time"])
 
-    def test_multi_mode_capture(self, desk_ctx):
+    def test_multi_mode_capture(self, desk_bundle):
         # every nominal mode's mean free energy sits below the threshold
-        bundle = desk_ctx.bundle
+        bundle = desk_bundle
         vectors = bundle.training_vectors
         per_mode = vectors.shape[0] // 6
         for mode in range(6):
@@ -80,8 +80,8 @@ class TestCriterion6EnergyGap:
 
 
 class TestCriterion7FalseAlarms:
-    def test_five_hundred_nominal_windows(self, desk_ctx):
-        result = bench.false_alarm_suite(desk_ctx, n_windows=510)
+    def test_five_hundred_nominal_windows(self, desk_bundle):
+        result = bench.false_alarm_suite(desk_bundle, n_windows=510)
         finish(result, budget=600.0, extra_time=DESK["build_time"])
 
 

@@ -262,7 +262,9 @@ class TestRca:
         }[command]
         capsys.readouterr()
         assert run(*argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(report / "sim" if command == "simulate" else missing) in err
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ so the suite stays deterministic.
 
 import dataclasses
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -133,7 +134,7 @@ def bad_setting():
     lows = {
         "alphabet_size": 2, "depth": 1, "lag": 1, "stride": 0, "rbm_hidden": 1,
         "rbm_epochs": 0, "rbm_batch_size": 1, "a3_batch_size": 1, "a3_epochs": 0,
-        "a3_samples_per_order": 1, "var_lag": 1,
+        "a3_samples_per_order": 1, "var_lag": 1, "a3_patience": 1, "seed": 0,
         "window_length": RunConfig().alphabet_size,
     }
     unit = st.floats(allow_nan=True, allow_infinity=True)
@@ -150,6 +151,20 @@ def bad_setting():
         unit.filter(lambda x: not 0.0 <= x < 1.0).map(lambda x: f"a3_dropout={x!r}"),
         unit.filter(lambda x: not 0.0 <= x < 1.0).map(lambda x: f"threshold_quantile={x!r}"),
         unit.filter(lambda x: not 0.0 < x < 1.0).map(lambda x: f"a3_cutoff={x!r}"),
+        st.builds(
+            lambda k, x: f"{k}={x!r}",
+            st.sampled_from(["a3_momentum", "var_eta"]),
+            unit.filter(lambda x: not 0.0 <= x < 1.0),
+        ),
+        st.builds(
+            lambda k, x: f"{k}={x!r}",
+            st.sampled_from(["rbm_learning_rate", "a3_learning_rate"]),
+            unit.filter(lambda x: not 0.0 < x < math.inf),
+        ),
+        unit.filter(lambda x: not 0.0 <= x < math.inf).map(lambda x: f"detector_kappa={x!r}"),
+        st.text().filter(lambda m: m.strip().lower() not in ("mep", "up")).map(
+            lambda m: f"partition_method={m}"
+        ),
         st.integers(max_value=0).map(lambda v: f"a3_hidden=64,{v}"),
         st.integers(max_value=0).map(lambda v: f"a3_flip_orders=1 {v}"),
         st.text().filter(lambda s: "=" not in s),

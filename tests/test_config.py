@@ -15,8 +15,12 @@ def ints(low):
     return st.integers(min_value=low, max_value=10**6)
 
 
-def reals():
-    return st.floats(allow_nan=False)
+def positive():
+    return st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+def unit():
+    return st.floats(0.0, 1.0, exclude_max=True)
 
 
 @st.composite
@@ -28,25 +32,25 @@ def valid_configs(draw):
         lag=draw(ints(1)),
         window_length=draw(st.integers(alphabet_size, 10**6)),
         stride=draw(ints(0)),
-        threshold_quantile=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        partition_method=draw(st.text()),
+        threshold_quantile=draw(unit()),
+        partition_method=draw(st.sampled_from(["mep", "up", "MEP", "Up"])),
         rbm_hidden=draw(ints(1)),
         rbm_epochs=draw(ints(0)),
-        rbm_learning_rate=draw(reals()),
+        rbm_learning_rate=draw(positive()),
         rbm_batch_size=draw(ints(1)),
-        detector_kappa=draw(reals()),
+        detector_kappa=draw(st.floats(0.0, allow_infinity=False)),
         a3_hidden=tuple(draw(st.lists(ints(1), max_size=4))),
-        a3_dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        a3_learning_rate=draw(reals()),
-        a3_momentum=draw(reals()),
+        a3_dropout=draw(unit()),
+        a3_learning_rate=draw(positive()),
+        a3_momentum=draw(unit()),
         a3_batch_size=draw(ints(1)),
         a3_epochs=draw(ints(0)),
-        a3_patience=draw(st.integers()),
+        a3_patience=draw(ints(1)),
         a3_flip_orders=tuple(draw(st.lists(ints(1), max_size=6))),
         a3_samples_per_order=draw(ints(1)),
         a3_cutoff=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         var_lag=draw(ints(1)),
-        var_eta=draw(reals()),
+        var_eta=draw(unit()),
         seed=draw(st.integers(min_value=0, max_value=2**63)),
     )
 

@@ -17,7 +17,7 @@ from stpnrca.pipeline import (
     save_bundle,
 )
 from stpnrca.rbm import RbmParams
-from stpnrca.stpn import pattern_index, window_metrics
+from stpnrca.stpn import pattern_index, scan_windows
 from stpnrca.synth import case_labels, FaultSpec, simulate_var
 
 
@@ -73,6 +73,13 @@ class TestRunConfig:
             ("a3_samples_per_order", "0"), ("depth", "0"), ("lag", "0"),
             ("alphabet_size", "1"), ("var_lag", "0"), ("window_length", "8"),
             ("threshold_quantile", "1"), ("threshold_quantile", "-0.1"),
+            ("partition_method", "bogus"), ("partition_method", ""),
+            ("rbm_learning_rate", "nan"), ("rbm_learning_rate", "0"),
+            ("rbm_learning_rate", "inf"), ("a3_learning_rate", "-0.1"),
+            ("a3_learning_rate", "nan"), ("a3_momentum", "1"), ("a3_momentum", "-0.1"),
+            ("a3_patience", "0"), ("a3_patience", "-3"), ("detector_kappa", "-1e9"),
+            ("detector_kappa", "inf"), ("detector_kappa", "nan"), ("var_eta", "1"),
+            ("var_eta", "-0.1"), ("var_eta", "nan"), ("seed", "-1"),
         ],
     )
     def test_out_of_range_rejected(self, key, value, monkeypatch):
@@ -83,6 +90,9 @@ class TestRunConfig:
     def test_range_boundaries_accepted(self):
         cfg = RunConfig(stride=0, rbm_epochs=0, a3_epochs=0, a3_dropout=0.0, a3_hidden=())
         assert cfg.a3_dropout == 0.0
+        cfg = RunConfig(partition_method="UP", a3_momentum=0.0, a3_patience=1,
+                        detector_kappa=0.0, var_eta=0.0)
+        assert cfg.partition_method == "UP"
 
     def test_fingerprint_stable_and_sensitive(self):
         a = RunConfig()
@@ -99,8 +109,8 @@ class TestBundleRoundtrip:
         loaded = load_bundle(directory)
         window = toy_nominal.window(0, toy_bundle.stpn.window_length)
         assert np.array_equal(
-            window_metrics(toy_bundle.stpn, window),
-            window_metrics(loaded.stpn, window),
+            scan_windows(toy_bundle.stpn, window).metrics,
+            scan_windows(loaded.stpn, window).metrics,
         )
         assert loaded.energy_threshold == toy_bundle.energy_threshold
         assert loaded.mlp is not None
@@ -223,6 +233,7 @@ class TestEvaluateCase:
         assert out["alpha1"] == pytest.approx((16 + 15) / 32)
         assert out["recall"] == 1.0
         assert out["precision"] == pytest.approx(2 / 3)
+        assert (out["tp"], out["fn"], out["fp"]) == (2, 0, 1)  # pooled over both windows
         assert out["error_ratio"] == 0.0  # aggregate {1} is fully correct
 
     def test_node_fault_case(self):

@@ -16,7 +16,6 @@ from stpnrca.stpn import (
     pattern_index,
     scan_windows,
     train_stpn,
-    window_metrics,
 )
 from stpnrca.symbolic import (
     PartitionScheme,
@@ -183,7 +182,7 @@ def test_window_metrics_equal_per_pattern_reference(
             for a in range(f)
         ]
     )
-    got = window_metrics(model, TimeSeries(model.names, symbols.astype(float)))
+    got = scan_windows(model, TimeSeries(model.names, symbols.astype(float))).metrics[0]
     assert np.array_equal(got, expected)
 
 
@@ -199,13 +198,13 @@ class TestWindowMetrics:
         x[1:] += 0.5 * x[:-1]
         ts = TimeSeries(("solo",), x[:, None])
         model = train_stpn(ts, RunConfig(alphabet_size=4, window_length=300))[0]
-        metrics = window_metrics(model, ts.window(0, 300))
+        metrics = scan_windows(model, ts.window(0, 300)).metrics[0]
         assert metrics.shape == (1, 1)
 
     def test_length_mismatch(self, small_model):
         model, nominal = small_model
         with pytest.raises(DataError):
-            window_metrics(model, nominal.window(0, 150))
+            scan_windows(model, nominal.window(0, 150))
 
     def test_broken_pattern_metric_drops(self, toy_graph, small_config):
         from stpnrca.synth import FaultSpec, inject_fault
@@ -252,7 +251,9 @@ class TestPersistence:
         save_stpn(model, path)
         loaded = load_stpn(path)
         window = nominal.window(400, model.window_length)
-        assert np.array_equal(window_metrics(model, window), window_metrics(loaded, window))
+        assert np.array_equal(
+            scan_windows(model, window).metrics, scan_windows(loaded, window).metrics
+        )
         assert np.array_equal(model.thresholds, loaded.thresholds)
 
     def test_fractional_count_in_file_rejected(self, small_model, tmp_path):
