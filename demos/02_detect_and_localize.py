@@ -10,8 +10,7 @@ training).
 import numpy as np
 
 from stpnrca import RunConfig, run_rca, train_bundle
-from stpnrca.stpn import pattern_index
-from stpnrca.synth import FaultSpec, builtin_modes, inject_fault, simulate_var
+from stpnrca.synth import FaultSpec, builtin_modes, simulate_case, simulate_var
 
 WINDOW = 1200
 config = RunConfig(
@@ -32,14 +31,12 @@ print(f"  {bundle.stpn.n_patterns} patterns, energy threshold {bundle.energy_thr
 
 # break two causal edges of mode 1: channel 1 -> 4 and channel 2 -> 3
 broken_edges = ((1, 4), (2, 3))
-truth = sorted(pattern_index(s, d, 5) for s, d in broken_edges)
-print(f"\ninjecting pattern breaks {broken_edges}; true failed patterns {truth}")
-fault = inject_fault(
-    modes[0],
-    simulate_var(modes[0], 12 * WINDOW, seed=9),
-    FaultSpec(kind="pattern_break", edges=broken_edges),
-    seed=9,
+fault, labels = simulate_case(
+    modes[0], FaultSpec(kind="pattern_break", edges=broken_edges), 12 * WINDOW,
+    seed=9, case_id="broken",
 )
+truth = labels["failed_patterns"]
+print(f"\ninjected pattern breaks {broken_edges}; true failed patterns {truth}")
 
 for method in ("s3", "a3"):
     report = run_rca(bundle, fault, method=method, force=True)

@@ -10,8 +10,8 @@ from stpnrca import RunConfig, diagnosis_cost, run_rca, train_bundle
 from stpnrca.stpn import index_pattern
 from stpnrca.synth import (
     FaultSpec,
-    inject_fault,
     random_graph,
+    simulate_case,
     simulate_var,
     var_fit,
     var_rca_baseline,
@@ -32,11 +32,9 @@ bundle = train_bundle([nominal], config, with_a3=False)
 nominal_fit = var_fit(nominal, 1)
 
 TRUE_NODE = 6
-fault = inject_fault(
-    graph,
-    simulate_var(graph, 6 * WINDOW, seed=500 + TRUE_NODE),
-    FaultSpec(kind="node_delay", node=TRUE_NODE, delay=5),
-    seed=500 + TRUE_NODE,
+fault, _ = simulate_case(
+    graph, FaultSpec(kind="node_delay", node=TRUE_NODE, delay=5), 6 * WINDOW,
+    seed=500 + TRUE_NODE, case_id="delayed",
 )
 print(f"\ndelaying channel {TRUE_NODE} by 5 samples ...")
 

@@ -46,7 +46,6 @@ from .symbolic import (
     count_matrix,
     learn_partition,
     log_inference_metric,
-    metric_delta,
     states_from_symbols,
     symbolize,
 )
@@ -54,10 +53,10 @@ from .synth import (
     CausalGraph,
     FaultSpec,
     builtin_modes,
-    case_labels,
     inject_fault,
     pattern_fault_cases,
     random_graph,
+    simulate_case,
     simulate_var,
     var_fit,
     var_rca_baseline,

@@ -29,14 +29,13 @@ from .metrics import prf_counts
 from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
 from .rbm import free_energy, train_rbm
 from .switching import exhaustive_switch_oracle, s3_search
-from .symbolic import log_inference_metric, metric_delta
+from .symbolic import log_inference_metric
 from .synth import (
     FaultSpec,
     builtin_modes,
-    case_labels,
-    inject_fault,
     pattern_fault_cases,
     random_graph,
+    simulate_case,
     simulate_var,
     var_fit,
 )
@@ -113,6 +112,14 @@ def two_state_counts(
 # ---------------------------------------------------------------------------
 # suites
 
+# Suite sizes and seeds: fixed, so every run checks the same instances.
+METRIC_ORACLE_CASES, METRIC_ORACLE_SEED = 1000, 20240
+GREEDY_ORACLE_CASES, GREEDY_ORACLE_SEED = 100, 7
+VAR_RECOVERY_GRAPHS, VAR_RECOVERY_SAMPLES = 20, 10000
+ENERGY_GAP_SEEDS = (0, 1, 2, 3, 4)
+DATASET1_WINDOWS = 50
+FALSE_ALARM_WINDOWS = 510
+
 
 def prop1_suite() -> SuiteResult:
     """Metric variation positive and strictly increasing in the change count."""
@@ -127,10 +134,7 @@ def prop1_suite() -> SuiteResult:
             for eta in range(1, 6):
                 model, nom, ano = two_state_counts(n11, n21, k, eta)
                 deltas.append(
-                    metric_delta(
-                        log_inference_metric(model, nom),
-                        log_inference_metric(model, ano),
-                    )
+                    log_inference_metric(model, nom) - log_inference_metric(model, ano)
                 )
             positive = all(d > 0 for d in deltas)
             increasing = all(b > a for a, b in zip(deltas, deltas[1:]))
@@ -143,13 +147,13 @@ def prop1_suite() -> SuiteResult:
     return SuiteResult("prop1", ok, lines, time.time() - t0)
 
 
-def metric_oracle_suite(n_cases: int = 1000, seed: int = 20240) -> SuiteResult:
+def metric_oracle_suite() -> SuiteResult:
     """Gamma-function metric vs exact factorial arithmetic, 1e-9 relative."""
     t0 = time.time()
     lines: list[str] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(METRIC_ORACLE_SEED)
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(METRIC_ORACLE_CASES):
         rows = int(rng.integers(2, 7))
         cols = int(rng.integers(2, 7))
         model = rng.integers(0, 101, size=(rows, cols))
@@ -161,13 +165,13 @@ def metric_oracle_suite(n_cases: int = 1000, seed: int = 20240) -> SuiteResult:
     ok = _check(
         lines,
         worst <= 1e-9,
-        f"{n_cases} random count matrices (entries <= 100): worst relative "
+        f"{METRIC_ORACLE_CASES} random count matrices (entries <= 100): worst relative "
         f"error {worst:.2e} <= 1e-9",
     )
     return SuiteResult("metric-oracle", ok, lines, time.time() - t0)
 
 
-def greedy_oracle_suite(n_cases: int = 100, seed: int = 7) -> SuiteResult:
+def greedy_oracle_suite() -> SuiteResult:
     """Greedy switching vs the exhaustive 2^9-subset optimum on 9-bit RBMs.
 
     Each instance trains a small machine on noisy copies of a few prototype
@@ -178,8 +182,9 @@ def greedy_oracle_suite(n_cases: int = 100, seed: int = 7) -> SuiteResult:
     lines: list[str] = []
     n_v = 9
     within, below = 0, 0
-    for case in range(n_cases):
-        rng = np.random.default_rng(seed + case)
+    for case in range(GREEDY_ORACLE_CASES):
+        seed = GREEDY_ORACLE_SEED + case
+        rng = np.random.default_rng(seed)
         prototypes = (rng.random((2, n_v)) < 0.7).astype(float)
         train = prototypes[rng.integers(0, 2, size=40)]
         noise = rng.random(train.shape) < 0.05
@@ -187,13 +192,13 @@ def greedy_oracle_suite(n_cases: int = 100, seed: int = 7) -> SuiteResult:
         params = train_rbm(
             train,
             RunConfig(rbm_hidden=6, rbm_epochs=60, rbm_learning_rate=0.1,
-                      rbm_batch_size=10, seed=seed + case),
+                      rbm_batch_size=10, seed=seed),
         )
         v = prototypes[0].copy()
         flips = rng.choice(n_v, size=int(rng.integers(1, 4)), replace=False)
         v[flips] = 1.0 - v[flips]
         greedy = s3_search(params, v)
-        _, f_opt = exhaustive_switch_oracle(params, v, max_bits=9)
+        _, f_opt = exhaustive_switch_oracle(params, v)
         f_greedy = greedy.final_energy
         if f_greedy < f_opt - 1e-9:
             below += 1
@@ -203,17 +208,18 @@ def greedy_oracle_suite(n_cases: int = 100, seed: int = 7) -> SuiteResult:
     ok &= _check(
         lines,
         within >= 90,
-        f"greedy within 1% of the optimum on {within}/{n_cases} instances (need >= 90)",
+        f"greedy within 1% of the optimum on {within}/{GREEDY_ORACLE_CASES} instances "
+        "(need >= 90)",
     )
     return SuiteResult("greedy-oracle", ok, lines, time.time() - t0)
 
 
-def var_recovery_suite(n_graphs: int = 20, T: int = 10000) -> SuiteResult:
+def var_recovery_suite() -> SuiteResult:
     """Least-squares fits recover simulated coefficients within 0.05."""
     t0 = time.time()
     lines: list[str] = []
     worst = 0.0
-    for i in range(n_graphs):
+    for i in range(VAR_RECOVERY_GRAPHS):
         n_nodes = 2 + i % 4
         g = random_graph(
             n_nodes,
@@ -223,14 +229,14 @@ def var_recovery_suite(n_graphs: int = 20, T: int = 10000) -> SuiteResult:
             self_coeff=0.45,
             noise_std=0.1,
         )
-        ts = simulate_var(g, T, seed=2000 + i)
+        ts = simulate_var(g, VAR_RECOVERY_SAMPLES, seed=2000 + i)
         fitted = var_fit(ts, p=1)
         worst = max(worst, float(np.max(np.abs(fitted - g.coeffs))))
     ok = _check(
         lines,
         worst <= 0.05,
-        f"{n_graphs} seeded 2-5 node graphs at T={T}: worst coefficient "
-        f"error {worst:.4f} <= 0.05",
+        f"{VAR_RECOVERY_GRAPHS} seeded 2-5 node graphs at T={VAR_RECOVERY_SAMPLES}: "
+        f"worst coefficient error {worst:.4f} <= 0.05",
     )
     return SuiteResult("var-recovery", ok, lines, time.time() - t0)
 
@@ -269,16 +275,14 @@ def _total(rows: list[dict], key: str) -> int:
     return sum(r[key] for r in rows)
 
 
-def energy_gap_suite(
-    bundle: TrainedBundle | None = None, seeds=(0, 1, 2, 3, 4)
-) -> SuiteResult:
+def energy_gap_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
     """Nominal vectors sit at lower mean free energy than 1-flip perturbations."""
     t0 = time.time()
     lines: list[str] = []
     bundle = bundle or build_desk_context(with_a3=False)
     vectors = bundle.training_vectors
     ok = True
-    for seed in seeds:
+    for seed in ENERGY_GAP_SEEDS:
         rbm = train_rbm(vectors, replace(bundle.config, seed=seed))
         rng = np.random.default_rng(9000 + seed)
         flipped = vectors.copy()
@@ -293,9 +297,7 @@ def energy_gap_suite(
     return SuiteResult("energy-gap", ok, lines, time.time() - t0)
 
 
-def dataset1_suite(
-    bundle: TrainedBundle | None = None, n_test_windows: int = 50
-) -> SuiteResult:
+def dataset1_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
     """Desk-scale 30-case pattern-fault suite (reference: 97.04 / 98.66)."""
     t0 = time.time()
     lines: list[str] = []
@@ -304,12 +306,10 @@ def dataset1_suite(
     cases = pattern_fault_cases()
     rows: dict[str, list[dict]] = {"s3": [], "a3": []}
     n_detected = n_windows = 0
+    n_samples = DATASET1_WINDOWS * bundle.stpn.window_length
     for ci, case_edges in enumerate(cases):
-        spec = FaultSpec(kind="pattern_break", edges=tuple(case_edges))
-        seed = 9000 + ci
-        base = simulate_var(mode, n_test_windows * bundle.stpn.window_length, seed=seed)
-        test = inject_fault(mode, base, spec, seed=seed)
-        labels = case_labels(f"case{ci + 1:02d}", 0, spec, test.names, seed)
+        spec = FaultSpec(kind="pattern_break", edges=case_edges)
+        test, labels = simulate_case(mode, spec, n_samples, 9000 + ci, f"case{ci + 1:02d}")
         for method, method_rows in rows.items():
             report = run_rca(bundle, test, method=method, force=True)
             method_rows.append(evaluate_case(report, labels))
@@ -318,7 +318,7 @@ def dataset1_suite(
         n_windows += report["n_windows"]
 
     lines.append(
-        f"{len(cases)} cases x {n_test_windows} windows; detector flagged "
+        f"{len(cases)} cases x {DATASET1_WINDOWS} windows; detector flagged "
         f"{n_detected}/{n_windows} (analysis forced on all windows)"
     )
     ok = True
@@ -336,20 +336,16 @@ def dataset1_suite(
     return SuiteResult("dataset1-desk", ok, lines, time.time() - t0)
 
 
-def false_alarm_suite(
-    bundle: TrainedBundle | None = None, n_windows: int = 510
-) -> SuiteResult:
+def false_alarm_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
     """Forced RCA on nominal windows flags few patterns (reference 6.65/1.30%)."""
     t0 = time.time()
     lines: list[str] = []
     bundle = bundle or build_desk_context(with_a3=True)
     modes = builtin_modes()
-    per_mode = int(np.ceil(n_windows / len(modes)))
+    n_samples = int(np.ceil(FALSE_ALARM_WINDOWS / len(modes))) * bundle.stpn.window_length
     rows: dict[str, list[dict]] = {"s3": [], "a3": []}
     for i, mode in enumerate(modes):
-        seed = 40000 + i
-        ts = simulate_var(mode, per_mode * bundle.stpn.window_length, seed=seed)
-        labels = case_labels(f"nominal_mode{i + 1}", i, None, ts.names, seed)
+        ts, labels = simulate_case(mode, None, n_samples, 40000 + i, f"nominal_mode{i + 1}", i)
         for method, method_rows in rows.items():
             report = run_rca(bundle, ts, method=method, force=True)
             method_rows.append(evaluate_case(report, labels))
@@ -377,26 +373,24 @@ NODE_FAULT_DELAY = 5
 NODE_FAULT_WINDOWS = 6
 
 
-def dataset23_suite(config: RunConfig | None = None) -> SuiteResult:
+def dataset23_suite() -> SuiteResult:
     """Node-delay localization vs the coefficient baseline (ref: 0% vs 21.7%)."""
     t0 = time.time()
     lines: list[str] = []
-    config = config or DESK_CONFIG
-    wl = config.window_length
+    wl = DESK_CONFIG.window_length
     rows: dict[str, list[dict]] = {"s3": [], "var": []}
     graphs = ((builtin_modes()[0], "5-node"), (random_graph(**DATASET3_GRAPH), "10-node"))
     for graph, label in graphs:
         nominal = simulate_var(graph, DESK_TRAIN_WINDOWS * wl, seed=11)
-        bundle = train_bundle([nominal], config, with_a3=False)
+        bundle = train_bundle([nominal], DESK_CONFIG, with_a3=False)
         s3_rows, var_rows = [], []
         for node in range(graph.n_channels):
             spec = FaultSpec(kind="node_delay", node=node, delay=NODE_FAULT_DELAY)
-            seed = 500 + node
-            base = simulate_var(graph, NODE_FAULT_WINDOWS * wl, seed=seed)
-            test = inject_fault(graph, base, spec, seed=seed)
-            labels = case_labels(f"node{node}", 0, spec, test.names, seed)
+            test, labels = simulate_case(
+                graph, spec, NODE_FAULT_WINDOWS * wl, 500 + node, f"node{node}"
+            )
             s3_rows.append(evaluate_case(run_rca(bundle, test, method="s3", force=True), labels))
-            var_rows.append(evaluate_case(run_var_rca(nominal, test, config), labels))
+            var_rows.append(evaluate_case(run_var_rca(nominal, test, DESK_CONFIG), labels))
         lines.append(
             f"{label}: {graph.n_channels} delay cases; s3 patterns "
             f"{_total(s3_rows, 'n_incorrect')}/{_total(s3_rows, 'n_predicted')} off-node, "
@@ -430,7 +424,7 @@ def dataset23_suite(config: RunConfig | None = None) -> SuiteResult:
     return SuiteResult("dataset23-desk", ok, lines, time.time() - t0)
 
 
-def tep_pipeline_suite(csv_path: str, config: RunConfig | None = None) -> SuiteResult:
+def tep_pipeline_suite(csv_path: str) -> SuiteResult:
     """Conditional suite: the pipeline must complete on a user-supplied file.
 
     Trains on the first half of the file (treated as nominal), analyzes the
@@ -443,9 +437,7 @@ def tep_pipeline_suite(csv_path: str, config: RunConfig | None = None) -> SuiteR
     from .timeseries import read_tep_csv
 
     ts = read_tep_csv(csv_path)
-    config = config or RunConfig(
-        window_length=max(60, ts.n_samples // 8), threshold_quantile=0.01
-    )
+    config = RunConfig(window_length=max(60, ts.n_samples // 8), threshold_quantile=0.01)
     half = ts.n_samples // 2
     nominal = ts.window(0, half)
     test = ts.window(half, ts.n_samples - half)

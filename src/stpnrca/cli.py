@@ -14,6 +14,7 @@ input CSV; reports carry the channel names alongside.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -35,10 +36,9 @@ from .pipeline import (
 from .synth import (
     FaultSpec,
     builtin_modes,
-    case_labels,
-    inject_fault,
     pattern_fault_cases,
     random_graph,
+    simulate_case,
     simulate_var,
 )
 from .timeseries import atomic_open, read_csv, read_tep_csv, write_csv
@@ -61,6 +61,12 @@ def _read_json(path: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _check_out_dir(path: str | None) -> None:
+    """Fail before any input is read when `path`'s directory does not exist."""
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _parse_fault(text: str) -> FaultSpec:
@@ -123,9 +129,9 @@ def cmd_simulate(args) -> int:
     written = []
     if args.modes == "builtin" and not args.nodes:
         for i, mode in enumerate(builtin_modes()):
-            ts = simulate_var(mode, args.samples, seed=config.seed + i)
-            labels = case_labels(f"nominal_mode{i + 1}", i, None, ts.names, config.seed + i)
-            _write_case(ts, labels, out, written)
+            name = f"nominal_mode{i + 1}"
+            _write_case(*simulate_case(mode, None, args.samples, config.seed + i, name, i),
+                        out, written)
 
     if args.cases:
         if args.nodes:
@@ -134,19 +140,15 @@ def cmd_simulate(args) -> int:
         if args.cases > len(cases):
             raise UsageError(f"at most {len(cases)} pattern-fault cases exist")
         for ci, case_edges in enumerate(cases[: args.cases]):
-            case_spec = FaultSpec(kind="pattern_break", edges=tuple(case_edges))
-            seed = config.seed + 9000 + ci
-            base = simulate_var(graph, args.samples, seed=seed)
-            ts = inject_fault(graph, base, case_spec, seed=seed)
-            labels = case_labels(f"case{ci + 1:02d}", args.mode, case_spec, ts.names, seed)
-            _write_case(ts, labels, out, written)
+            case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
+            seed, name = config.seed + 9000 + ci, f"case{ci + 1:02d}"
+            _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, args.mode),
+                        out, written)
 
     if spec is not None:
         seed = config.seed + 777
-        base = simulate_var(graph, args.samples, seed=seed)
-        ts = inject_fault(graph, base, spec, seed=seed)
         name = args.name or "fault"
-        _write_case(ts, case_labels(name, args.mode, spec, ts.names, seed), out, written)
+        _write_case(*simulate_case(graph, spec, args.samples, seed, name, args.mode), out, written)
         # a nominal companion for baseline fitting
         nom_path = os.path.join(out, name + "_nominal.csv")
         write_csv(simulate_var(graph, args.samples, seed=seed + 1), nom_path)
@@ -180,6 +182,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_rca(args) -> int:
+    _check_out_dir(args.out)
     config_path_marker = args.data
     if args.method == "var":
         if not args.nominal:
@@ -220,6 +223,7 @@ def _stem(path: str) -> str:
 
 
 def cmd_evaluate(args) -> int:
+    _check_out_dir(args.out)
     if len(args.reports) != len(args.labels):
         raise DataError(
             f"{len(args.reports)} reports vs {len(args.labels)} label files"
@@ -230,9 +234,15 @@ def cmd_evaluate(args) -> int:
         try:
             case_id = labels.get("case_id", "")
             data_stem = _stem(report.get("data", ""))
+            report_channels, label_channels = report.get("channels"), labels.get("channels")
             row = evaluate_case(report, labels)
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
             raise DataError(f"report {rpath} or labels {lpath} malformed ({exc!r})") from None
+        if report_channels != label_channels:
+            raise DataError(
+                f"channel mismatch: report {rpath} has {report_channels}, "
+                f"labels {lpath} have {label_channels}"
+            )
         if case_id and data_stem and case_id != data_stem:
             raise DataError(
                 f"case id mismatch: report {rpath} is for {data_stem!r}, "

@@ -99,21 +99,22 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     )
 
 
+ORACLE_MAX_BITS = 16
+
+
 def exhaustive_switch_oracle(
-    params: RbmParams, v: np.ndarray, max_bits: int = 16
+    params: RbmParams, v: np.ndarray
 ) -> tuple[tuple[int, ...], float]:
     """Globally optimal flip set by brute force over all 2**n_v subsets.
 
     Ties break toward the smaller subset, then lexicographically. Only
-    usable for small vectors; serves as the ground truth the greedy search
-    is measured against.
+    usable for vectors of at most ORACLE_MAX_BITS bits; serves as the
+    ground truth the greedy search is measured against.
     """
     v = np.asarray(v, dtype=float)
     n = v.size
-    if max_bits > 16:
-        raise DataError("max_bits capped at 16")
-    if n > max_bits:
-        raise DataError(f"{n} bits exceeds max_bits={max_bits}")
+    if n > ORACLE_MAX_BITS:
+        raise DataError(f"{n} bits exceeds the oracle's {ORACLE_MAX_BITS}-bit limit")
     best_set: tuple[int, ...] = ()
     best_f = free_energy(params, v)
     for size in range(1, n + 1):

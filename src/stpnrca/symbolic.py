@@ -187,8 +187,3 @@ def log_inference_metric(model: np.ndarray, window: np.ndarray) -> float:
         gammaln(window + model + 1.0) - gammaln(window + 1.0) - gammaln(model + 1.0)
     )
     return float(np.sum(row_terms) + np.sum(cell_terms))
-
-
-def metric_delta(lnl_nom: float, lnl_ano: float) -> float:
-    """Drop in the log metric caused by an anomaly (nominal minus anomalous)."""
-    return float(lnl_nom) - float(lnl_ano)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -149,10 +150,11 @@ def simulate_var(g: CausalGraph, T: int, seed: int = 0) -> TimeSeries:
     total = T + burn
     y = np.zeros((total + p, f))
     noise = rng.normal(0.0, 1.0, size=(total, f)) * g.noise_std
+    coeffs = list(g.coeffs)
     for t in range(total):
-        acc = noise[t].copy()
-        for k in range(p):
-            acc += g.coeffs[k] @ y[p + t - 1 - k]
+        acc = noise[t] + coeffs[0] @ y[p + t - 1]
+        for k in range(1, p):
+            acc += coeffs[k] @ y[p + t - 1 - k]
         y[p + t] = acc
     return TimeSeries(g.names, y[p + burn :].copy())
 
@@ -218,6 +220,18 @@ def random_graph(
     return _stabilized(coeffs, noise)
 
 
+def _broken_graph(g: CausalGraph, edges: tuple[tuple[int, int], ...]) -> CausalGraph:
+    """`g` with the listed (source, target) edges zeroed at every lag."""
+    existing = set(g.edges())
+    for src, dst in edges:
+        if (src, dst) not in existing:
+            raise DataError(f"edge {src}->{dst} not present in the graph")
+    coeffs = g.coeffs.copy()
+    for src, dst in edges:
+        coeffs[:, dst, src] = 0.0
+    return CausalGraph(coeffs, g.noise_std, g.names)
+
+
 def inject_fault(
     g: CausalGraph, ts: TimeSeries, spec: FaultSpec, seed: int = 0
 ) -> TimeSeries:
@@ -229,15 +243,7 @@ def inject_fault(
     the first `delay` positions.
     """
     if spec.kind == "pattern_break":
-        existing = set(g.edges())
-        for src, dst in spec.edges:
-            if (src, dst) not in existing:
-                raise DataError(f"edge {src}->{dst} not present in the graph")
-        coeffs = g.coeffs.copy()
-        for src, dst in spec.edges:
-            coeffs[:, dst, src] = 0.0
-        broken = CausalGraph(coeffs, g.noise_std, g.names)
-        return simulate_var(broken, ts.n_samples, seed=seed)
+        return simulate_var(_broken_graph(g, spec.edges), ts.n_samples, seed=seed)
     if spec.node >= ts.n_channels:
         raise DataError(f"node {spec.node} out of range for f={ts.n_channels}")
     if spec.delay >= ts.n_samples:
@@ -249,19 +255,40 @@ def inject_fault(
     return TimeSeries(ts.names, values)
 
 
-def pattern_fault_cases(
-    breakable: tuple[tuple[int, int], ...] | None = None,
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The 30-case suite: all 1..4-edge subsets of five breakable edges."""
-    from itertools import combinations
+def simulate_case(
+    graph: CausalGraph,
+    spec: FaultSpec | None,
+    n_samples: int,
+    seed: int,
+    case_id: str,
+    mode: int = 0,
+) -> tuple[TimeSeries, dict]:
+    """One labelled synthetic case: its series and its ground-truth sidecar.
 
-    edges = breakable if breakable is not None else BREAKABLE_EDGES
-    if len(edges) != 5:
-        raise DataError("the 30-case suite needs exactly 5 breakable edges")
-    cases = []
-    for size in (1, 2, 3, 4):
-        cases.extend(combinations(edges, size))
-    return tuple(tuple(c) for c in cases)
+    Every case is one simulation from `seed`: of `graph` for a nominal case
+    (`spec` None), of the broken graph for a pattern break, and of `graph`
+    before the channel's readings are delayed for a node delay.
+    """
+    if spec is not None and spec.kind == "pattern_break":
+        ts = simulate_var(_broken_graph(graph, spec.edges), n_samples, seed=seed)
+        fault = {"kind": "pattern_break", "edges": [list(e) for e in spec.edges]}
+        patterns = [pattern_index(src, dst, ts.n_channels) for src, dst in spec.edges]
+        nodes = sorted({n for e in spec.edges for n in e})
+    else:
+        ts = simulate_var(graph, n_samples, seed=seed)
+        fault, patterns, nodes = None, [], []
+        if spec is not None:
+            ts = inject_fault(graph, ts, spec, seed=seed)
+            fault = {"kind": "node_delay", "node": spec.node, "delay": spec.delay}
+            nodes = [spec.node]
+    labels = {"case_id": case_id, "mode": mode, "channels": list(ts.names), "seed": seed,
+              "fault": fault, "failed_patterns": patterns, "failed_nodes": nodes}
+    return ts, labels
+
+
+def pattern_fault_cases() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The 30-case suite: all 1..4-edge subsets of the five breakable edges."""
+    return tuple(c for size in (1, 2, 3, 4) for c in combinations(BREAKABLE_EDGES, size))
 
 
 def var_fit(ts: TimeSeries, p: int = 1) -> np.ndarray:
@@ -309,35 +336,3 @@ def var_rca_baseline(
         if delta[i, j] > eta * peak
     ]
     return sorted(failed)
-
-
-def case_labels(
-    case_id: str,
-    mode: int,
-    spec: FaultSpec | None,
-    names: tuple[str, ...],
-    seed: int,
-) -> dict:
-    """Machine-readable ground truth emitted beside each simulated CSV."""
-    f = len(names)
-    labels: dict = {
-        "case_id": case_id,
-        "mode": mode,
-        "channels": list(names),
-        "seed": seed,
-        "fault": None,
-        "failed_patterns": [],
-        "failed_nodes": [],
-    }
-    if spec is None:
-        return labels
-    if spec.kind == "pattern_break":
-        labels["fault"] = {"kind": "pattern_break", "edges": [list(e) for e in spec.edges]}
-        labels["failed_patterns"] = [
-            pattern_index(src, dst, f) for src, dst in spec.edges
-        ]
-        labels["failed_nodes"] = sorted({n for e in spec.edges for n in e})
-    else:
-        labels["fault"] = {"kind": "node_delay", "node": spec.node, "delay": spec.delay}
-        labels["failed_nodes"] = [spec.node]
-    return labels

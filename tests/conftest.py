@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stpnrca.pipeline import RunConfig, train_bundle
-from stpnrca.synth import CausalGraph, FaultSpec, inject_fault, simulate_var
+from stpnrca.synth import CausalGraph, FaultSpec, simulate_case, simulate_var
 
 # Small 4-channel system: channel 0 drives the other three. Big enough for
 # real detection margins, small enough to train in a couple of seconds.
@@ -44,10 +44,15 @@ def toy_bundle(toy_nominal, toy_config):
 
 
 @pytest.fixture(scope="session")
-def toy_fault_ts(toy_graph, toy_config):
-    base = simulate_var(toy_graph, 6 * toy_config.window_length, seed=3)
+def toy_fault_case(toy_graph, toy_config):
+    """Channel 0 delayed by 5 samples: the series and its label sidecar."""
     spec = FaultSpec(kind="node_delay", node=0, delay=5)
-    return inject_fault(toy_graph, base, spec, seed=3)
+    return simulate_case(toy_graph, spec, 6 * toy_config.window_length, seed=3, case_id="fault")
+
+
+@pytest.fixture(scope="session")
+def toy_fault_ts(toy_fault_case):
+    return toy_fault_case[0]
 
 
 @pytest.fixture(scope="session")

@@ -43,17 +43,17 @@ class TestCriterion1Prop1:
 
 class TestCriterion2MetricOracle:
     def test_thousand_random_matrices(self):
-        finish(bench.metric_oracle_suite(n_cases=1000), budget=10.0)
+        finish(bench.metric_oracle_suite(), budget=10.0)
 
 
 class TestCriterion3GreedyVsExhaustive:
     def test_hundred_nine_bit_instances(self):
-        finish(bench.greedy_oracle_suite(n_cases=100), budget=60.0)
+        finish(bench.greedy_oracle_suite(), budget=60.0)
 
 
 class TestCriterion4PatternFaultSuite:
     def test_thirty_cases_fifty_windows(self, desk_bundle):
-        result = bench.dataset1_suite(desk_bundle, n_test_windows=50)
+        result = bench.dataset1_suite(desk_bundle)
         finish(result, budget=900.0, extra_time=DESK["build_time"])
 
 
@@ -81,13 +81,13 @@ class TestCriterion6EnergyGap:
 
 class TestCriterion7FalseAlarms:
     def test_five_hundred_nominal_windows(self, desk_bundle):
-        result = bench.false_alarm_suite(desk_bundle, n_windows=510)
+        result = bench.false_alarm_suite(desk_bundle)
         finish(result, budget=600.0, extra_time=DESK["build_time"])
 
 
 class TestCriterion8VarRecovery:
     def test_twenty_seeded_graphs(self):
-        finish(bench.var_recovery_suite(n_graphs=20, T=10000), budget=60.0)
+        finish(bench.var_recovery_suite(), budget=60.0)
 
 
 class TestCriterion9TepPipeline:

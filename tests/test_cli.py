@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from stpnrca import cli
 from stpnrca.cli import main
 from stpnrca.pipeline import save_bundle
 from stpnrca.timeseries import TimeSeries, read_csv, write_csv
@@ -248,10 +249,16 @@ class TestRca:
 
     @pytest.mark.parametrize("command", ["rca", "evaluate", "simulate"])
     def test_unwritable_out_is_data_error(
-        self, workdir, report_and_labels, tmp_path, command, capsys
+        self, workdir, report_and_labels, tmp_path, command, capsys, monkeypatch
     ):
         missing = tmp_path / "missing" / "dir" / "out.json"
         report, labels = report_and_labels
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("inputs were read before the output was checked")
+
+        for name in ("load_bundle", "run_rca", "_read_json", "evaluate_case"):
+            monkeypatch.setattr(cli, name, no_analysis)
         argv = {
             "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
                     "--force", "--out", missing],
@@ -304,6 +311,16 @@ class TestEvaluate:
         paths = (bad, labels_path) if which == "report" else (report_path, bad)
         assert run("evaluate", "--reports", paths[0], "--labels", paths[1]) == 2
         assert str(bad) in capsys.readouterr().err
+
+    def test_channel_mismatch(self, report_and_labels, tmp_path, capsys):
+        report_path, labels_path = report_and_labels
+        cut = tmp_path / "cut.labels.json"
+        labels = json.loads(labels_path.read_text())
+        labels["channels"] = labels["channels"][:3]  # a 3-channel system's labels
+        cut.write_text(json.dumps(labels))
+        assert run("evaluate", "--reports", report_path, "--labels", cut) == 2
+        err = capsys.readouterr().err
+        assert str(report_path) in err and str(cut) in err
 
     def test_count_mismatch(self, report_and_labels):
         report_path, labels_path = report_and_labels

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from stpnrca.cli import main
 from stpnrca.pipeline import RunConfig, save_bundle
-from stpnrca.synth import FaultSpec, case_labels
 from stpnrca.timeseries import write_csv
 
 FUZZ = settings(
@@ -44,15 +43,14 @@ CSV_JUNK = "@#%&!?;"
 
 
 @pytest.fixture(scope="module")
-def pristine(tmp_path_factory, toy_bundle, toy_fault_ts, toy_nominal):
+def pristine(tmp_path_factory, toy_bundle, toy_fault_case, toy_nominal):
     root = tmp_path_factory.mktemp("fuzz")
+    fault_ts, labels = toy_fault_case
     save_bundle(toy_bundle, root / "bundle")
-    write_csv(toy_fault_ts, root / "fault.csv")
+    write_csv(fault_ts, root / "fault.csv")
     write_csv(toy_nominal.window(0, 2000), root / "nominal.csv")
     argv = ["rca", "--model", root / "bundle", "--data", root / "fault.csv", "--force"]
     assert main([str(a) for a in argv + ["--out", root / "fault.report.json"]]) == 0
-    spec = FaultSpec(kind="node_delay", node=0, delay=5)
-    labels = case_labels("fault", 0, spec, toy_fault_ts.names, seed=3)
     (root / "fault.labels.json").write_text(json.dumps(labels))
     return root
 

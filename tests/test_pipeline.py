@@ -18,7 +18,7 @@ from stpnrca.pipeline import (
 )
 from stpnrca.rbm import RbmParams
 from stpnrca.stpn import pattern_index, scan_windows
-from stpnrca.synth import case_labels, FaultSpec, simulate_var
+from stpnrca.synth import FaultSpec, simulate_var
 
 
 class TestRunConfig:
@@ -183,7 +183,7 @@ class TestDetectAndRca:
 
     def test_depth_two_pipeline_localizes(self):
         # depth-2 states (16 states over a 4-symbol alphabet) end to end
-        from stpnrca.synth import builtin_modes, inject_fault, simulate_var
+        from stpnrca.synth import builtin_modes, simulate_case
         from stpnrca.pipeline import train_bundle
 
         cfg = RunConfig(
@@ -195,9 +195,9 @@ class TestDetectAndRca:
         with pytest.warns(UserWarning):  # few calibration windows, on purpose
             bundle = train_bundle([nominal], cfg, with_a3=False)
         assert bundle.stpn.counts.shape[2:] == (16, 4)
-        fault = inject_fault(
-            mode, simulate_var(mode, 8 * 600, seed=6),
-            FaultSpec(kind="pattern_break", edges=((1, 4),)), seed=6,
+        fault, _ = simulate_case(
+            mode, FaultSpec(kind="pattern_break", edges=((1, 4),)), 8 * 600,
+            seed=6, case_id="broken",
         )
         report = run_rca(bundle, fault, method="s3", force=True)
         failed = {p["index"] for p in report["aggregate"]["failed_patterns"]}
@@ -224,10 +224,13 @@ class TestEvaluateCase:
                 {"analyzed": True, "patterns": [{"index": 1}, {"index": 5}]},
             ],
         }
-        labels = case_labels(
-            "case", 0, FaultSpec(kind="pattern_break", edges=((0, 1),)),
-            ("a", "b", "c", "d"), seed=0,
-        )
+        labels = {
+            "case_id": "case",
+            "channels": ["a", "b", "c", "d"],
+            "fault": {"kind": "pattern_break", "edges": [[0, 1]]},
+            "failed_patterns": [pattern_index(0, 1, 4)],
+            "failed_nodes": [0, 1],
+        }
         out = evaluate_case(report, labels)
         # window 1 perfect (16/16), window 2 has one extra (15/16)
         assert out["alpha1"] == pytest.approx((16 + 15) / 32)
@@ -249,10 +252,13 @@ class TestEvaluateCase:
             },
             "windows": [],
         }
-        labels = case_labels(
-            "case", 0, FaultSpec(kind="node_delay", node=0, delay=5),
-            ("a", "b", "c", "d"), seed=0,
-        )
+        labels = {
+            "case_id": "case",
+            "channels": ["a", "b", "c", "d"],
+            "fault": {"kind": "node_delay", "node": 0, "delay": 5},
+            "failed_patterns": [],
+            "failed_nodes": [0],
+        }
         out = evaluate_case(report, labels)
         # patterns 1=(0,1) and 4=(1,0) touch node 0; 11=(2,3) does not
         assert out["n_incorrect"] == 1
@@ -270,6 +276,12 @@ class TestEvaluateCase:
                 {"analyzed": True, "patterns": [{"index": 3}]},
             ],
         }
-        labels = case_labels("nom", 1, None, ("a", "b", "c"), seed=0)
+        labels = {
+            "case_id": "nom",
+            "channels": ["a", "b", "c"],
+            "fault": None,
+            "failed_patterns": [],
+            "failed_nodes": [],
+        }
         out = evaluate_case(report, labels)
         assert out["false_alarm_fraction"] == pytest.approx((0 + 1 / 9) / 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stpnrca import synth
 from stpnrca.errors import DataError
 from stpnrca.stpn import pattern_index
 from stpnrca.synth import (
@@ -8,10 +9,10 @@ from stpnrca.synth import (
     CausalGraph,
     FaultSpec,
     builtin_modes,
-    case_labels,
     inject_fault,
     pattern_fault_cases,
     random_graph,
+    simulate_case,
     simulate_var,
     var_fit,
     var_rca_baseline,
@@ -68,6 +69,20 @@ class TestSimulateVar:
         g = builtin_modes()[0]
         with pytest.raises(DataError):
             simulate_var(g, 5, seed=0)
+
+    def test_two_lags_follow_the_recursion(self):
+        coeffs = np.zeros((2, 3, 3))
+        coeffs[0] = [[0.4, 0.0, 0.1], [0.2, 0.3, 0.0], [0.0, 0.25, 0.35]]
+        coeffs[1] = [[0.1, 0.05, 0.0], [0.0, -0.1, 0.1], [0.15, 0.0, 0.05]]
+        g = CausalGraph(coeffs, np.array([0.1, 0.2, 0.3]))
+        T, burn = 200, 20
+        noise = np.random.default_rng(4).normal(0.0, 1.0, size=(T + burn, 3)) * g.noise_std
+        y = np.zeros((T + burn + 2, 3))
+        for t in range(T + burn):
+            # y_t = noise_t + A_1 y_{t-1} + A_2 y_{t-2}, from a zero state
+            y[t + 2] = noise[t] + coeffs[0] @ y[t + 1]
+            y[t + 2] += coeffs[1] @ y[t]
+        assert np.array_equal(simulate_var(g, T, seed=4).values, y[2 + burn :])
 
 
 class TestBuiltinModes:
@@ -144,17 +159,79 @@ class TestInjectFault:
 
     def test_labels_for_pattern_break(self):
         spec = FaultSpec(kind="pattern_break", edges=((1, 4), (0, 1)))
-        labels = case_labels("case01", 0, spec, ("a", "b", "c", "d", "e"), seed=3)
+        _, labels = simulate_case(builtin_modes()[0], spec, 100, seed=3, case_id="case01")
         assert set(labels["failed_patterns"]) == {
             pattern_index(1, 4, 5), pattern_index(0, 1, 5)
         }
         assert labels["failed_nodes"] == [0, 1, 4]
 
     def test_labels_for_node_delay(self):
+        g = random_graph(4, seed=0)
         spec = FaultSpec(kind="node_delay", node=3, delay=5)
-        labels = case_labels("x", 0, spec, ("a", "b", "c", "d"), seed=0)
+        _, labels = simulate_case(g, spec, 100, seed=0, case_id="x")
         assert labels["failed_nodes"] == [3]
         assert labels["failed_patterns"] == []
+
+
+class TestSimulateCase:
+    """The builder equals simulate, inject the fault, then label."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(g, T, seed=0):
+            calls.append(seed)
+            return simulate_var(g, T, seed=seed)
+
+        monkeypatch.setattr(synth, "simulate_var", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec, fault, failed_patterns, failed_nodes",
+        [
+            (None, None, [], []),
+            (
+                FaultSpec(kind="pattern_break", edges=((1, 4), (2, 3))),
+                {"kind": "pattern_break", "edges": [[1, 4], [2, 3]]},
+                [9, 13],
+                [1, 2, 3, 4],
+            ),
+            (
+                FaultSpec(kind="node_delay", node=2, delay=5),
+                {"kind": "node_delay", "node": 2, "delay": 5},
+                [],
+                [2],
+            ),
+        ],
+        ids=["nominal", "pattern_break", "node_delay"],
+    )
+    def test_equals_simulate_inject_label(
+        self, counted, spec, fault, failed_patterns, failed_nodes
+    ):
+        g = builtin_modes()[2]
+        ts, labels = simulate_case(g, spec, 600, seed=31, case_id="c7", mode=2)
+        assert len(counted) == 1
+        want = simulate_var(g, 600, seed=31)
+        if spec is not None:
+            want = inject_fault(g, want, spec, seed=31)
+        assert ts.names == want.names
+        assert np.array_equal(ts.values, want.values)
+        assert labels == {
+            "case_id": "c7",
+            "mode": 2,
+            "channels": list(g.names),
+            "seed": 31,
+            "fault": fault,
+            "failed_patterns": failed_patterns,
+            "failed_nodes": failed_nodes,
+        }
+
+    def test_unknown_edge_rejected_before_simulating(self, counted):
+        spec = FaultSpec(kind="pattern_break", edges=((1, 3),))
+        with pytest.raises(DataError, match="not present"):
+            simulate_case(builtin_modes()[0], spec, 600, seed=0, case_id="c")
+        assert counted == []
 
 
 class TestVarFit:
