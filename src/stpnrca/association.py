@@ -137,17 +137,13 @@ def _bce_with_logits(logits, y):
     return per_cell
 
 
-def a3_loss(params: MlpParams, inputs, labels, per_position: bool = False):
-    """Mean over examples of the per-label logistic loss (dropout off).
-
-    With `per_position` the f*f individual sub-problem losses are returned;
-    their sum equals the scalar total.
-    """
+def a3_loss(params: MlpParams, inputs, labels) -> float:
+    """Mean over examples of the per-label logistic loss (dropout off),
+    summed over the f*f sub-problems."""
     x = np.asarray(inputs, dtype=float)
     y = np.asarray(labels, dtype=float)
     _, _, logits = _forward(params.weights, params.biases, x)
-    cells = _bce_with_logits(logits, y).mean(axis=0)
-    return cells if per_position else float(cells.sum())
+    return float(_bce_with_logits(logits, y).mean(axis=0).sum())
 
 
 def loss_and_grads(weights, biases, x, y, dropout=0.0, rng=None):

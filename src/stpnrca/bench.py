@@ -88,20 +88,16 @@ def exact_log_metric(model: np.ndarray, window: np.ndarray) -> float:
         return float(mpmath.log(num) - mpmath.log(den))
 
 
-def two_state_counts(
-    n11: int, n21: int, k: int, eta: int, t1: float = 2.0, t2: float = 2.0
-):
+def two_state_counts(n11: int, n21: int, k: int, eta: int):
     """Model/nominal/anomalous count triples for the two-state construction.
 
-    The nominal window has row sums t1*n11 and t2*n21 over two symbols; the
-    model is k times the window; the anomaly moves eta first-column counts
-    from the first state's row to the second's.
+    The nominal window has row sums 2*n11 and 2*n21 over two symbols, split
+    evenly; the model is k times the window; the anomaly moves eta
+    first-column counts from the first state's row to the second's.
     """
     if eta > n11:
         raise DataError("eta cannot exceed the first-state count")
-    window = np.array(
-        [[n11, (t1 - 1.0) * n11], [n21, (t2 - 1.0) * n21]], dtype=float
-    )
+    window = np.array([[n11, n11], [n21, n21]], dtype=float)
     model = k * window
     anomalous = window.copy()
     anomalous[0, 0] -= eta

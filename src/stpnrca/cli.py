@@ -4,8 +4,9 @@ Subcommands: simulate, train, detect, rca, evaluate, bench. Exit codes:
 0 success, 1 usage error, 2 data error or unwritable output, 3 numerical
 failure. Only train, simulate and rca --method var read --config, --set and
 the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
---method s3/a3 use the config fixed in the bundle's run.json. All outputs
-are written atomically (temp file + rename), so failures leave no partial files.
+--method s3/a3 use the config fixed in the bundle's run.json, stride
+included. All outputs are written atomically (temp file + rename), so
+failures leave no partial files.
 
 Channel indices on the command line are 0-based column positions of the
 input CSV; reports carry the channel names alongside.
@@ -108,7 +109,10 @@ def _load_series(path: str, fmt: str):
 
 
 def _write_case(ts, labels: dict, out: str, written: list) -> None:
-    """Write `ts` as <case_id>.csv with its .labels.json sidecar, and note it."""
+    """Write `ts` as <case_id>.csv with its .labels.json sidecar, and note it.
+    `out` is created here, so a run that fails before its first write leaves
+    no directory behind."""
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, labels["case_id"] + ".csv")
     write_csv(ts, path)
     _write_json(labels, path[:-4] + ".labels.json")
@@ -118,8 +122,14 @@ def _write_case(ts, labels: dict, out: str, written: list) -> None:
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     spec = _parse_fault(args.fault) if args.fault else None
+    if args.nodes and (args.modes or args.cases):
+        raise UsageError("--modes and --cases apply to the builtin modes, not --nodes graphs")
+    cases = pattern_fault_cases()
+    if args.cases and not 0 < args.cases <= len(cases):
+        raise UsageError(f"--cases takes 1 to {len(cases)} pattern-fault cases")
+    if not (args.modes or args.cases or spec):
+        raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")
 
     if args.nodes:
         graph = random_graph(args.nodes, seed=config.seed)
@@ -127,23 +137,17 @@ def cmd_simulate(args) -> int:
         graph = builtin_modes()[args.mode]
 
     written = []
-    if args.modes == "builtin" and not args.nodes:
+    if args.modes == "builtin":
         for i, mode in enumerate(builtin_modes()):
             name = f"nominal_mode{i + 1}"
             _write_case(*simulate_case(mode, None, args.samples, config.seed + i, name, i),
                         out, written)
 
-    if args.cases:
-        if args.nodes:
-            raise UsageError("--cases applies to the builtin modes, not --nodes graphs")
-        cases = pattern_fault_cases()
-        if args.cases > len(cases):
-            raise UsageError(f"at most {len(cases)} pattern-fault cases exist")
-        for ci, case_edges in enumerate(cases[: args.cases]):
-            case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
-            seed, name = config.seed + 9000 + ci, f"case{ci + 1:02d}"
-            _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, args.mode),
-                        out, written)
+    for ci, case_edges in enumerate(cases[: args.cases or 0]):
+        case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
+        seed, name = config.seed + 9000 + ci, f"case{ci + 1:02d}"
+        _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, args.mode),
+                    out, written)
 
     if spec is not None:
         seed = config.seed + 777
@@ -153,8 +157,6 @@ def cmd_simulate(args) -> int:
         nom_path = os.path.join(out, name + "_nominal.csv")
         write_csv(simulate_var(graph, args.samples, seed=seed + 1), nom_path)
 
-    if not written:
-        raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")
     for path in written:
         print(path)
     return 0
@@ -173,7 +175,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     bundle = load_bundle(args.model)
     ts = _load_series(args.data, args.format)
-    starts, energies, flags = run_detect(bundle, ts, stride=args.stride)
+    starts, energies, flags = run_detect(bundle, ts)
     for start, f, anomalous in zip(starts, energies, flags):
         verdict = "anomalous" if anomalous else "nominal"
         print(f"start={int(start)} free_energy={f:.4f} verdict={verdict}")
@@ -181,34 +183,40 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_rca(args) -> int:
-    _check_out_dir(args.out)
-    config_path_marker = args.data
+def _check_rca_flags(args) -> None:
+    """Every rule on which rca flags go with which method. var fits its
+    baseline to --nominal under the --config/--set config; s3 and a3 read
+    the --model bundle, whose run.json fixes the config."""
     if args.method == "var":
-        if not args.nominal:
-            raise UsageError("--method var needs --nominal CSV for baseline fitting")
+        required = {"--nominal": args.nominal}
+        rejected = {"--model": args.model, "--force": args.force}
+    else:
+        required = {"--model": args.model}
+        rejected = {"--nominal": args.nominal, "--config": args.config, "--set": args.set}
+    for flag, value in required.items():
+        if not value:
+            raise UsageError(f"--method {args.method} needs {flag}")
+    given = [flag for flag, value in rejected.items() if value not in (None, False)]
+    if given:
+        why = "" if args.method == "var" else "; the bundle's run.json fixes the config"
+        raise UsageError(f"{', '.join(given)} not accepted with --method {args.method}{why}")
+
+
+def cmd_rca(args) -> int:
+    _check_rca_flags(args)
+    _check_out_dir(args.out)
+    if args.method == "var":
         config = _config_from_args(args)
         nominal = _load_series(args.nominal, args.format)
         test = _load_series(args.data, args.format)
-        report = run_var_rca(nominal, test, config, data_path=config_path_marker)
+        report = run_var_rca(nominal, test, config, data_path=args.data)
     else:
-        if args.config is not None or args.set:
-            raise UsageError(
-                f"--config and --set apply to --method var only; for {args.method} "
-                "the bundle's run.json fixes the config"
-            )
         bundle = load_bundle(args.model)
         ts = _load_series(args.data, args.format)
-        report = run_rca(
-            bundle,
-            ts,
-            method=args.method,
-            force=args.force,
-            stride=args.stride,
-            data_path=config_path_marker,
-        )
+        report = run_rca(bundle, ts, method=args.method, force=args.force, data_path=args.data)
         if report["n_analyzed"] == 0:
-            print("no window flagged anomalous; re-run with --force to analyze anyway")
+            print("no window flagged anomalous; re-run with --force to analyze anyway",
+                  file=sys.stderr)
     if args.out:
         _write_json(report, args.out)
         print(f"report written to {args.out}")
@@ -322,7 +330,6 @@ def build_parser() -> _Parser:
     add_format(p)
     p.add_argument("--model", required=True, help="bundle directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--stride", type=int)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("rca", help="root-cause analysis of a test series")
@@ -334,7 +341,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nominal", help="nominal CSV (var baseline only)")
     p.add_argument("--force", action="store_true",
                    help="analyze all windows, not just detected ones")
-    p.add_argument("--stride", type=int)
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_rca)
 
@@ -356,8 +362,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "rca" and args.method in ("s3", "a3") and not args.model:
-            raise UsageError("--model is required for methods s3 and a3")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,11 +19,12 @@ from .stpn import index_pattern
 
 @dataclass(frozen=True)
 class NodeInferenceResult:
-    """Selection order, score at selection time, and per-step removals."""
+    """Selection order, score at selection time, and every channel's
+    initial anomaly score (before any selection)."""
 
     nodes: tuple[int, ...]
     scores: tuple[float, ...]
-    removed: tuple[tuple[int, ...], ...]  # pattern indices cleared at each step
+    initial_scores: tuple[float, ...]  # one per channel
 
 
 def _node_scores(failed: dict[int, float], f: int) -> np.ndarray:
@@ -40,7 +41,7 @@ def infer_nodes(failed, f: int) -> NodeInferenceResult:
     """Greedy cover of failed patterns by their incident channels.
 
     `failed` is an iterable of (pattern index, weight) pairs; duplicate
-    indices accumulate weight. An empty input yields an empty result. Ties
+    indices accumulate weight. An empty input yields an empty cover. Ties
     in the score go to the lowest channel index.
     """
     pool: dict[int, float] = {}
@@ -52,43 +53,37 @@ def infer_nodes(failed, f: int) -> NodeInferenceResult:
             raise DataError(f"non-finite weight for pattern {idx}")
         pool[idx] = pool.get(idx, 0.0) + float(weight)
 
-    nodes, scores, removed = [], [], []
+    initial = _node_scores(pool, f)
+    nodes, scores = [], []
+    node_scores = initial
     while pool:
-        node_scores = _node_scores(pool, f)
-        best = int(np.argmax(node_scores))  # argmax ties -> lowest index
-        cleared = tuple(
-            sorted(i for i in pool if best in index_pattern(i, f))
-        )
-        for i in cleared:
+        # Only a channel that touches a remaining pattern clears one, even
+        # when weights of zero or below leave an untouched channel on top.
+        touching = sorted({n for i in pool for n in index_pattern(i, f)})
+        best = max(touching, key=lambda n: node_scores[n])  # ties -> lowest index
+        for i in [i for i in pool if best in index_pattern(i, f)]:
             del pool[i]
         nodes.append(best)
         scores.append(float(node_scores[best]))
-        removed.append(cleared)
-    return NodeInferenceResult(tuple(nodes), tuple(scores), tuple(removed))
+        node_scores = _node_scores(pool, f)
+    return NodeInferenceResult(
+        tuple(nodes), tuple(scores), tuple(float(s) for s in initial)
+    )
 
 
-def rank_nodes(failed, f: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Full channel ranking for diagnosis-cost evaluation.
+def rank_nodes(result: NodeInferenceResult) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Full channel ranking for diagnosis-cost evaluation, from the cover
+    that :func:`infer_nodes` returned.
 
     Covered channels come first in selection order; the rest follow by
     initial anomaly score (descending, ties to the lowest index).
     """
-    failed = list(failed)
-    result = infer_nodes(failed, f)
-    initial = _node_scores(
-        {int(i): float(w) for i, w in _accumulate(failed)}, f
-    ) if failed else np.zeros(f)
-    ranking = list(result.nodes)
-    ranked_scores = list(result.scores)
-    rest = [n for n in range(f) if n not in result.nodes]
-    rest.sort(key=lambda n: (-initial[n], n))
-    ranking.extend(rest)
-    ranked_scores.extend(float(initial[n]) for n in rest)
-    return tuple(ranking), tuple(ranked_scores)
-
-
-def _accumulate(pairs):
-    acc: dict[int, float] = {}
-    for idx, weight in pairs:
-        acc[int(idx)] = acc.get(int(idx), 0.0) + float(weight)
-    return acc.items()
+    initial = result.initial_scores
+    rest = sorted(
+        (n for n in range(len(initial)) if n not in result.nodes),
+        key=lambda n: (-initial[n], n),
+    )
+    return (
+        result.nodes + tuple(rest),
+        result.scores + tuple(initial[n] for n in rest),
+    )

@@ -92,7 +92,7 @@ def load_stpn(path: str | os.PathLike) -> StpnModel:
     return _load("stpn", os.fspath(path), build)
 
 
-def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float | None = None) -> None:
+def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float) -> None:
     payload = {
         "visible_bias": params.visible_bias.tolist(),
         "hidden_bias": params.hidden_bias.tolist(),
@@ -102,15 +102,20 @@ def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float | None
     _dump("rbm", payload, os.fspath(path))
 
 
-def load_rbm(path: str | os.PathLike) -> tuple[RbmParams, float | None]:
+def load_rbm(path: str | os.PathLike) -> tuple[RbmParams, float]:
+    """The energy model and its detection threshold; a file without a
+    finite threshold is a DataError."""
+
     def build(p):
         params = RbmParams(
             visible_bias=np.array(p["visible_bias"], dtype=float),
             hidden_bias=np.array(p["hidden_bias"], dtype=float),
             weights=np.array(p["weights"], dtype=float),
         )
-        thr = p.get("energy_threshold")
-        return params, (None if thr is None else float(thr))
+        threshold = float(p["energy_threshold"])
+        if not np.isfinite(threshold):  # a NaN threshold would flag no window
+            raise ValueError(f"energy threshold {threshold} is not finite")
+        return params, threshold
 
     return _load("rbm", os.fspath(path), build)
 

@@ -85,11 +85,7 @@ def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     save_stpn(bundle.stpn, os.path.join(directory, BUNDLE_FILES["stpn"]))
-    save_rbm(
-        bundle.rbm,
-        os.path.join(directory, BUNDLE_FILES["rbm"]),
-        threshold=bundle.energy_threshold,
-    )
+    save_rbm(bundle.rbm, os.path.join(directory, BUNDLE_FILES["rbm"]), bundle.energy_threshold)
     if bundle.mlp is not None:
         save_mlp(bundle.mlp, os.path.join(directory, BUNDLE_FILES["mlp"]))
     run = {
@@ -113,8 +109,6 @@ def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
         raise DataError(f"{run_path}: bad run file ({exc})") from None
     stpn = load_stpn(os.path.join(directory, BUNDLE_FILES["stpn"]))
     rbm, threshold = load_rbm(os.path.join(directory, BUNDLE_FILES["rbm"]))
-    if threshold is None:
-        raise DataError(f"{directory}: energy model saved without a threshold")
     mlp_path = os.path.join(directory, BUNDLE_FILES["mlp"])
     mlp = load_mlp(mlp_path) if os.path.exists(mlp_path) else None
     widths = {"energy model": rbm.n_visible}
@@ -130,36 +124,45 @@ def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
     )
 
 
-def _rca_vector(bundle: TrainedBundle, vector: np.ndarray, method: str):
-    """Failed patterns and weights for one pattern vector.
+def _window_analyser(bundle: TrainedBundle, method: str):
+    """The per-window analysis for `method`, resolved before any scan.
 
-    Returns (patterns, weights, trace); the trace is empty for the
-    classifier method.
+    Returns a function from a pattern vector to (patterns, weights, trace);
+    the trace is empty for the classifier method. An unknown method, or a3
+    on a bundle without a classifier, is a UsageError.
     """
     if method == "s3":
-        result = s3_search(bundle.rbm, vector)
-        return list(result.anomalous_patterns), list(result.weights), list(result.trace)
+
+        def analyse(vector):
+            result = s3_search(bundle.rbm, vector)
+            return list(result.anomalous_patterns), list(result.weights), list(result.trace)
+
+        return analyse
     if method == "a3":
         if bundle.mlp is None:
             raise UsageError("bundle has no trained classifier (train with --a3)")
-        indicator, probs = infer_a3(bundle.mlp, vector, cutoff=bundle.config.a3_cutoff)
-        patterns = [int(i) for i in np.flatnonzero(indicator == 0)]
-        weights = [float(1.0 - probs[i]) for i in patterns]
-        return patterns, weights, []
+
+        def analyse(vector):
+            indicator, probs = infer_a3(bundle.mlp, vector, cutoff=bundle.config.a3_cutoff)
+            patterns = [int(i) for i in np.flatnonzero(indicator == 0)]
+            return patterns, [float(1.0 - probs[i]) for i in patterns], []
+
+        return analyse
     raise UsageError(f"unknown method {method!r} (use s3, a3, or var)")
 
 
-def _scan_and_flag(bundle: TrainedBundle, ts: TimeSeries, stride: int | None = None):
-    """The detection rule: scan the windows, then flag those whose free
-    energy exceeds the calibrated threshold. Returns (scan, energies, flags)."""
-    scan = scan_windows(bundle.stpn, ts, stride)
+def _scan_and_flag(bundle: TrainedBundle, ts: TimeSeries):
+    """The detection rule: scan the windows at the bundle's stride, then flag
+    those whose free energy exceeds the calibrated threshold. Returns (scan,
+    energies, flags)."""
+    scan = scan_windows(bundle.stpn, ts, bundle.config.stride)
     energies = np.atleast_1d(free_energy(bundle.rbm, scan.vectors.astype(float)))
     return scan, energies, energies > bundle.energy_threshold
 
 
-def run_detect(bundle: TrainedBundle, ts: TimeSeries, stride: int | None = None):
+def run_detect(bundle: TrainedBundle, ts: TimeSeries):
     """Per-window verdict stream: (starts, free energies, anomalous flags)."""
-    scan, energies, flags = _scan_and_flag(bundle, ts, stride)
+    scan, energies, flags = _scan_and_flag(bundle, ts)
     return scan.starts, energies, flags
 
 
@@ -174,9 +177,8 @@ def _report(head: dict, failed: list[tuple[int, float, float]]) -> dict:
     node cover, and the ranking of every channel in head["channels"]."""
     names = head["channels"]
     f = len(names)
-    weighted = [(p, w) for p, w, _ in failed]
-    inference = infer_nodes(weighted, f)
-    ranking, ranking_scores = rank_nodes(weighted, f)
+    inference = infer_nodes([(p, w) for p, w, _ in failed], f)
+    ranking, ranking_scores = rank_nodes(inference)
 
     def nodes(ids, scores):
         return [{"node": int(n), "name": names[n], "score": float(s)} for n, s in zip(ids, scores)]
@@ -199,7 +201,6 @@ def run_rca(
     ts: TimeSeries,
     method: str = "s3",
     force: bool = False,
-    stride: int | None = None,
     data_path: str = "",
 ) -> dict:
     """Window-level root-cause analysis plus a case-level aggregate.
@@ -208,10 +209,12 @@ def run_rca(
     counts as failed for the case when it is flagged in at least half of the
     analyzed windows; its case weight is the sum of its per-window weights.
     The node ranking covers the failed set first (greedy cover order), then
-    the remaining channels by anomaly score.
+    the remaining channels by anomaly score. An unknown method, or a3 on a
+    bundle without a classifier, is a UsageError raised before the scan.
     """
     f = bundle.stpn.n_channels
-    scan, energies, flags = _scan_and_flag(bundle, ts, stride)
+    analyse = _window_analyser(bundle, method)
+    scan, energies, flags = _scan_and_flag(bundle, ts)
 
     windows = []
     flagged_counts: dict[int, int] = {}
@@ -227,9 +230,7 @@ def run_rca(
         }
         if entry["analyzed"]:
             n_analyzed += 1
-            patterns, weights, trace = _rca_vector(
-                bundle, scan.vectors[i].astype(float), method
-            )
+            patterns, weights, trace = analyse(scan.vectors[i].astype(float))
             entry["patterns"] = [_pattern_entry(p, f, w) for p, w in zip(patterns, weights)]
             if trace:
                 entry["trace"] = [float(x) for x in trace]

@@ -195,9 +195,9 @@ def train_stpn(
         thresholds=np.zeros((f, f)),
     )
 
-    stride = config.stride or config.window_length
     scored = [
-        _score_windows(model, symbols, states, stride) for symbols, states in per_series
+        _score_windows(model, symbols, states, config.stride)
+        for symbols, states in per_series
     ]
     n_windows = sum(len(starts) for starts, _ in scored)
     if not n_windows:
@@ -245,10 +245,10 @@ def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
 
 def _score_windows(model: StpnModel, symbols, states, stride: int):
     """Metrics of the windows starting at 0, stride, ... of one symbolized
-    series: (starts, (n, f, f) metrics)."""
+    series: (starts, (n, f, f) metrics). Stride 0 means non-overlapping."""
     length = model.window_length
     n_state_rows = length - model.depth + 1
-    starts = range(0, symbols.shape[0] - length + 1, stride)
+    starts = range(0, symbols.shape[0] - length + 1, stride or length)
     metrics = np.empty((len(starts), model.n_channels, model.n_channels))
     for i, start in enumerate(starts):
         metrics[i] = _metrics_from_symbols(
@@ -291,19 +291,17 @@ def _window_scan(model: StpnModel, starts, metrics: np.ndarray) -> WindowScan:
     )
 
 
-def scan_windows(
-    model: StpnModel, ts: TimeSeries, stride: int | None = None
-) -> WindowScan:
+def scan_windows(model: StpnModel, ts: TimeSeries, stride: int = 0) -> WindowScan:
     """Slide the model's window over a series and binarize every position.
 
-    `stride` None or 0 means non-overlapping windows.
+    `stride` 0 means non-overlapping windows, as in :func:`train_stpn`.
     """
     if ts.names != model.names:
         raise DataError(
             f"series channels {list(ts.names)} do not match the model's "
             f"{list(model.names)}"
         )
-    if stride is not None and stride < 0:
+    if stride < 0:
         raise DataError(f"stride must be >= 0 (0 means non-overlapping), got {stride}")
     if ts.n_samples < model.window_length:
         raise DataError(
@@ -311,7 +309,5 @@ def scan_windows(
             f"length {model.window_length}"
         )
     symbols, states = _symbols_and_states(ts, model.partition, model.depth)
-    starts, metrics = _score_windows(
-        model, symbols, states, stride or model.window_length
-    )
+    starts, metrics = _score_windows(model, symbols, states, stride)
     return _window_scan(model, starts, metrics)

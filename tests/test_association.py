@@ -3,6 +3,7 @@ import pytest
 
 from stpnrca.association import (
     A3Dataset,
+    MlpParams,
     a3_loss,
     generate_artificial_anomalies,
     infer_a3,
@@ -73,11 +74,19 @@ class TestLoss:
         cfg = RunConfig(a3_hidden=(16,), seed=5)
         params = init_mlp(12, 12, cfg)
         total = a3_loss(params, flip_dataset.inputs, flip_dataset.labels)
-        per_position = a3_loss(
-            params, flip_dataset.inputs, flip_dataset.labels, per_position=True
-        )
-        assert per_position.shape == (12,)
-        assert total == pytest.approx(float(per_position.sum()))
+        # position j's sub-problem alone: the same net cut to output j
+        per_position = [
+            a3_loss(
+                MlpParams(
+                    (*params.weights[:-1], params.weights[-1][:, [j]]),
+                    (*params.biases[:-1], params.biases[-1][[j]]),
+                ),
+                flip_dataset.inputs,
+                flip_dataset.labels[:, [j]],
+            )
+            for j in range(12)
+        ]
+        assert total == pytest.approx(sum(per_position))
 
     def test_gradient_matches_finite_differences(self):
         # 3-unit toy net, dropout off; biases randomized so no rectifier

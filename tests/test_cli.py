@@ -1,6 +1,9 @@
 import json
 import os
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,9 +81,24 @@ class TestSimulate:
         out = tmp_path / "sim"
         code = run("simulate", "--out", out, "--fault", "node-delay:bogus")
         assert code == 1
-        assert not os.path.exists(out) or not [
-            f for f in os.listdir(out) if f.endswith(".csv")
-        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--modes", "builtin", "--fault", "node-delay:bogus"],
+            ["--nodes", "6", "--cases", "2"],
+            ["--nodes", "6", "--modes", "builtin"],
+            ["--nodes", "6", "--modes", "builtin", "--fault", "node-delay:1:3"],
+            ["--cases", "-1"],
+            ["--cases", "31"],
+        ],
+    )
+    def test_bad_arguments_leave_no_directory(self, tmp_path, args, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--samples", "200", *args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nothing_requested(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x") == 1
@@ -132,12 +150,25 @@ class TestDetect:
         write_csv(toy_fresh_nominal.window(0, 100), short)
         assert run("detect", "--model", workdir / "bundle", "--data", short) == 2
 
-    def test_negative_stride_is_data_error(self, workdir, capsys):
-        data = workdir / "fresh.csv"
-        assert run("detect", "--model", workdir / "bundle", "--data", data, "--stride", -5) == 2
-        assert "stride" in capsys.readouterr().err
-        assert run("detect", "--model", workdir / "bundle", "--data", data, "--stride", 0) == 0
-        assert capsys.readouterr().out.count("verdict=") == 6
+    def test_windows_step_by_the_bundle_stride(self, workdir, tmp_path, toy_nominal, capsys):
+        data = tmp_path / "nom.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        model = tmp_path / "half"
+        assert run(
+            "train", "--nominal", data, "--out", model, "--set", "alphabet_size=5",
+            "--set", "window_length=400", "--set", "stride=200", "--set", "rbm_epochs=20",
+            "--set", "rbm_hidden=8",
+        ) == 0
+        expected = list(range(0, 2400 - 400 + 1, 200))  # fresh.csv holds 2,400 samples
+        capsys.readouterr()
+        assert run("detect", "--model", model, "--data", workdir / "fresh.csv") == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert [int(line.split()[0][len("start="):]) for line in lines] == expected
+        report = tmp_path / "r.json"
+        assert run(
+            "rca", "--model", model, "--data", workdir / "fresh.csv", "--force", "--out", report
+        ) == 0
+        assert [w["start"] for w in json.loads(report.read_text())["windows"]] == expected
 
     @pytest.mark.parametrize("rename", [False, True])
     def test_reordered_columns_are_data_error(
@@ -218,6 +249,38 @@ class TestRca:
 
     def test_var_needs_nominal(self, workdir):
         assert run("rca", "--data", workdir / "fault.csv", "--method", "var") == 1
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("var", ["--model", "/nonexistent"]),
+            ("var", ["--force"]),
+            ("s3", ["--nominal", "/nonexistent.csv"]),
+            ("a3", ["--nominal", "/nonexistent.csv"]),
+        ],
+    )
+    def test_flags_of_another_method_rejected(self, workdir, method, extra, capsys):
+        model = [] if method == "var" else ["--model", workdir / "bundle"]
+        nominal = ["--nominal", workdir / "nominal.csv"] if method == "var" else []
+        code = run(
+            "rca", "--data", workdir / "fault.csv", "--method", method, *model, *nominal, *extra
+        )
+        assert code == 1
+        assert f"{extra[0]} not accepted with --method {method}" in capsys.readouterr().err
+
+    def test_a3_without_classifier_is_usage_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        (bundle / "a3.json").unlink()
+        # no window of the fresh series is flagged, so none would be analysed
+        assert run("rca", "--model", bundle, "--data", workdir / "fresh.csv", "--method", "a3") == 1
+        assert "classifier" in capsys.readouterr().err
+
+    def test_stdout_is_the_report_alone(self, workdir, capsys):
+        assert run("rca", "--model", workdir / "bundle", "--data", workdir / "fresh.csv") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["n_analyzed"] == 0
+        assert "--force" in captured.err
 
     def test_var_method(self, workdir, tmp_path):
         out = tmp_path / "var.json"
@@ -354,6 +417,7 @@ class TestUsageErrors:
             ("detect", "--set=nonsense_key=1"), ("detect", "--config=/nonexistent"),
             ("evaluate", "--set=seed=1"), ("evaluate", "--config=/nonexistent"),
             ("evaluate", "--format=csv"), ("simulate", "--format=csv"),
+            ("detect", "--stride=0"), ("rca", "--stride=0"),
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(
@@ -363,6 +427,7 @@ class TestUsageErrors:
         report, labels = report_and_labels
         argv = {
             "detect": ["detect", "--model", workdir / "bundle", "--data", workdir / "fresh.csv"],
+            "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fresh.csv"],
             "evaluate": ["evaluate", "--reports", report, "--labels", labels],
             "simulate": ["simulate", "--out", tmp_path / "sim", "--modes", "builtin",
                          "--samples", "50"],
@@ -409,3 +474,22 @@ class TestTepFormat:
         assert ts.n_channels == 52
         assert ts.names[0] == "xmeas_01"
         assert ts.names[-1] == "xmv_11"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """Every `stpn-rca` command line in README's sh blocks, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("stpn-rca ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)  # a UsageError names the bad flag
+        if args.command == "rca":
+            cli._check_rca_flags(args)

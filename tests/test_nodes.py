@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpnrca.errors import DataError
 from stpnrca.nodes import infer_nodes, rank_nodes
@@ -20,7 +22,7 @@ class TestInferNodes:
     def test_single_cross_pattern_tie_to_lower_endpoint(self):
         result = infer_nodes(as_failed([(2, 4)], f=5), f=5)
         assert result.nodes == (2,)
-        assert result.removed == ((pattern_index(2, 4, 5),),)
+        assert result.scores == (1.0,)
 
     def test_hub_scores_and_selection(self):
         # failed 1->2, 1->3, 1->1 each weight 1: node 1 scores 3, others 1
@@ -48,13 +50,12 @@ class TestInferNodes:
             failed = [(int(i), float(rng.random() + 0.1)) for i in indices]
             result = infer_nodes(failed, f=f)
             assert len(result.nodes) <= n_patterns
-            covered = set()
-            for step in result.removed:
-                covered.update(step)
-            assert covered == {int(i) for i in indices}
-            for node, step in zip(result.nodes, result.removed):
-                assert all(node in index_pattern(i, f) for i in step)
+            uncovered = {int(i) for i in indices}
+            for node in result.nodes:
+                step = {i for i in uncovered if node in index_pattern(i, f)}
                 assert len(step) >= 1
+                uncovered -= step
+            assert not uncovered
 
     def test_selection_invariant_to_weight_scaling(self):
         rng = np.random.default_rng(1)
@@ -63,6 +64,13 @@ class TestInferNodes:
         base = infer_nodes(failed, f=5)
         scaled = infer_nodes([(i, 7.3 * w) for i, w in failed], f=5)
         assert base.nodes == scaled.nodes
+
+    def test_weights_of_zero_or_below_terminate(self):
+        # s3 weights fall to zero or below when the original free energy is
+        # zero or positive; an untouched channel then tops the score
+        assert infer_nodes([(pattern_index(2, 2, 3), 0.0)], f=3).nodes == (2,)
+        result = infer_nodes([(pattern_index(1, 2, 3), -1.0)], f=3)
+        assert result.nodes == (1,) and result.scores == (-1.0,)
 
     def test_bad_index(self):
         with pytest.raises(DataError):
@@ -121,19 +129,40 @@ class TestGreedyCoverQuality:
 class TestRankNodes:
     def test_full_ranking_covers_all_channels(self):
         failed = as_failed([(1, 2), (1, 3)], f=5)
-        ranking, scores = rank_nodes(failed, f=5)
+        ranking, scores = rank_nodes(infer_nodes(failed, f=5))
         assert sorted(ranking) == [0, 1, 2, 3, 4]
         assert ranking[0] == 1
         assert len(scores) == 5
 
     def test_uninvolved_nodes_ranked_by_initial_score(self):
         failed = as_failed([(0, 1)], f=4, weight=2.0) + as_failed([(2, 2)], f=4)
-        ranking, _ = rank_nodes(failed, f=4)
+        ranking, _ = rank_nodes(infer_nodes(failed, f=4))
         # node 0 covers 0->1; node 2 covers 2->2; node 1 has initial score 2,
         # node 3 has none
         assert ranking.index(1) < ranking.index(3)
 
     def test_empty_failed_list(self):
-        ranking, scores = rank_nodes([], f=3)
+        ranking, scores = rank_nodes(infer_nodes([], f=3))
         assert sorted(ranking) == [0, 1, 2]
         assert all(s == 0 for s in scores)
+
+
+@st.composite
+def failed_sets(draw):
+    """A channel count and weighted failed patterns, duplicates allowed."""
+    f = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, f * f - 1), st.floats(-10.0, 10.0))
+    return f, draw(st.lists(pairs, max_size=2 * f * f))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=failed_sets())
+def test_cover_and_ranking_are_valid(case):
+    f, failed = case
+    result = infer_nodes(failed, f)
+    ranking, scores = rank_nodes(result)
+    for i, _ in failed:
+        assert set(index_pattern(i, f)) & set(result.nodes)
+    assert ranking[: len(result.nodes)] == result.nodes
+    assert sorted(ranking) == list(range(f))
+    assert len(scores) == f and scores[: len(result.nodes)] == result.scores

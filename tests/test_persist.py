@@ -32,7 +32,7 @@ def make_rbm():
 class TestContainerChecks:
     def test_version_mismatch_fails_loudly(self, tmp_path):
         path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path)
+        save_rbm(make_rbm(), path, -1.5)
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
@@ -41,7 +41,7 @@ class TestContainerChecks:
 
     def test_wrong_kind(self, tmp_path):
         path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path)
+        save_rbm(make_rbm(), path, -1.5)
         with pytest.raises(DataError, match="kind|contains"):
             load_stpn(path)
 
@@ -67,14 +67,30 @@ class TestContainerChecks:
         with pytest.raises(DataError):
             load_rbm(path)
 
-    @pytest.mark.parametrize("payload", [{}, [], {"visible_bias": [1.0, [2.0]]}])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {}, [], {"visible_bias": [1.0, [2.0]]},
+            {"energy_threshold": None}, {"energy_threshold": float("nan")},
+        ],
+    )
     def test_malformed_payload(self, tmp_path, payload):
         path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path)
+        save_rbm(make_rbm(), path, -1.5)
         doc = json.loads(path.read_text())
         doc["payload"] = {**doc["payload"], **payload} if payload else payload
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="malformed rbm payload"):
+            load_rbm(path)
+
+
+    def test_rbm_without_threshold_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_rbm(make_rbm(), path, -1.5)
+        doc = json.loads(path.read_text())
+        del doc["payload"]["energy_threshold"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="energy_threshold"):
             load_rbm(path)
 
 
@@ -189,13 +205,13 @@ def test_stpn_file_round_trips_exactly(model):
 
 
 @ROUNDTRIP
-@given(params=rbm_params(), threshold=st.none() | FINITE)
+@given(params=rbm_params(), threshold=FINITE)
 def test_rbm_file_round_trips_exactly(params, threshold):
     loaded, loaded_threshold = round_trip(save_rbm, load_rbm, params, threshold)
     assert same(loaded.visible_bias, params.visible_bias)
     assert same(loaded.hidden_bias, params.hidden_bias)
     assert same(loaded.weights, params.weights)
-    assert loaded_threshold == threshold and type(loaded_threshold) is type(threshold)
+    assert loaded_threshold == threshold and type(loaded_threshold) is float
 
 
 @ROUNDTRIP

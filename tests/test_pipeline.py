@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from stpnrca import pipeline
 from stpnrca.association import init_mlp
 from stpnrca.config import CONFIG_ENV_VAR, RunConfig
 from stpnrca.errors import DataError, UsageError
@@ -168,6 +170,18 @@ class TestDetectAndRca:
         report = run_rca(toy_bundle, toy_fresh_nominal, method="s3")
         assert report["n_analyzed"] == 0
         assert report["aggregate"]["failed_patterns"] == []
+
+    @pytest.mark.parametrize("method", ["bogus", "var", "a3"])
+    def test_method_checked_before_the_scan(
+        self, toy_bundle, toy_fresh_nominal, method, monkeypatch
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the series was scanned before the method was checked")
+
+        monkeypatch.setattr(pipeline, "scan_windows", no_scan)
+        bundle = dataclasses.replace(toy_bundle, mlp=None)  # a3: no classifier
+        with pytest.raises(UsageError, match="classifier" if method == "a3" else method):
+            run_rca(bundle, toy_fresh_nominal, method=method)
 
     @pytest.mark.parametrize("method", ["s3", "a3"])
     def test_rca_localizes_delayed_driver(self, toy_bundle, toy_fault_ts, method):

@@ -206,6 +206,14 @@ class TestWindowMetrics:
         with pytest.raises(DataError):
             scan_windows(model, nominal.window(0, 150))
 
+    def test_negative_stride_is_data_error(self, small_model):
+        model, nominal = small_model
+        with pytest.raises(DataError, match="stride"):
+            scan_windows(model, nominal, -5)
+        head = nominal.window(0, 600)
+        assert list(scan_windows(model, head, 0).starts) == [0, 200, 400]  # non-overlapping
+        assert list(scan_windows(model, head, 150).starts) == [0, 150, 300]
+
     def test_broken_pattern_metric_drops(self, toy_graph, small_config):
         from stpnrca.synth import FaultSpec, inject_fault
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stpnrca.errors import DataError
 from stpnrca.config import RunConfig
@@ -105,3 +108,27 @@ class TestExhaustiveOracle:
         params = RbmParams(np.zeros(3), np.zeros(2), np.zeros((3, 2)))
         flip_set, _ = exhaustive_switch_oracle(params, np.zeros(3))
         assert flip_set == ()
+
+
+@st.composite
+def rbm_and_vector(draw):
+    """A small random machine and a binary vector of its width."""
+    n_v, n_h = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    values = st.floats(-5.0, 5.0)
+    params = RbmParams(
+        draw(arrays(float, n_v, elements=values)),
+        draw(arrays(float, n_h, elements=values)),
+        draw(arrays(float, (n_v, n_h), elements=values)),
+    )
+    return params, draw(arrays(float, n_v, elements=st.sampled_from([0.0, 1.0])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=rbm_and_vector())
+def test_s3_trace_decreases_strictly_with_finite_weights(case):
+    params, v = case
+    result = s3_search(params, v)
+    assert result.trace[0] == free_energy(params, v)
+    assert np.all(np.diff(result.trace) < 0)
+    assert len(result.weights) == len(result.anomalous_patterns) == len(result.trace) - 1
+    assert np.all(np.isfinite(result.weights))
