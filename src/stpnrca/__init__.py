@@ -61,6 +61,6 @@ from .synth import (
     var_fit,
     var_rca_baseline,
 )
-from .timeseries import TimeSeries, read_csv, read_tep_csv, write_csv
+from .timeseries import TimeSeries, read_csv, write_csv
 
 __version__ = "0.1.0"

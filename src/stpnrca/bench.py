@@ -430,9 +430,9 @@ def tep_pipeline_suite(csv_path: str) -> SuiteResult:
     t0 = time.time()
     lines: list[str] = []
     from .metrics import diagnosis_cost
-    from .timeseries import read_tep_csv
+    from .timeseries import read_csv
 
-    ts = read_tep_csv(csv_path)
+    ts = read_csv(csv_path)
     config = RunConfig(window_length=max(60, ts.n_samples // 8), threshold_quantile=0.01)
     half = ts.n_samples // 2
     nominal = ts.window(0, half)

@@ -8,6 +8,11 @@ the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
 included. All outputs are written atomically (temp file + rename), so
 failures leave no partial files.
 
+Every series file is read by one reader that works out its layout: fields
+split on commas or whitespace, after a header row of channel names unless
+the first row is all numbers, when the 52 standard process variables are
+expected and any other width is a data error.
+
 Channel indices on the command line are 0-based column positions of the
 input CSV; reports carry the channel names alongside.
 """
@@ -42,7 +47,7 @@ from .synth import (
     simulate_case,
     simulate_var,
 )
-from .timeseries import atomic_open, read_csv, read_tep_csv, write_csv
+from .timeseries import atomic_open, read_csv, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,10 +109,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.from_sources(args.config, overrides)
 
 
-def _load_series(path: str, fmt: str):
-    return read_tep_csv(path) if fmt == "tep" else read_csv(path)
-
-
 def _write_case(ts, labels: dict, out: str, written: list) -> None:
     """Write `ts` as <case_id>.csv with its .labels.json sidecar, and note it.
     `out` is created here, so a run that fails before its first write leaves
@@ -123,8 +124,9 @@ def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = args.out
     spec = _parse_fault(args.fault) if args.fault else None
-    if args.nodes and (args.modes or args.cases):
-        raise UsageError("--modes and --cases apply to the builtin modes, not --nodes graphs")
+    if args.nodes and (args.modes or args.cases or args.mode is not None):
+        raise UsageError("--modes, --cases and --mode apply to builtin modes, not --nodes")
+    mode_index = args.mode or 0
     cases = pattern_fault_cases()
     if args.cases and not 0 < args.cases <= len(cases):
         raise UsageError(f"--cases takes 1 to {len(cases)} pattern-fault cases")
@@ -134,7 +136,7 @@ def cmd_simulate(args) -> int:
     if args.nodes:
         graph = random_graph(args.nodes, seed=config.seed)
     else:
-        graph = builtin_modes()[args.mode]
+        graph = builtin_modes()[mode_index]
 
     written = []
     if args.modes == "builtin":
@@ -146,13 +148,14 @@ def cmd_simulate(args) -> int:
     for ci, case_edges in enumerate(cases[: args.cases or 0]):
         case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
         seed, name = config.seed + 9000 + ci, f"case{ci + 1:02d}"
-        _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, args.mode),
+        _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, mode_index),
                     out, written)
 
     if spec is not None:
         seed = config.seed + 777
         name = args.name or "fault"
-        _write_case(*simulate_case(graph, spec, args.samples, seed, name, args.mode), out, written)
+        _write_case(*simulate_case(graph, spec, args.samples, seed, name, mode_index),
+                    out, written)
         # a nominal companion for baseline fitting
         nom_path = os.path.join(out, name + "_nominal.csv")
         write_csv(simulate_var(graph, args.samples, seed=seed + 1), nom_path)
@@ -164,7 +167,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    series = [_load_series(p, args.format) for p in args.nominal]
+    series = [read_csv(p) for p in args.nominal]
     bundle = train_bundle(series, config, with_a3=args.a3)
     save_bundle(bundle, args.out)
     print(f"trained on {len(series)} series; bundle written to {args.out}")
@@ -174,7 +177,7 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     bundle = load_bundle(args.model)
-    ts = _load_series(args.data, args.format)
+    ts = read_csv(args.data)
     starts, energies, flags = run_detect(bundle, ts)
     for start, f, anomalous in zip(starts, energies, flags):
         verdict = "anomalous" if anomalous else "nominal"
@@ -207,12 +210,12 @@ def cmd_rca(args) -> int:
     _check_out_dir(args.out)
     if args.method == "var":
         config = _config_from_args(args)
-        nominal = _load_series(args.nominal, args.format)
-        test = _load_series(args.data, args.format)
+        nominal = read_csv(args.nominal)
+        test = read_csv(args.data)
         report = run_var_rca(nominal, test, config, data_path=args.data)
     else:
         bundle = load_bundle(args.model)
-        ts = _load_series(args.data, args.format)
+        ts = read_csv(args.data)
         report = run_rca(bundle, ts, method=args.method, force=args.force, data_path=args.data)
         if report["n_analyzed"] == 0:
             print("no window flagged anomalous; re-run with --force to analyze anyway",
@@ -301,17 +304,14 @@ def build_parser() -> _Parser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key")
 
-    def add_format(p):
-        p.add_argument("--format", choices=["csv", "tep"], default="csv")
-
     p = sub.add_parser("simulate", help="generate synthetic benchmark data")
     add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--modes", choices=["builtin"], help="emit the six nominal modes")
     p.add_argument("--cases", type=int, help="emit the first N pattern-fault cases")
     p.add_argument("--nodes", type=int, help="use a seeded random graph of N nodes")
-    p.add_argument("--mode", type=int, default=0, choices=range(len(builtin_modes())),
-                   help="builtin mode index (0-based)")
+    p.add_argument("--mode", type=int, choices=range(len(builtin_modes())),
+                   help="builtin mode index (0-based, default 0)")
     p.add_argument("--fault", help="node-delay:NODE:DELAY or pattern-break:SRC-DST,...")
     p.add_argument("--samples", type=int, default=12000)
     p.add_argument("--name", help="basename for --fault output")
@@ -319,7 +319,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the pattern network and energy model")
     add_config(p)
-    add_format(p)
     p.add_argument("--nominal", nargs="+", required=True, help="nominal CSV file(s)")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.add_argument("--a3", action="store_true",
@@ -327,14 +326,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="window verdicts for a test series")
-    add_format(p)
     p.add_argument("--model", required=True, help="bundle directory")
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("rca", help="root-cause analysis of a test series")
     add_config(p)
-    add_format(p)
     p.add_argument("--model", help="bundle directory (s3/a3)")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=["s3", "a3", "var"], default="s3")

@@ -86,8 +86,11 @@ def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
     os.makedirs(directory, exist_ok=True)
     save_stpn(bundle.stpn, os.path.join(directory, BUNDLE_FILES["stpn"]))
     save_rbm(bundle.rbm, os.path.join(directory, BUNDLE_FILES["rbm"]), bundle.energy_threshold)
+    mlp_path = os.path.join(directory, BUNDLE_FILES["mlp"])
     if bundle.mlp is not None:
-        save_mlp(bundle.mlp, os.path.join(directory, BUNDLE_FILES["mlp"]))
+        save_mlp(bundle.mlp, mlp_path)
+    elif os.path.exists(mlp_path):  # a classifier left by an earlier bundle
+        os.remove(mlp_path)
     run = {
         "config": dataclasses.asdict(bundle.config),
         "fingerprint": bundle.config.fingerprint(),

@@ -1,14 +1,17 @@
 """Multivariate time series container and CSV ingestion.
 
 A :class:`TimeSeries` is the universal input of the toolkit: ``f`` named
-channels by ``T`` samples of real-valued readings. CSV files carry one
-header row of channel names followed by one row per sample; ragged or
-non-numeric rows are rejected with a line-numbered error.
+channels by ``T`` samples of real-valued readings. A CSV file holds one row
+per sample, split on commas or on whitespace, after an optional header row
+of channel names; a file without one holds the 52 standard process
+variables. Ragged, non-numeric and non-finite rows are rejected with a
+line-numbered error.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tempfile
 from contextlib import contextmanager
@@ -17,6 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+
+# The 52 standard process variables, named in a file without a header row:
+# 41 measured, then 11 manipulated.
+_PROCESS_VARIABLES = tuple(
+    [f"xmeas_{i:02d}" for i in range(1, 42)] + [f"xmv_{i:02d}" for i in range(1, 12)]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,35 +75,75 @@ class TimeSeries:
 
 
 def read_csv(path: str | os.PathLike) -> TimeSeries:
-    """Load a TimeSeries from a header+rows CSV file."""
+    """Load a TimeSeries from a CSV file, working out its layout from the file.
+
+    A first row of names is the header. A first row of numbers means the
+    file has no header: it must then hold the 52 standard process variables,
+    which get the ``xmeas_01..41``, ``xmv_01..11`` names.
+    """
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            rows = _rows(fh)
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
             try:
-                names = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            names = [n.strip() for n in names]
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
+                [float(x) for x in first[1]]
+            except ValueError:
+                names = [n.strip() for n in first[1]]
+            else:
+                if len(first[1]) != len(_PROCESS_VARIABLES):
+                    raise DataError(f"{path}: a file without a header row must hold the 52 "
+                                    f"standard process variables, got {len(first[1])} columns")
+                names, rows = _PROCESS_VARIABLES, itertools.chain([first], rows)
+            values, linenos = [], []
+            for lineno, row in rows:
                 if len(row) != len(names):
                     raise DataError(
                         f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
                     )
                 try:
-                    rows.append([float(x) for x in row])
+                    values.append([float(x) for x in row])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+                linenos.append(lineno)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a text CSV file ({exc})") from None
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 sample rows, got {len(rows)}")
-    return TimeSeries(tuple(names), np.array(rows, dtype=float))
+    if len(values) < 2:
+        raise DataError(f"{path}: need at least 2 sample rows, got {len(values)}")
+    values = np.array(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
+    try:
+        return TimeSeries(tuple(names), values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _rows(fh):
+    """Yield (line number, fields) for each nonblank row of the open file `fh`.
+
+    Rows are split on commas, with csv quoting, unless the first two rows
+    hold no comma or quote and the second holds several whitespace-separated
+    fields; then every row is split on whitespace.
+    """
+    head = list(itertools.islice(filter(str.strip, fh), 2))
+    fh.seek(0)
+    plain = head and not any("," in line or '"' in line for line in head)
+    if plain and len(head[-1].split()) > 1:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if fields:
+                yield lineno, fields
+    else:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                yield reader.line_num, row
 
 
 @contextmanager
@@ -127,55 +176,3 @@ def write_csv(ts: TimeSeries, path: str | os.PathLike) -> None:
         writer.writerow(ts.names)
         for row in ts.values:
             writer.writerow([repr(float(x)) for x in row])
-
-
-TEP_N_MEASURED = 41
-TEP_N_MANIPULATED = 11
-
-
-def tep_channel_names() -> tuple[str, ...]:
-    """Standard names for the 52 monitored process variables."""
-    names = [f"xmeas_{i:02d}" for i in range(1, TEP_N_MEASURED + 1)]
-    names += [f"xmv_{i:02d}" for i in range(1, TEP_N_MANIPULATED + 1)]
-    return tuple(names)
-
-
-def read_tep_csv(path: str | os.PathLike) -> TimeSeries:
-    """Load a process-monitoring CSV with the 52 standard variables.
-
-    Accepts either a headerless numeric file (comma or whitespace delimited)
-    or one with a 52-name header row; columns are mapped to the standard
-    ``xmeas_01..41`` / ``xmv_01..11`` names when no header is present.
-    """
-    path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise DataError(f"no such file: {path}")
-    rows: list[list[float]] = []
-    header: list[str] | None = None
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",") if "," in line else line.split()
-                try:
-                    rows.append([float(x) for x in parts])
-                except ValueError:
-                    if lineno == 1 and header is None:
-                        header = [p.strip() for p in parts]
-                        continue
-                    raise DataError(f"{path}:{lineno}: non-numeric row") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not a text file ({exc})") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: ragged row {i + 1} ({len(row)} vs {width} fields)")
-    expected = TEP_N_MEASURED + TEP_N_MANIPULATED
-    if width != expected:
-        raise DataError(f"{path}: expected {expected} variables, got {width}")
-    names = tuple(header) if header is not None else tep_channel_names()
-    return TimeSeries(names, np.array(rows, dtype=float))

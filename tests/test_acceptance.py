@@ -115,7 +115,7 @@ class TestCriterion9TepPipeline:
         bundle_dir = tmp_path / "bundle"
         code = main([
             "train", "--nominal", str(plant_csv), "--out", str(bundle_dir),
-            "--format", "tep", "--set", "window_length=200",
+            "--set", "window_length=200",
             "--set", "alphabet_size=5", "--set", "rbm_epochs=40",
             "--set", "rbm_hidden=16", "--set", "threshold_quantile=0.01",
         ])
@@ -123,7 +123,7 @@ class TestCriterion9TepPipeline:
         report_path = tmp_path / "plant.report.json"
         code = main([
             "rca", "--model", str(bundle_dir), "--data", str(plant_csv),
-            "--format", "tep", "--method", "s3", "--force",
+            "--method", "s3", "--force",
             "--out", str(report_path),
         ])
         assert code == 0

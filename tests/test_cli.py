@@ -92,6 +92,7 @@ class TestSimulate:
             ["--nodes", "6", "--modes", "builtin", "--fault", "node-delay:1:3"],
             ["--cases", "-1"],
             ["--cases", "31"],
+            ["--nodes", "6", "--mode", "3", "--fault", "node-delay:1:3"],
         ],
     )
     def test_bad_arguments_leave_no_directory(self, tmp_path, args, capsys):
@@ -127,6 +128,30 @@ class TestTrainDeterminism:
             b1 = (tmp_path / "b1" / name).read_bytes()
             b2 = (tmp_path / "b2" / name).read_bytes()
             assert b1 == b2, name
+
+    def test_headerless_file_of_another_width_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        rows = np.random.default_rng(0).normal(size=(900, 3))
+        path.write_text("".join(",".join(f"{x:.6f}" for x in row) + "\n" for row in rows))
+        assert run("train", "--nominal", path, "--out", tmp_path / "b") == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_retraining_without_a3_drops_the_old_classifier(self, tmp_path, toy_nominal):
+        data = tmp_path / "nom.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        args = [
+            "train", "--nominal", data, "--out", tmp_path / "b", "--set", "alphabet_size=5",
+            "--set", "window_length=400", "--set", "rbm_epochs=5", "--set", "rbm_hidden=8",
+        ]
+        small_a3 = ["--set", "a3_hidden=8", "--set", "a3_epochs=2",
+                    "--set", "a3_samples_per_order=2"]
+        assert run(*args, "--a3", *small_a3) == 0
+        assert (tmp_path / "b" / "a3.json").exists()
+        assert run(*args) == 0
+        assert not (tmp_path / "b" / "a3.json").exists()
+        rca = ["rca", "--model", tmp_path / "b", "--data", data, "--method", "a3", "--force"]
+        assert run(*rca) == 1
 
     def test_missing_csv_names_path(self, tmp_path, capsys):
         code = run("train", "--nominal", tmp_path / "missing.csv", "--out", tmp_path / "b")
@@ -418,6 +443,7 @@ class TestUsageErrors:
             ("evaluate", "--set=seed=1"), ("evaluate", "--config=/nonexistent"),
             ("evaluate", "--format=csv"), ("simulate", "--format=csv"),
             ("detect", "--stride=0"), ("rca", "--stride=0"),
+            ("train", "--format=csv"), ("detect", "--format=csv"), ("rca", "--format=csv"),
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(
@@ -426,6 +452,7 @@ class TestUsageErrors:
         """Each subcommand accepts only the flags it reads."""
         report, labels = report_and_labels
         argv = {
+            "train": ["train", "--nominal", workdir / "nominal.csv", "--out", tmp_path / "b"],
             "detect": ["detect", "--model", workdir / "bundle", "--data", workdir / "fresh.csv"],
             "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fresh.csv"],
             "evaluate": ["evaluate", "--reports", report, "--labels", labels],
@@ -468,9 +495,7 @@ class TestTepFormat:
         with open(path, "w") as fh:
             for row in base:
                 fh.write(",".join(f"{x:.6f}" for x in row) + "\n")
-        from stpnrca.timeseries import read_tep_csv
-
-        ts = read_tep_csv(path)
+        ts = read_csv(path)
         assert ts.n_channels == 52
         assert ts.names[0] == "xmeas_01"
         assert ts.names[-1] == "xmv_11"

@@ -136,7 +136,7 @@ class TestCountGrid:
         assert np.array_equal(narrow.counts, model.counts)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     f=st.integers(1, 6),
     n_symbols=st.integers(2, 5),

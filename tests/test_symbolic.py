@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpnrca.bench import exact_log_metric, two_state_counts
 from stpnrca.errors import DataError, DegeneratePartitionError
@@ -203,3 +205,35 @@ class TestMetricDelta:
             delta = lnl_nom - log_inference_metric(model, anomalous)
             assert delta > previous
             previous = delta
+
+
+@st.composite
+def count_pairs(draw):
+    """A model and a window count matrix of the same small shape, with a row
+    and a column permutation."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(2, 7))
+    cells = st.lists(st.integers(0, 100), min_size=rows * cols, max_size=rows * cols)
+    model = np.array(draw(cells)).reshape(rows, cols)
+    window = np.array(draw(cells)).reshape(rows, cols)
+    row_order = list(draw(st.permutations(range(rows))))
+    col_order = list(draw(st.permutations(range(cols))))
+    return model, window, row_order, col_order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=count_pairs())
+def test_metric_invariants_against_exact_oracle(case):
+    """The metric matches exact arithmetic and ignores the order of states and
+    symbols; a state seen in neither matrix adds nothing. The zero-row bound is
+    rounding only: numpy regroups a sum when its length crosses a multiple of 8."""
+    model, window, row_order, col_order = case
+    got = log_inference_metric(model, window)
+    want = exact_log_metric(model, window)
+    assert abs(got - want) <= 1e-9 * abs(want)
+    zero = np.zeros((1, model.shape[1]), dtype=model.dtype)
+    for m, w in (
+        (model[row_order], window[row_order]),
+        (model[:, col_order], window[:, col_order]),
+        (np.vstack([model, zero]), np.vstack([window, zero])),
+    ):
+        assert log_inference_metric(m, w) == pytest.approx(got, rel=1e-12, abs=1e-12)
