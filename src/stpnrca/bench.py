@@ -8,6 +8,10 @@ the reference value alongside its own. The root-cause suites run each case
 through `run_rca` (or `run_var_rca`) and score its report with
 `evaluate_case`, the path behind `stpn-rca rca` and `stpn-rca evaluate`.
 
+`SUITES` names every suite that `stpn-rca bench` runs, `tep` among them.
+`run_suite` times one and returns its `SuiteResult`, which passes when none
+of its lines is a failed check.
+
 Shared oracles live here too: the exact-arithmetic factorial evaluation of
 the inference metric (big integers plus arbitrary-precision logs, fully
 independent of the gamma-function implementation) and the two-state
@@ -17,15 +21,15 @@ anomaly construction used by the monotonicity suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import factorial
 
 import mpmath
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, UsageError
-from .metrics import prf_counts
+from .errors import DataError
+from .metrics import diagnosis_cost, prf_counts
 from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
 from .rbm import free_energy, train_rbm
 from .switching import exhaustive_switch_oracle, s3_search
@@ -39,23 +43,26 @@ from .synth import (
     simulate_var,
     var_fit,
 )
+from .timeseries import read_csv
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    lines: list[str]
+    elapsed: float
+
+    @property
+    def passed(self) -> bool:
+        return not any(line.startswith("FAIL") for line in self.lines)
 
     def report(self) -> str:
         header = f"[{self.name}] {'PASS' if self.passed else 'FAIL'} ({self.elapsed:.1f}s)"
         return "\n".join([header, *("  " + l for l in self.lines)])
 
 
-def _check(lines: list[str], ok: bool, text: str) -> bool:
+def _check(lines: list[str], ok: bool, text: str) -> None:
     lines.append(f"{'pass' if ok else 'FAIL'}: {text}")
-    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +124,8 @@ DATASET1_WINDOWS = 50
 FALSE_ALARM_WINDOWS = 510
 
 
-def prop1_suite() -> SuiteResult:
+def _prop1(lines: list[str]) -> None:
     """Metric variation positive and strictly increasing in the change count."""
-    t0 = time.time()
-    lines: list[str] = []
-    ok = True
     n21 = 12
     for k in (10, 100):
         for ratio in (1, 2, 3):
@@ -134,19 +138,16 @@ def prop1_suite() -> SuiteResult:
                 )
             positive = all(d > 0 for d in deltas)
             increasing = all(b > a for a, b in zip(deltas, deltas[1:]))
-            ok &= _check(
+            _check(
                 lines,
                 positive and increasing,
                 f"k={k} ratio={ratio}: delta>0 and increasing over eta=1..5 "
                 f"(range {deltas[0]:.4f}..{deltas[-1]:.4f})",
             )
-    return SuiteResult("prop1", ok, lines, time.time() - t0)
 
 
-def metric_oracle_suite() -> SuiteResult:
+def _metric_oracle(lines: list[str]) -> None:
     """Gamma-function metric vs exact factorial arithmetic, 1e-9 relative."""
-    t0 = time.time()
-    lines: list[str] = []
     rng = np.random.default_rng(METRIC_ORACLE_SEED)
     worst = 0.0
     for _ in range(METRIC_ORACLE_CASES):
@@ -158,24 +159,21 @@ def metric_oracle_suite() -> SuiteResult:
         want = exact_log_metric(model, window)
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
-    ok = _check(
+    _check(
         lines,
         worst <= 1e-9,
         f"{METRIC_ORACLE_CASES} random count matrices (entries <= 100): worst relative "
         f"error {worst:.2e} <= 1e-9",
     )
-    return SuiteResult("metric-oracle", ok, lines, time.time() - t0)
 
 
-def greedy_oracle_suite() -> SuiteResult:
+def _greedy_oracle(lines: list[str]) -> None:
     """Greedy switching vs the exhaustive 2^9-subset optimum on 9-bit RBMs.
 
     Each instance trains a small machine on noisy copies of a few prototype
     vectors (the landscape the search actually operates on) and starts the
     search from a randomly perturbed prototype.
     """
-    t0 = time.time()
-    lines: list[str] = []
     n_v = 9
     within, below = 0, 0
     for case in range(GREEDY_ORACLE_CASES):
@@ -200,20 +198,17 @@ def greedy_oracle_suite() -> SuiteResult:
             below += 1
         if f_greedy - f_opt <= 0.01 * abs(f_opt):
             within += 1
-    ok = _check(lines, below == 0, f"greedy never beats the oracle ({below} violations)")
-    ok &= _check(
+    _check(lines, below == 0, f"greedy never beats the oracle ({below} violations)")
+    _check(
         lines,
         within >= 90,
         f"greedy within 1% of the optimum on {within}/{GREEDY_ORACLE_CASES} instances "
         "(need >= 90)",
     )
-    return SuiteResult("greedy-oracle", ok, lines, time.time() - t0)
 
 
-def var_recovery_suite() -> SuiteResult:
+def _var_recovery(lines: list[str]) -> None:
     """Least-squares fits recover simulated coefficients within 0.05."""
-    t0 = time.time()
-    lines: list[str] = []
     worst = 0.0
     for i in range(VAR_RECOVERY_GRAPHS):
         n_nodes = 2 + i % 4
@@ -228,13 +223,12 @@ def var_recovery_suite() -> SuiteResult:
         ts = simulate_var(g, VAR_RECOVERY_SAMPLES, seed=2000 + i)
         fitted = var_fit(ts, p=1)
         worst = max(worst, float(np.max(np.abs(fitted - g.coeffs))))
-    ok = _check(
+    _check(
         lines,
         worst <= 0.05,
         f"{VAR_RECOVERY_GRAPHS} seeded 2-5 node graphs at T={VAR_RECOVERY_SAMPLES}: "
         f"worst coefficient error {worst:.4f} <= 0.05",
     )
-    return SuiteResult("var-recovery", ok, lines, time.time() - t0)
 
 
 # Desk-scale configuration shared by the dataset suites. The library default
@@ -271,13 +265,10 @@ def _total(rows: list[dict], key: str) -> int:
     return sum(r[key] for r in rows)
 
 
-def energy_gap_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
+def _energy_gap(lines: list[str], bundle: TrainedBundle | None = None) -> None:
     """Nominal vectors sit at lower mean free energy than 1-flip perturbations."""
-    t0 = time.time()
-    lines: list[str] = []
     bundle = bundle or build_desk_context(with_a3=False)
     vectors = bundle.training_vectors
-    ok = True
     for seed in ENERGY_GAP_SEEDS:
         rbm = train_rbm(vectors, replace(bundle.config, seed=seed))
         rng = np.random.default_rng(9000 + seed)
@@ -289,14 +280,11 @@ def energy_gap_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
         margin = float(
             np.mean(free_energy(rbm, flipped)) - np.mean(free_energy(rbm, vectors))
         )
-        ok &= _check(lines, margin > 0, f"seed {seed}: energy gap {margin:.3f} > 0")
-    return SuiteResult("energy-gap", ok, lines, time.time() - t0)
+        _check(lines, margin > 0, f"seed {seed}: energy gap {margin:.3f} > 0")
 
 
-def dataset1_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
+def _dataset1(lines: list[str], bundle: TrainedBundle | None = None) -> None:
     """Desk-scale 30-case pattern-fault suite (reference: 97.04 / 98.66)."""
-    t0 = time.time()
-    lines: list[str] = []
     bundle = bundle or build_desk_context(with_a3=True)
     mode = builtin_modes()[0]
     cases = pattern_fault_cases()
@@ -317,25 +305,21 @@ def dataset1_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
         f"{len(cases)} cases x {DATASET1_WINDOWS} windows; detector flagged "
         f"{n_detected}/{n_windows} (analysis forced on all windows)"
     )
-    ok = True
     reference = {"s3": "97.04", "a3": "98.66"}
     for method, method_rows in rows.items():
         alpha = _pooled(method_rows, "alpha1")
         r, p, f1 = prf_counts(*(_total(method_rows, k) for k in ("tp", "fn", "fp")))
-        ok &= _check(
+        _check(
             lines,
             alpha >= 0.90,
             f"{method} pattern accuracy {alpha:.4f} >= 0.90 "
             f"(full-scale reference {reference[method]}%); "
             f"recall/precision/F = {100*r:.2f}/{100*p:.2f}/{100*f1:.2f}",
         )
-    return SuiteResult("dataset1-desk", ok, lines, time.time() - t0)
 
 
-def false_alarm_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
+def _false_alarm(lines: list[str], bundle: TrainedBundle | None = None) -> None:
     """Forced RCA on nominal windows flags few patterns (reference 6.65/1.30%)."""
-    t0 = time.time()
-    lines: list[str] = []
     bundle = bundle or build_desk_context(with_a3=True)
     modes = builtin_modes()
     n_samples = int(np.ceil(FALSE_ALARM_WINDOWS / len(modes))) * bundle.stpn.window_length
@@ -346,17 +330,16 @@ def false_alarm_suite(bundle: TrainedBundle | None = None) -> SuiteResult:
             report = run_rca(bundle, ts, method=method, force=True)
             method_rows.append(evaluate_case(report, labels))
     n_total = _total(rows["s3"], "n_windows_analyzed")
-    ok = _check(lines, n_total >= 500, f"{n_total} nominal windows analyzed (need >= 500)")
+    _check(lines, n_total >= 500, f"{n_total} nominal windows analyzed (need >= 500)")
     reference = {"s3": "6.65", "a3": "1.30"}
     for method, method_rows in rows.items():
         mean_frac = _pooled(method_rows, "false_alarm_fraction")
-        ok &= _check(
+        _check(
             lines,
             mean_frac <= 0.10,
             f"{method} mean flagged fraction {mean_frac:.4f} <= 0.10 "
             f"(full-scale reference {reference[method]}%)",
         )
-    return SuiteResult("false-alarm", ok, lines, time.time() - t0)
 
 
 # Frozen dataset3-analogue: a 10-node graph with heterogeneous noise levels,
@@ -369,10 +352,8 @@ NODE_FAULT_DELAY = 5
 NODE_FAULT_WINDOWS = 6
 
 
-def dataset23_suite() -> SuiteResult:
+def _dataset23(lines: list[str]) -> None:
     """Node-delay localization vs the coefficient baseline (ref: 0% vs 21.7%)."""
-    t0 = time.time()
-    lines: list[str] = []
     wl = DESK_CONFIG.window_length
     rows: dict[str, list[dict]] = {"s3": [], "var": []}
     graphs = ((builtin_modes()[0], "5-node"), (random_graph(**DATASET3_GRAPH), "10-node"))
@@ -405,33 +386,27 @@ def dataset23_suite() -> SuiteResult:
         _total(rows[m], "n_incorrect") / max(_total(rows[m], "n_predicted"), 1)
         for m in ("s3", "var")
     )
-    ok = _check(
+    _check(
         lines,
         f1 >= 0.9,
         f"node inference recall/precision/F = {100*recall:.1f}/{100*precision:.1f}/"
         f"{100*f1:.1f} (F >= 90; full-scale reference 100/100/100)",
     )
-    ok &= _check(
+    _check(
         lines,
         eps_s3 < eps_var,
         f"error ratio: s3 {100*eps_s3:.2f}% < baseline {100*eps_var:.2f}% "
         f"(full-scale reference 0% vs 21.7%)",
     )
-    return SuiteResult("dataset23-desk", ok, lines, time.time() - t0)
 
 
-def tep_pipeline_suite(csv_path: str) -> SuiteResult:
+def _tep_pipeline(lines: list[str], csv_path: str) -> None:
     """Conditional suite: the pipeline must complete on a user-supplied file.
 
     Trains on the first half of the file (treated as nominal), analyzes the
     second half, and checks that a full node ranking and a diagnosis cost
     come out; no numeric accuracy is claimed.
     """
-    t0 = time.time()
-    lines: list[str] = []
-    from .metrics import diagnosis_cost
-    from .timeseries import read_csv
-
     ts = read_csv(csv_path)
     config = RunConfig(window_length=max(60, ts.n_samples // 8), threshold_quantile=0.01)
     half = ts.n_samples // 2
@@ -440,35 +415,34 @@ def tep_pipeline_suite(csv_path: str) -> SuiteResult:
     bundle = train_bundle([nominal], config, with_a3=False)
     report = run_rca(bundle, test, method="s3", force=True, data_path=csv_path)
     ranking = [n["node"] for n in report["aggregate"]["ranking"]]
-    ok = _check(
+    _check(
         lines,
         len(ranking) == ts.n_channels,
         f"rca produced a full ranking of {len(ranking)} variables",
     )
     cost = diagnosis_cost(ranking, ranking[0], max(report["n_analyzed"], 1))
-    ok &= _check(lines, cost >= 1, f"diagnosis cost computed ({cost})")
-    return SuiteResult("tep-pipeline", ok, lines, time.time() - t0)
+    _check(lines, cost >= 1, f"diagnosis cost computed ({cost})")
 
 
+# The suites `stpn-rca bench` runs, by name. Each body appends its report
+# lines, checks through `_check`; the desk suites take an optional prebuilt
+# bundle, and tep the path of the process CSV it reads.
 SUITES = {
-    "prop1": prop1_suite,
-    "metric-oracle": metric_oracle_suite,
-    "greedy-oracle": greedy_oracle_suite,
-    "var-recovery": var_recovery_suite,
-    "energy-gap": energy_gap_suite,
-    "dataset1-desk": dataset1_suite,
-    "false-alarm": false_alarm_suite,
-    "dataset23-desk": dataset23_suite,
+    "prop1": _prop1,
+    "metric-oracle": _metric_oracle,
+    "greedy-oracle": _greedy_oracle,
+    "var-recovery": _var_recovery,
+    "energy-gap": _energy_gap,
+    "dataset1-desk": _dataset1,
+    "false-alarm": _false_alarm,
+    "dataset23-desk": _dataset23,
+    "tep": _tep_pipeline,
 }
 
 
-def run_suite(name: str, **kwargs) -> SuiteResult:
-    if name == "tep":
-        path = kwargs.get("data")
-        if not path:
-            raise UsageError("the tep suite needs --data with a process CSV")
-        return tep_pipeline_suite(path)
-    if name not in SUITES:
-        known = ", ".join([*SUITES, "tep"])
-        raise UsageError(f"unknown suite {name!r}; available: {known}")
-    return SUITES[name]()
+def run_suite(name: str, *args) -> SuiteResult:
+    """Run the suite `name` on `args`, timed; it passes when no check fails."""
+    lines: list[str] = []
+    t0 = time.time()
+    SUITES[name](lines, *args)
+    return SuiteResult(name, lines, time.time() - t0)

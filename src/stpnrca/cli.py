@@ -6,7 +6,8 @@ failure. Only train, simulate and rca --method var read --config, --set and
 the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
 --method s3/a3 use the config fixed in the bundle's run.json, stride
 included. All outputs are written atomically (temp file + rename), so
-failures leave no partial files.
+failures leave no partial files. bench runs one verification suite by
+name; `bench --help` lists them, and only the tep suite takes --data.
 
 Every series file is read by one reader that works out its layout: fields
 split on commas or whitespace, after a header row of channel names unless
@@ -20,6 +21,7 @@ input CSV; reports carry the channel names alongside.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import json
 import os
@@ -126,6 +128,8 @@ def cmd_simulate(args) -> int:
     spec = _parse_fault(args.fault) if args.fault else None
     if args.nodes and (args.modes or args.cases or args.mode is not None):
         raise UsageError("--modes, --cases and --mode apply to builtin modes, not --nodes")
+    if args.mode is not None and not (args.cases or spec):
+        raise UsageError("--mode picks the builtin mode for --cases and --fault")
     mode_index = args.mode or 0
     cases = pattern_fault_cases()
     if args.cases and not 0 < args.cases <= len(cases):
@@ -281,16 +285,16 @@ def cmd_evaluate(args) -> int:
         print("  ".join(v.ljust(w) for v, w in zip(t, widths)))
 
     if args.out:
-        with atomic_open(args.out) as fh:
-            fh.write(",".join(columns) + "\n")
-            for t in table:
-                fh.write(",".join(t) + "\n")
+        with atomic_open(args.out, newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([columns, *table])
         print(f"table written to {args.out}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    result = bench_mod.run_suite(args.suite, data=args.data)
+    if (args.suite == "tep") != (args.data is not None):
+        raise UsageError("the tep suite needs --data, and no other suite reads it")
+    result = bench_mod.run_suite(args.suite, *([] if args.data is None else [args.data]))
     print(result.report())
     return 0 if result.passed else 2
 
@@ -311,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cases", type=int, help="emit the first N pattern-fault cases")
     p.add_argument("--nodes", type=int, help="use a seeded random graph of N nodes")
     p.add_argument("--mode", type=int, choices=range(len(builtin_modes())),
-                   help="builtin mode index (0-based, default 0)")
+                   help="builtin mode index for --cases and --fault (0-based, default 0)")
     p.add_argument("--fault", help="node-delay:NODE:DELAY or pattern-break:SRC-DST,...")
     p.add_argument("--samples", type=int, default=12000)
     p.add_argument("--name", help="basename for --fault output")
@@ -348,8 +352,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="run a verification suite")
-    p.add_argument("suite", help="suite name (see bench --help text)")
-    p.add_argument("--data", help="process CSV for the tep suite")
+    p.add_argument("suite", choices=list(bench_mod.SUITES), help="the suite to run")
+    p.add_argument("--data", help="process CSV for the tep suite (tep only)")
     p.set_defaults(func=cmd_bench)
 
     return parser

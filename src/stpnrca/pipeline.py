@@ -122,6 +122,21 @@ def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
             raise DataError(
                 f"{directory}: {part} width {width} != {stpn.n_patterns} patterns"
             )
+    # run.json's config is the bundle's stated config (reports carry its
+    # fingerprint), so it must agree with the models it sits beside
+    built = {
+        "alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
+        "lag": stpn.lag, "window_length": stpn.window_length,
+        "rbm_hidden": rbm.n_hidden,
+    }
+    if mlp is not None:
+        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]), a3_dropout=mlp.dropout)
+    for key, value in built.items():
+        if getattr(config, key) != value:
+            raise DataError(
+                f"{directory}: run.json has {key} = {getattr(config, key)!r}, "
+                f"the model files {value!r}"
+            )
     return TrainedBundle(
         stpn=stpn, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp
     )

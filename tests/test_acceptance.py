@@ -38,33 +38,33 @@ def finish(result, budget, extra_time=0.0):
 
 class TestCriterion1Prop1:
     def test_two_state_monotonicity(self):
-        finish(bench.prop1_suite(), budget=5.0)
+        finish(bench.run_suite("prop1"), budget=5.0)
 
 
 class TestCriterion2MetricOracle:
     def test_thousand_random_matrices(self):
-        finish(bench.metric_oracle_suite(), budget=10.0)
+        finish(bench.run_suite("metric-oracle"), budget=10.0)
 
 
 class TestCriterion3GreedyVsExhaustive:
     def test_hundred_nine_bit_instances(self):
-        finish(bench.greedy_oracle_suite(), budget=60.0)
+        finish(bench.run_suite("greedy-oracle"), budget=60.0)
 
 
 class TestCriterion4PatternFaultSuite:
     def test_thirty_cases_fifty_windows(self, desk_bundle):
-        result = bench.dataset1_suite(desk_bundle)
+        result = bench.run_suite("dataset1-desk", desk_bundle)
         finish(result, budget=900.0, extra_time=DESK["build_time"])
 
 
 class TestCriterion5NodeFaultSuite:
     def test_node_inference_and_error_ratio(self):
-        finish(bench.dataset23_suite(), budget=1200.0)
+        finish(bench.run_suite("dataset23-desk"), budget=1200.0)
 
 
 class TestCriterion6EnergyGap:
     def test_five_seeds(self, desk_bundle):
-        result = bench.energy_gap_suite(desk_bundle)
+        result = bench.run_suite("energy-gap", desk_bundle)
         finish(result, budget=300.0, extra_time=DESK["build_time"])
 
     def test_multi_mode_capture(self, desk_bundle):
@@ -81,13 +81,13 @@ class TestCriterion6EnergyGap:
 
 class TestCriterion7FalseAlarms:
     def test_five_hundred_nominal_windows(self, desk_bundle):
-        result = bench.false_alarm_suite(desk_bundle)
+        result = bench.run_suite("false-alarm", desk_bundle)
         finish(result, budget=600.0, extra_time=DESK["build_time"])
 
 
 class TestCriterion8VarRecovery:
     def test_twenty_seeded_graphs(self):
-        finish(bench.var_recovery_suite(), budget=60.0)
+        finish(bench.run_suite("var-recovery"), budget=60.0)
 
 
 class TestCriterion9TepPipeline:
@@ -151,7 +151,7 @@ class TestCriterion9TepPipeline:
               "diagnosis cost computed on a 52-variable file")
 
     def test_bench_suite_wrapper(self, plant_csv):
-        result = bench.tep_pipeline_suite(str(plant_csv))
+        result = bench.run_suite("tep", str(plant_csv))
         print()
         print(result.report())
         assert result.passed

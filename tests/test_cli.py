@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpnrca import cli
+from stpnrca import bench, cli
 from stpnrca.cli import main
 from stpnrca.pipeline import save_bundle
 from stpnrca.timeseries import TimeSeries, read_csv, write_csv
@@ -93,6 +94,7 @@ class TestSimulate:
             ["--cases", "-1"],
             ["--cases", "31"],
             ["--nodes", "6", "--mode", "3", "--fault", "node-delay:1:3"],
+            ["--modes", "builtin", "--mode", "3"],
         ],
     )
     def test_bad_arguments_leave_no_directory(self, tmp_path, args, capsys):
@@ -236,6 +238,23 @@ class TestDetect:
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         assert "depth + lag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alphabet_size", 9), ("depth", 2), ("lag", 2), ("window_length", 1000),
+         ("rbm_hidden", 3), ("a3_hidden", [64, 64]), ("a3_dropout", 0.25)],
+    )
+    def test_run_file_contradicting_the_models_is_data_error(
+        self, workdir, tmp_path, key, value, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        doc = json.loads((bundle / "run.json").read_text())
+        doc["config"][key] = value
+        (bundle / "run.json").write_text(json.dumps(doc))
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert str(bundle) in err and key in err
+
     def test_binary_data_file_is_data_error(self, workdir, tmp_path, capsys):
         path = tmp_path / "binary.csv"
         path.write_bytes(b"\xff\xfe\x00garbage")
@@ -377,6 +396,20 @@ class TestEvaluate:
         assert len(rows) == 2
         assert rows[0].startswith("case_id,")
 
+    def test_table_cells_holding_commas_are_quoted(self, report_and_labels, tmp_path):
+        report_path, labels_path = report_and_labels
+        labels = json.loads(labels_path.read_text())
+        labels["failed_nodes"] = [0, 3]  # a diagnosis cost per failed node
+        two = tmp_path / "two.labels.json"
+        two.write_text(json.dumps(labels))
+        out_csv = tmp_path / "table.csv"
+        code = run("evaluate", "--reports", report_path, "--labels", two, "--out", out_csv)
+        assert code == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [9, 9]
+        assert rows[1][7].startswith("[")
+
     def test_case_id_mismatch(self, report_and_labels, tmp_path):
         report_path, labels_path = report_and_labels
         wrong = tmp_path / "wrong.labels.json"
@@ -427,6 +460,22 @@ class TestBench:
     def test_prop1_passes(self, capsys):
         assert run("bench", "prop1") == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_help_lists_every_suite(self, capsys):
+        with pytest.raises(SystemExit):
+            run("bench", "--help")
+        out = capsys.readouterr().out
+        assert all(name in out for name in bench.SUITES)
+
+    @pytest.mark.parametrize("args", [["prop1", "--data", "x.csv"], ["tep"]])
+    def test_data_goes_with_tep_only(self, args, capsys):
+        assert run("bench", *args) == 1
+        assert "--data" in capsys.readouterr().err
+
+    def test_a_failed_check_fails_the_suite(self):
+        lines = ["pass: one check", "FAIL: another"]
+        assert not bench.SuiteResult("x", lines, 0.0).passed
+        assert bench.SuiteResult("x", lines[:1], 0.0).passed
 
 
 class TestUsageErrors:
