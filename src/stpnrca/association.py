@@ -131,27 +131,25 @@ def _forward(weights, biases, x, dropout=0.0, rng=None):
     return hiddens, masks, logits
 
 
-def _bce_with_logits(logits, y):
-    # max(z,0) - z*y + log1p(exp(-|z|)), summed per label then meaned
+def _loss(logits, y) -> float:
+    """Per-label logistic loss on the logits, summed over labels and
+    averaged over examples: max(z, 0) - z*y + log1p(exp(-|z|))."""
     per_cell = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
-    return per_cell
+    return float(per_cell.sum() / logits.shape[0])
 
 
 def a3_loss(params: MlpParams, inputs, labels) -> float:
     """Mean over examples of the per-label logistic loss (dropout off),
     summed over the f*f sub-problems."""
     x = np.asarray(inputs, dtype=float)
-    y = np.asarray(labels, dtype=float)
     _, _, logits = _forward(params.weights, params.biases, x)
-    return float(_bce_with_logits(logits, y).mean(axis=0).sum())
+    return _loss(logits, np.asarray(labels, dtype=float))
 
 
-def loss_and_grads(weights, biases, x, y, dropout=0.0, rng=None):
-    """Loss plus analytic gradients for one batch."""
+def _gradients(weights, biases, x, y, dropout=0.0, rng=None):
+    """Analytic gradients of the batch loss, per layer (weights, biases)."""
     hiddens, masks, logits = _forward(weights, biases, x, dropout, rng)
-    n = x.shape[0]
-    loss = float(_bce_with_logits(logits, y).sum() / n)
-    delta = (_sigmoid(logits) - y) / n
+    delta = (_sigmoid(logits) - y) / x.shape[0]
     grads_w, grads_b = [None] * len(weights), [None] * len(weights)
     acts = [x, *hiddens]
     for layer in range(len(weights) - 1, -1, -1):
@@ -162,7 +160,7 @@ def loss_and_grads(weights, biases, x, y, dropout=0.0, rng=None):
             if masks[layer - 1] is not None:
                 delta = delta * masks[layer - 1]
             delta = delta * (hiddens[layer - 1] > 0.0)
-    return loss, grads_w, grads_b
+    return grads_w, grads_b
 
 
 def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
@@ -188,8 +186,7 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     vel_b = [np.zeros_like(b) for b in biases]
 
     def val_loss():
-        _, _, logits = _forward(weights, biases, va_x)
-        return float(_bce_with_logits(logits, va_y).sum() / va_x.shape[0])
+        return _loss(_forward(weights, biases, va_x)[2], va_y)
 
     best = val_loss()
     best_w = [w.copy() for w in weights]
@@ -200,7 +197,7 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
         idx = rng.permutation(tr_x.shape[0])
         for lo in range(0, tr_x.shape[0], config.a3_batch_size):
             batch = idx[lo : lo + config.a3_batch_size]
-            _, gw, gb = loss_and_grads(
+            gw, gb = _gradients(
                 weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
             )
             for layer in range(len(weights)):

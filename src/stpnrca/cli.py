@@ -126,18 +126,23 @@ def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = args.out
     spec = _parse_fault(args.fault) if args.fault else None
-    if args.nodes and (args.modes or args.cases or args.mode is not None):
-        raise UsageError("--modes, --cases and --mode apply to builtin modes, not --nodes")
+    cases = pattern_fault_cases()
+    if args.nodes is not None:
+        if args.modes or args.cases is not None or args.mode is not None:
+            raise UsageError("--modes, --cases and --mode apply to builtin modes, not --nodes")
+        if args.nodes < 2:
+            raise UsageError(f"--nodes takes a graph of at least 2 nodes, got {args.nodes}")
+    if args.cases is not None and not 0 < args.cases <= len(cases):
+        raise UsageError(f"--cases takes 1 to {len(cases)} pattern-fault cases")
     if args.mode is not None and not (args.cases or spec):
         raise UsageError("--mode picks the builtin mode for --cases and --fault")
-    mode_index = args.mode or 0
-    cases = pattern_fault_cases()
-    if args.cases and not 0 < args.cases <= len(cases):
-        raise UsageError(f"--cases takes 1 to {len(cases)} pattern-fault cases")
+    if args.name is not None and spec is None:
+        raise UsageError("--name is the basename of the --fault output")
     if not (args.modes or args.cases or spec):
         raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")
+    mode_index = args.mode or 0
 
-    if args.nodes:
+    if args.nodes is not None:
         graph = random_graph(args.nodes, seed=config.seed)
     else:
         graph = builtin_modes()[mode_index]
@@ -312,8 +317,9 @@ def build_parser() -> _Parser:
     add_config(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--modes", choices=["builtin"], help="emit the six nominal modes")
-    p.add_argument("--cases", type=int, help="emit the first N pattern-fault cases")
-    p.add_argument("--nodes", type=int, help="use a seeded random graph of N nodes")
+    p.add_argument("--cases", type=int, help="emit the first N (1-30) pattern-fault cases")
+    p.add_argument("--nodes", type=int,
+                   help="break a seeded random graph of N >= 2 nodes (--fault only)")
     p.add_argument("--mode", type=int, choices=range(len(builtin_modes())),
                    help="builtin mode index for --cases and --fault (0-based, default 0)")
     p.add_argument("--fault", help="node-delay:NODE:DELAY or pattern-break:SRC-DST,...")

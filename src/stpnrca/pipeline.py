@@ -174,7 +174,7 @@ def _scan_and_flag(bundle: TrainedBundle, ts: TimeSeries):
     those whose free energy exceeds the calibrated threshold. Returns (scan,
     energies, flags)."""
     scan = scan_windows(bundle.stpn, ts, bundle.config.stride)
-    energies = np.atleast_1d(free_energy(bundle.rbm, scan.vectors.astype(float)))
+    energies = free_energy(bundle.rbm, scan.vectors)
     return scan, energies, energies > bundle.energy_threshold
 
 
@@ -248,7 +248,7 @@ def run_rca(
         }
         if entry["analyzed"]:
             n_analyzed += 1
-            patterns, weights, trace = analyse(scan.vectors[i].astype(float))
+            patterns, weights, trace = analyse(scan.vectors[i])
             entry["patterns"] = [_pattern_entry(p, f, w) for p, w in zip(patterns, weights)]
             if trace:
                 entry["trace"] = [float(x) for x in trace]

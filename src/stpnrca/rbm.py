@@ -4,6 +4,9 @@ Trained with single-step contrastive divergence on nominal pattern vectors,
 the machine assigns low free energy to configurations it has seen and high
 free energy to everything else; the free-energy threshold calibrated on the
 training vectors is the anomaly detector.
+
+F(v) = -v.a - sum_j softplus(b_j + (vW)_j) is computed only in `_free_energy`,
+which both `free_energy` and `switching.s3_search` call.
 """
 
 from __future__ import annotations
@@ -85,11 +88,16 @@ def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams
     return RbmParams(visible_bias=a, hidden_bias=b, weights=w)
 
 
+def _free_energy(act: np.ndarray, visible_term) -> np.ndarray:
+    """F per row from the hidden pre-activations `act` (rows, n_h), each
+    b + vW, and the visible terms v.a; softplus evaluated overflow-safely."""
+    return -visible_term - np.logaddexp(0.0, act).sum(axis=1)
+
+
 def free_energy(params: RbmParams, v: np.ndarray) -> float | np.ndarray:
     """Free energy of one vector or a batch of row vectors.
 
-    F(v) = -sum_i v_i a_i - sum_j softplus(b_j + sum_i v_i W_ij), with the
-    softplus evaluated overflow-safely.
+    F(v) = -sum_i v_i a_i - sum_j softplus(b_j + sum_i v_i W_ij).
     """
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
@@ -98,8 +106,7 @@ def free_energy(params: RbmParams, v: np.ndarray) -> float | np.ndarray:
         raise DataError(
             f"vector length {rows.shape[1]} != n_visible {params.n_visible}"
         )
-    act = rows @ params.weights + params.hidden_bias
-    f = -rows @ params.visible_bias - np.logaddexp(0.0, act).sum(axis=1)
+    f = _free_energy(rows @ params.weights + params.hidden_bias, rows @ params.visible_bias)
     return float(f[0]) if single else f
 
 
@@ -107,8 +114,7 @@ def calibrate_threshold(
     params: RbmParams, nominal_vectors: np.ndarray, kappa: float = 1.0
 ) -> float:
     """Detection threshold: max nominal free energy plus kappa sigma margin."""
-    f = free_energy(params, np.asarray(nominal_vectors, dtype=float))
-    f = np.atleast_1d(f)
+    f = np.atleast_1d(free_energy(params, nominal_vectors))
     if f.size == 0:
         raise DataError("need at least one nominal vector to calibrate")
     return float(np.max(f) + kappa * np.std(f))

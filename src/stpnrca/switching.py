@@ -4,6 +4,10 @@ Starting from an anomalous pattern vector, repeatedly flip the single
 pattern bit whose flip lowers the free energy the most; the flipped set is
 the pattern-level root cause, each member weighted by the relative energy
 drop its lone flip produces.
+
+Free energies come from `rbm._free_energy`. The search shifts b + vW and v.a
+by one weight row per flip, so a sweep over the remaining candidates costs
+O(n_cand * n_h) rather than a matrix rebuild.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DataError
-from .rbm import RbmParams, free_energy
+from .rbm import RbmParams, _free_energy, free_energy
 
 # Minimum strict decrease for a flip to be accepted; avoids float livelock.
 DESCENT_TOL = 1e-9
@@ -33,20 +37,6 @@ class S3Result:
         return self.trace[-1]
 
 
-def _single_flip_energies(params, v, act, visible_term, cand):
-    """Free energy after flipping each candidate bit alone on `v`.
-
-    `act` is the hidden pre-activation b + v W and `visible_term` the dot
-    product v.a, both maintained incrementally by the caller; one flip only
-    shifts them by one weight row, so the sweep costs O(n_cand * n_h)
-    rather than a full matrix rebuild.
-    """
-    sign = 1.0 - 2.0 * v[cand]
-    acts = act[None, :] + sign[:, None] * params.weights[cand]
-    vis = visible_term + sign * params.visible_bias[cand]
-    return -vis - np.logaddexp(0.0, acts).sum(axis=1)
-
-
 def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     """Greedy minimization of free energy by single-bit flips.
 
@@ -60,38 +50,34 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != params.n_visible:
         raise DataError(f"expected a length-{params.n_visible} vector")
-    f0 = free_energy(params, v)
-
-    current = v.copy()
-    act = params.hidden_bias + current @ params.weights
-    visible_term = float(current @ params.visible_bias)
-    all_idx = np.arange(v.size)
-    single = _single_flip_energies(params, current, act, visible_term, all_idx)
-    candidates = [int(i) for i in all_idx[single < f0 - DESCENT_TOL]]
+    w, a = params.weights, params.visible_bias
+    act = params.hidden_bias + v @ w
+    visible_term = float(v @ a)
+    f0 = float(_free_energy(act[None, :], visible_term)[0])
+    # A flipped bit leaves the candidates, so its sign is only ever read on v.
+    sign = 1.0 - 2.0 * v
+    single = _free_energy(act + sign[:, None] * w, visible_term + sign * a)
+    candidates = single < f0 - DESCENT_TOL
 
     f_current = f0
     selected: list[int] = []
     trace = [f0]
-    while candidates:
-        cand = np.asarray(candidates)
-        f_cand = _single_flip_energies(params, current, act, visible_term, cand)
+    while candidates.any():
+        cand = np.flatnonzero(candidates)
+        f_cand = _free_energy(act + sign[cand, None] * w[cand], visible_term + sign[cand] * a[cand])
         best = int(np.argmin(f_cand))  # argmin takes the lowest index on ties
         if f_cand[best] >= f_current - DESCENT_TOL:
             break
         idx = int(cand[best])
-        sign = 1.0 - 2.0 * current[idx]
-        act = act + sign * params.weights[idx]
-        visible_term += sign * params.visible_bias[idx]
-        current[idx] = 1.0 - current[idx]
+        act = act + sign[idx] * w[idx]
+        visible_term += sign[idx] * a[idx]
         f_current = float(f_cand[best])
         selected.append(idx)
         trace.append(f_current)
-        candidates.remove(idx)
+        candidates[idx] = False
 
-    if abs(f0) < 1e-12:
-        weights = [float(single[i] - f0) for i in selected]
-    else:
-        weights = [float((single[i] - f0) / f0) for i in selected]
+    scale = 1.0 if abs(f0) < 1e-12 else f0
+    weights = [float((single[i] - f0) / scale) for i in selected]
     return S3Result(
         anomalous_patterns=tuple(selected),
         weights=tuple(weights),

@@ -4,11 +4,11 @@ import pytest
 from stpnrca.association import (
     A3Dataset,
     MlpParams,
+    _gradients,
     a3_loss,
     generate_artificial_anomalies,
     infer_a3,
     init_mlp,
-    loss_and_grads,
     train_a3,
 )
 from stpnrca.config import RunConfig
@@ -98,15 +98,19 @@ class TestLoss:
         biases = [b + rng.normal(0.0, 0.3, size=b.shape) for b in params.biases]
         x = (rng.random((6, 3)) < 0.5).astype(float)
         y = (rng.random((6, 3)) < 0.5).astype(float)
-        _, grads_w, grads_b = loss_and_grads(weights, biases, x, y)
+        grads_w, grads_b = _gradients(weights, biases, x, y)
+
+        def loss():
+            return a3_loss(MlpParams(tuple(weights), tuple(biases)), x, y)
+
         eps = 1e-6
         for layer in range(len(weights)):
             for index in np.ndindex(weights[layer].shape):
                 saved = weights[layer][index]
                 weights[layer][index] = saved + eps
-                up, _, _ = loss_and_grads(weights, biases, x, y)
+                up = loss()
                 weights[layer][index] = saved - eps
-                down, _, _ = loss_and_grads(weights, biases, x, y)
+                down = loss()
                 weights[layer][index] = saved
                 numeric = (up - down) / (2 * eps)
                 assert grads_w[layer][index] == pytest.approx(
@@ -115,9 +119,9 @@ class TestLoss:
             for i in range(biases[layer].size):
                 saved = biases[layer][i]
                 biases[layer][i] = saved + eps
-                up, _, _ = loss_and_grads(weights, biases, x, y)
+                up = loss()
                 biases[layer][i] = saved - eps
-                down, _, _ = loss_and_grads(weights, biases, x, y)
+                down = loss()
                 biases[layer][i] = saved
                 numeric = (up - down) / (2 * eps)
                 assert grads_b[layer][i] == pytest.approx(numeric, rel=1e-4, abs=1e-8)

@@ -95,6 +95,12 @@ class TestSimulate:
             ["--cases", "31"],
             ["--nodes", "6", "--mode", "3", "--fault", "node-delay:1:3"],
             ["--modes", "builtin", "--mode", "3"],
+            ["--nodes", "0", "--fault", "node-delay:1:3"],
+            ["--nodes", "1", "--fault", "node-delay:0:3"],
+            ["--modes", "builtin", "--cases", "0"],
+            ["--cases", "0"],
+            ["--modes", "builtin", "--name", "foo"],
+            ["--cases", "2", "--name", "foo"],
         ],
     )
     def test_bad_arguments_leave_no_directory(self, tmp_path, args, capsys):

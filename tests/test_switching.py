@@ -132,3 +132,23 @@ def test_s3_trace_decreases_strictly_with_finite_weights(case):
     assert np.all(np.diff(result.trace) < 0)
     assert len(result.weights) == len(result.anomalous_patterns) == len(result.trace) - 1
     assert np.all(np.isfinite(result.weights))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=rbm_and_vector())
+def test_s3_incremental_energies_match_explicit_free_energy(case):
+    # the search updates b + vW and v.a one flip at a time; every trace entry
+    # and every weight must agree with F evaluated on the whole flipped vector
+    params, v = case
+    result = s3_search(params, v)
+    current = v.copy()
+    for k, idx in enumerate(result.anomalous_patterns, start=1):
+        current[idx] = 1.0 - current[idx]
+        assert result.trace[k] == pytest.approx(free_energy(params, current), rel=1e-9, abs=1e-12)
+    f0 = free_energy(params, v)
+    for idx, weight in zip(result.anomalous_patterns, result.weights):
+        lone = v.copy()
+        lone[idx] = 1.0 - lone[idx]
+        drop = free_energy(params, lone) - f0
+        expected = drop if abs(f0) < 1e-12 else drop / f0
+        assert weight == pytest.approx(expected, rel=1e-9, abs=1e-12)
