@@ -375,13 +375,9 @@ def _dataset23(lines: list[str]) -> None:
         )
         rows["s3"] += s3_rows
         rows["var"] += var_rows
-    tp = fn = fp = 0
-    for row in rows["s3"]:
-        predicted, true = set(row["predicted_nodes"]), set(row["true_nodes"])
-        tp += len(predicted & true)
-        fn += len(true - predicted)
-        fp += len(predicted - true)
-    recall, precision, f1 = prf_counts(tp, fn, fp)
+    recall, precision, f1 = prf_counts(
+        *(_total(rows["s3"], k) for k in ("node_tp", "node_fn", "node_fp"))
+    )
     eps_s3, eps_var = (
         _total(rows[m], "n_incorrect") / max(_total(rows[m], "n_predicted"), 1)
         for m in ("s3", "var")

@@ -2,7 +2,8 @@
 
 Subcommands: simulate, train, detect, rca, evaluate, bench. Exit codes:
 0 success, 1 usage error, 2 data error or unwritable output, 3 numerical
-failure. Only train, simulate and rca --method var read --config, --set and
+failure; a library warning prints as one "warning: <message>" line on
+stderr. Only train, simulate and rca --method var read --config, --set and
 the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
 --method s3/a3 use the config fixed in the bundle's run.json, stride
 included. All outputs are written atomically (temp file + rename), so
@@ -26,6 +27,7 @@ import errno
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -111,17 +113,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.from_sources(args.config, overrides)
 
 
-def _write_case(ts, labels: dict, out: str, written: list) -> None:
-    """Write `ts` as <case_id>.csv with its .labels.json sidecar, and note it.
-    `out` is created here, so a run that fails before its first write leaves
-    no directory behind."""
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, labels["case_id"] + ".csv")
-    write_csv(ts, path)
-    _write_json(labels, path[:-4] + ".labels.json")
-    written.append(path)
-
-
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     out = args.out
@@ -140,37 +131,42 @@ def cmd_simulate(args) -> int:
         raise UsageError("--name is the basename of the --fault output")
     if not (args.modes or args.cases or spec):
         raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")
-    mode_index = args.mode or 0
+    mode_index, name = args.mode or 0, args.name or "fault"
 
     if args.nodes is not None:
         graph = random_graph(args.nodes, seed=config.seed)
     else:
         graph = builtin_modes()[mode_index]
+    # every series is simulated before `out` is created, so a flag value the
+    # simulation rejects (a sample count, a node or an edge the graph lacks)
+    # is a usage error that leaves no directory behind
+    labelled, nominal = [], None
+    try:
+        if args.modes == "builtin":
+            for i, mode in enumerate(builtin_modes()):
+                labelled.append(simulate_case(
+                    mode, None, args.samples, config.seed + i, f"nominal_mode{i + 1}", i))
+        for ci, case_edges in enumerate(cases[: args.cases or 0]):
+            case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
+            labelled.append(simulate_case(graph, case_spec, args.samples,
+                                          config.seed + 9000 + ci, f"case{ci + 1:02d}",
+                                          mode_index))
+        if spec is not None:
+            seed = config.seed + 777
+            labelled.append(simulate_case(graph, spec, args.samples, seed, name, mode_index))
+            # a nominal companion for baseline fitting
+            nominal = simulate_var(graph, args.samples, seed=seed + 1)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
 
-    written = []
-    if args.modes == "builtin":
-        for i, mode in enumerate(builtin_modes()):
-            name = f"nominal_mode{i + 1}"
-            _write_case(*simulate_case(mode, None, args.samples, config.seed + i, name, i),
-                        out, written)
-
-    for ci, case_edges in enumerate(cases[: args.cases or 0]):
-        case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
-        seed, name = config.seed + 9000 + ci, f"case{ci + 1:02d}"
-        _write_case(*simulate_case(graph, case_spec, args.samples, seed, name, mode_index),
-                    out, written)
-
-    if spec is not None:
-        seed = config.seed + 777
-        name = args.name or "fault"
-        _write_case(*simulate_case(graph, spec, args.samples, seed, name, mode_index),
-                    out, written)
-        # a nominal companion for baseline fitting
-        nom_path = os.path.join(out, name + "_nominal.csv")
-        write_csv(simulate_var(graph, args.samples, seed=seed + 1), nom_path)
-
-    for path in written:
+    os.makedirs(out, exist_ok=True)
+    for ts, labels in labelled:
+        path = os.path.join(out, labels["case_id"] + ".csv")
+        write_csv(ts, path)
+        _write_json(labels, path[:-4] + ".labels.json")
         print(path)
+    if nominal is not None:
+        write_csv(nominal, os.path.join(out, name + "_nominal.csv"))
     return 0
 
 
@@ -238,10 +234,6 @@ def cmd_rca(args) -> int:
     return 0
 
 
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
-
-
 def cmd_evaluate(args) -> int:
     _check_out_dir(args.out)
     if len(args.reports) != len(args.labels):
@@ -252,23 +244,11 @@ def cmd_evaluate(args) -> int:
     for rpath, lpath in zip(args.reports, args.labels):
         report, labels = _read_json(rpath), _read_json(lpath)
         try:
-            case_id = labels.get("case_id", "")
-            data_stem = _stem(report.get("data", ""))
-            report_channels, label_channels = report.get("channels"), labels.get("channels")
-            row = evaluate_case(report, labels)
+            rows.append(evaluate_case(report, labels))
+        except DataError as exc:
+            raise DataError(f"report {rpath}, labels {lpath}: {exc}") from None
         except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as exc:
-            raise DataError(f"report {rpath} or labels {lpath} malformed ({exc!r})") from None
-        if report_channels != label_channels:
-            raise DataError(
-                f"channel mismatch: report {rpath} has {report_channels}, "
-                f"labels {lpath} have {label_channels}"
-            )
-        if case_id and data_stem and case_id != data_stem:
-            raise DataError(
-                f"case id mismatch: report {rpath} is for {data_stem!r}, "
-                f"labels {lpath} for {case_id!r}"
-            )
-        rows.append(row)
+            raise DataError(f"report {rpath}, labels {lpath}: malformed ({exc!r})") from None
 
     columns = ["case_id", "method", "alpha1", "recall", "precision", "f_measure",
                "error_ratio", "diagnosis_cost", "false_alarm_fraction"]
@@ -365,23 +345,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (StpnRcaError, OSError) as exc:  # OSError: e.g. an unwritable output path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's warning display on return
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        except DataError as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 2
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except (StpnRcaError, OSError) as exc:  # OSError: e.g. an unwritable output path
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 from .association import MlpParams, generate_artificial_anomalies, infer_a3, train_a3
 from .config import RunConfig, _config_from_values
 from .errors import DataError, UsageError
+from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
 from .nodes import infer_nodes, rank_nodes
 from .persist import (
     load_mlp,
@@ -166,7 +167,9 @@ def _window_analyser(bundle: TrainedBundle, method: str):
             return patterns, [float(1.0 - probs[i]) for i in patterns], []
 
         return analyse
-    raise UsageError(f"unknown method {method!r} (use s3, a3, or var)")
+    raise UsageError(
+        f"unknown method {method!r}: run_rca takes s3 or a3; the var baseline is run_var_rca"
+    )
 
 
 def _scan_and_flag(bundle: TrainedBundle, ts: TimeSeries):
@@ -278,18 +281,25 @@ def run_rca(
 def evaluate_case(report: dict, labels: dict) -> dict:
     """Score one RCA report against its ground-truth sidecar.
 
-    Pattern-break cases get per-window accuracy, the TP/FN/FP counts pooled
-    over the windows and the recall/precision/F-measure from them; node
-    faults get the error ratio (patterns not incident to the injected node),
-    node-set agreement, and the diagnosis cost; label files without a fault
-    are treated as false-alarm cases.
+    The report and the labels must describe the same system: the same
+    channel names, and, when the labels give a case id and the report's
+    `data` path a file stem, the same case; a mismatch is a DataError.
+    Nominal and pattern-break cases get per-window accuracy; pattern breaks
+    also get the TP/FN/FP counts pooled over the windows, the
+    recall/precision/F-measure from them and the error ratio; label files
+    without a fault are treated as false-alarm cases. Node faults get the
+    error ratio (patterns not incident to the injected node), the node-set
+    TP/FN/FP counts, and the diagnosis cost.
     """
-    from .metrics import (
-        diagnosis_cost,
-        error_ratio,
-        false_alarm_pattern_fraction,
-        prf_counts,
-    )
+    if report.get("channels") != labels.get("channels"):
+        raise DataError(
+            f"channel mismatch: report has {report.get('channels')}, "
+            f"labels have {labels.get('channels')}"
+        )
+    case_id = labels.get("case_id", "")
+    data_stem = os.path.splitext(os.path.basename(report.get("data", "")))[0]
+    if case_id and data_stem and case_id != data_stem:
+        raise DataError(f"case id mismatch: report is for {data_stem!r}, labels for {case_id!r}")
 
     f = len(labels["channels"])
     total = f * f
@@ -300,24 +310,19 @@ def evaluate_case(report: dict, labels: dict) -> dict:
         if w.get("analyzed")
     ] or [agg_patterns]
 
+    fault = labels.get("fault")
     out: dict = {
-        "case_id": labels.get("case_id", ""),
+        "case_id": case_id,
         "method": report["method"],
-        "fault": labels.get("fault"),
+        "fault": fault,
         "n_windows_analyzed": report["n_analyzed"],
     }
-    fault = labels.get("fault")
-    if fault is None:
-        out["false_alarm_fraction"] = false_alarm_pattern_fraction(window_sets, f)
-        truth: set[int] = set()
-        matches = [total - len(s) for s in window_sets]
-        out["alpha1"] = float(np.mean(matches)) / total
-        return out
-
-    if fault["kind"] == "pattern_break":
-        truth = set(labels["failed_patterns"])
-        matches = [total - len(truth ^ s) for s in window_sets]
-        out["alpha1"] = float(np.mean(matches)) / total
+    if fault is None or fault["kind"] == "pattern_break":
+        truth = set(labels["failed_patterns"]) if fault else set()
+        out["alpha1"] = float(np.mean([total - len(truth ^ s) for s in window_sets])) / total
+        if fault is None:
+            out["false_alarm_fraction"] = false_alarm_pattern_fraction(window_sets, f)
+            return out
         out["tp"] = sum(len(truth & s) for s in window_sets)
         out["fn"] = sum(len(truth - s) for s in window_sets)
         out["fp"] = sum(len(s - truth) for s in window_sets)
@@ -338,6 +343,9 @@ def evaluate_case(report: dict, labels: dict) -> dict:
     selected = {n["node"] for n in report["aggregate"]["nodes"]}
     out["predicted_nodes"] = sorted(selected)
     out["true_nodes"] = sorted(true_nodes)
+    out["node_tp"] = len(selected & true_nodes)
+    out["node_fn"] = len(true_nodes - selected)
+    out["node_fp"] = len(selected - true_nodes)
     ranking = [n["node"] for n in report["aggregate"]["ranking"]]
     costs = [
         diagnosis_cost(ranking, node, max(report["n_analyzed"], 1))

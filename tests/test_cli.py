@@ -101,6 +101,11 @@ class TestSimulate:
             ["--cases", "0"],
             ["--modes", "builtin", "--name", "foo"],
             ["--cases", "2", "--name", "foo"],
+            ["--modes", "builtin", "--samples", "0"],
+            ["--nodes", "6", "--fault", "node-delay:9:3"],
+            ["--fault", "pattern-break:0-2"],  # mode 0 has no 0->2 edge
+            ["--modes", "builtin", "--fault", "node-delay:9:3"],
+            ["--cases", "3", "--fault", "pattern-break:0-2"],
         ],
     )
     def test_bad_arguments_leave_no_directory(self, tmp_path, args, capsys):
@@ -160,6 +165,18 @@ class TestTrainDeterminism:
         assert not (tmp_path / "b" / "a3.json").exists()
         rca = ["rca", "--model", tmp_path / "b", "--data", data, "--method", "a3", "--force"]
         assert run(*rca) == 1
+
+    def test_library_warning_is_one_line(self, tmp_path, toy_nominal, capsys):
+        data = tmp_path / "nom.csv"
+        write_csv(toy_nominal.window(0, 3000), data)
+        code = run(
+            "train", "--nominal", data, "--out", tmp_path / "b",
+            "--set", "window_length=200", "--set", "threshold_quantile=0.01",
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: calibrating")
+        assert ".py:" not in err[0]
 
     def test_missing_csv_names_path(self, tmp_path, capsys):
         code = run("train", "--nominal", tmp_path / "missing.csv", "--out", tmp_path / "b")
@@ -416,13 +433,15 @@ class TestEvaluate:
         assert [len(row) for row in rows] == [9, 9]
         assert rows[1][7].startswith("[")
 
-    def test_case_id_mismatch(self, report_and_labels, tmp_path):
+    def test_case_id_mismatch(self, report_and_labels, tmp_path, capsys):
         report_path, labels_path = report_and_labels
         wrong = tmp_path / "wrong.labels.json"
         labels = json.loads(labels_path.read_text())
         labels["case_id"] = "other_case"
         wrong.write_text(json.dumps(labels))
         assert run("evaluate", "--reports", report_path, "--labels", wrong) == 2
+        err = capsys.readouterr().err
+        assert "case id mismatch" in err and str(report_path) in err and str(wrong) in err
 
     @pytest.mark.parametrize("which", ["report", "labels"])
     @pytest.mark.parametrize("content", [None, "{garbled", b"\xff\xfe", "[1, 2]"])

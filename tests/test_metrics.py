@@ -12,8 +12,10 @@ from stpnrca.pipeline import evaluate_case
 
 def alpha1(truth: set[int], predicted: list[set[int]], f: int) -> float:
     """Pattern accuracy of per-window predictions, as `evaluate` reports it."""
+    channels = [f"x{i}" for i in range(f)]
     report = {
         "method": "s3",
+        "channels": channels,
         "n_analyzed": len(predicted),
         "windows": [
             {"analyzed": True, "patterns": [{"index": i} for i in sorted(s)]}
@@ -22,7 +24,7 @@ def alpha1(truth: set[int], predicted: list[set[int]], f: int) -> float:
         "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
     }
     labels = {
-        "channels": [f"x{i}" for i in range(f)],
+        "channels": channels,
         "fault": {"kind": "pattern_break"},
         "failed_patterns": sorted(truth),
     }

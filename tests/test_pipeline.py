@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpnrca import pipeline
 from stpnrca.association import init_mlp
@@ -180,7 +182,8 @@ class TestDetectAndRca:
 
         monkeypatch.setattr(pipeline, "scan_windows", no_scan)
         bundle = dataclasses.replace(toy_bundle, mlp=None)  # a3: no classifier
-        with pytest.raises(UsageError, match="classifier" if method == "a3" else method):
+        match = "classifier" if method == "a3" else f"{method}.*s3 or a3.*run_var_rca"
+        with pytest.raises(UsageError, match=match):
             run_rca(bundle, toy_fresh_nominal, method=method)
 
     @pytest.mark.parametrize("method", ["s3", "a3"])
@@ -231,6 +234,7 @@ class TestEvaluateCase:
     def test_pattern_break_case(self, toy_bundle):
         report = {
             "method": "s3",
+            "channels": ["a", "b", "c", "d"],
             "n_analyzed": 2,
             "aggregate": {"failed_patterns": [{"index": 1}], "nodes": [], "ranking": []},
             "windows": [
@@ -256,6 +260,7 @@ class TestEvaluateCase:
     def test_node_fault_case(self):
         report = {
             "method": "s3",
+            "channels": ["a", "b", "c", "d"],
             "n_analyzed": 3,
             "aggregate": {
                 "failed_patterns": [{"index": 1}, {"index": 4}, {"index": 11}],
@@ -283,6 +288,7 @@ class TestEvaluateCase:
     def test_false_alarm_case(self):
         report = {
             "method": "a3",
+            "channels": ["a", "b", "c"],
             "n_analyzed": 2,
             "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
             "windows": [
@@ -299,3 +305,87 @@ class TestEvaluateCase:
         }
         out = evaluate_case(report, labels)
         assert out["false_alarm_fraction"] == pytest.approx((0 + 1 / 9) / 2)
+
+    @pytest.mark.parametrize(
+        "labels_change, data",
+        [
+            ({"channels": ["a", "b", "c", "e"]}, "case.csv"),  # same count, another name
+            ({"channels": ["a", "b", "c", "d", "e"]}, "case.csv"),  # another system
+            ({"case_id": "other"}, "data/case.csv"),  # another case of the same system
+        ],
+    )
+    def test_report_of_another_system_or_case_is_data_error(self, labels_change, data):
+        report = {
+            "method": "s3",
+            "channels": ["a", "b", "c", "d"],
+            "data": data,
+            "n_analyzed": 1,
+            "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
+            "windows": [{"analyzed": True, "patterns": []}],
+        }
+        labels = {
+            "case_id": "case",
+            "channels": ["a", "b", "c", "d"],
+            "fault": None,
+            "failed_patterns": [],
+            "failed_nodes": [],
+            **labels_change,
+        }
+        with pytest.raises(DataError, match="mismatch"):
+            evaluate_case(report, labels)
+
+
+@st.composite
+def scored_case(draw):
+    """A random report and the labels of the same case: f <= 6 channels, a
+    truth set and one pattern set per analyzed window."""
+    f = draw(st.integers(1, 6))
+    patterns = st.sets(st.integers(0, f * f - 1))
+    kind = draw(st.sampled_from([None, "pattern_break", "node_delay"]))
+    truth = draw(patterns) if kind == "pattern_break" else set()
+    nodes = st.sets(st.integers(0, f - 1))
+    true_nodes = set()
+    if kind == "node_delay":
+        true_nodes = draw(st.sets(st.integers(0, f - 1), min_size=1))
+    window_sets = draw(st.lists(patterns, min_size=1, max_size=6))
+    names = [f"x{i}" for i in range(f)]
+    report = {
+        "method": "s3",
+        "channels": names,
+        "data": "cases/case.csv",
+        "n_analyzed": len(window_sets),
+        "aggregate": {
+            "failed_patterns": [{"index": p} for p in sorted(draw(patterns))],
+            "nodes": [{"node": n} for n in sorted(draw(nodes))],
+            "ranking": [{"node": n} for n in draw(st.permutations(range(f)))],
+        },
+        "windows": [{"analyzed": True, "patterns": [{"index": p} for p in sorted(s)]}
+                    for s in window_sets],
+    }
+    labels = {
+        "case_id": "case",
+        "channels": names,
+        "fault": kind and {"kind": kind},
+        "failed_patterns": sorted(truth),
+        "failed_nodes": sorted(true_nodes),
+    }
+    return report, labels, truth, window_sets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=scored_case())
+def test_evaluate_case_counts_match_their_definitions(case):
+    report, labels, truth, window_sets = case
+    out = evaluate_case(report, labels)
+    f2 = len(labels["channels"]) ** 2
+    kind = labels["fault"] and labels["fault"]["kind"]
+    if kind == "node_delay":
+        assert out["node_tp"] + out["node_fn"] == len(labels["failed_nodes"])
+        assert out["node_tp"] + out["node_fp"] == len(report["aggregate"]["nodes"])
+        return
+    want = np.mean([1.0 - len(truth ^ s) / f2 for s in window_sets])
+    assert out["alpha1"] == pytest.approx(want, rel=0, abs=1e-12)
+    if kind is None:
+        assert abs(out["alpha1"] + out["false_alarm_fraction"] - 1.0) <= 1e-12
+    else:
+        assert out["tp"] + out["fn"] == len(truth) * len(window_sets)

@@ -1,0 +1,84 @@
+"""Print digests of everything a fixed small command-line flow writes.
+
+    python tools/output_digests.py [--src SRC]
+
+Imports ``stpnrca`` from SRC (default: this repository's ``src``) and runs,
+through ``stpnrca.cli.main`` in a temporary directory: ``simulate`` (the
+builtin modes, two pattern-fault cases and a node delay), ``train --a3``
+with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
+forced, var) and ``evaluate --out``. Prints one line per command, with its
+exit code and the sha256 of its stdout, then one line per written file,
+with its sha256 and its path relative to the temporary directory. Run it
+once per source tree: two trees that print the same lines wrote the same
+bytes. Exits 1 when a command exits non-zero.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SMALL = [
+    "--set", "window_length=200", "--set", "rbm_hidden=16", "--set", "rbm_epochs=20",
+    "--set", "a3_hidden=16", "--set", "a3_epochs=5", "--set", "a3_samples_per_order=2",
+    "--set", "detector_kappa=0",  # so the gated rca run analyses a window of fault.csv
+]
+FLOW = [
+    ["simulate", "--out", "data", "--modes", "builtin", "--cases", "2",
+     "--fault", "node-delay:1:5", "--samples", "4000"],
+    ["train", "--nominal", *(f"data/nominal_mode{i}.csv" for i in range(1, 7)),
+     "--out", "model", "--a3", *SMALL],
+    ["detect", "--model", "model", "--data", "data/case01.csv"],
+    ["rca", "--model", "model", "--data", "data/case01.csv", "--force",
+     "--out", "case01.s3.json"],
+    ["rca", "--model", "model", "--data", "data/fault.csv", "--out", "fault.s3.json"],
+    ["rca", "--model", "model", "--data", "data/case02.csv", "--method", "a3", "--force",
+     "--out", "case02.a3.json"],
+    ["rca", "--data", "data/fault.csv", "--method", "var", "--nominal",
+     "data/fault_nominal.csv", "--out", "fault.var.json"],
+    ["evaluate",
+     "--reports", "case01.s3.json", "fault.s3.json", "case02.a3.json", "fault.var.json",
+     "--labels", "data/case01.labels.json", "data/fault.labels.json",
+     "data/case02.labels.json", "data/fault.labels.json", "--out", "table.csv"],
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="directory holding the stpnrca package to run")
+    src = parser.parse_args(argv).src.resolve()
+    sys.path.insert(0, str(src))
+    from stpnrca.cli import main as cli_main
+
+    failed = False
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in FLOW:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli_main(command)
+                failed |= code != 0
+                print(f"{command[0]}: exit {code}, stdout {_sha256(stdout.getvalue().encode())}")
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file():
+                    print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
+        finally:
+            os.chdir(cwd)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
