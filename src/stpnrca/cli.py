@@ -137,27 +137,32 @@ def cmd_simulate(args) -> int:
         graph = random_graph(args.nodes, seed=config.seed)
     else:
         graph = builtin_modes()[mode_index]
-    # every series is simulated before `out` is created, so a flag value the
-    # simulation rejects (a sample count, a node or an edge the graph lacks)
-    # is a usage error that leaves no directory behind
+    # simulate_var's burn-in rule, checked here so that the message names the flag
+    graphs = [graph, *builtin_modes()] if args.modes else [graph]
+    min_samples = 10 * max(g.n_lags for g in graphs)
+    if args.samples < min_samples:
+        raise UsageError(f"--samples takes at least {min_samples} samples, got {args.samples}")
+    # every series is simulated before `out` is created, so a fault the graph
+    # cannot take (a node or an edge it lacks) is a usage error that leaves
+    # no directory behind
     labelled, nominal = [], None
-    try:
-        if args.modes == "builtin":
-            for i, mode in enumerate(builtin_modes()):
-                labelled.append(simulate_case(
-                    mode, None, args.samples, config.seed + i, f"nominal_mode{i + 1}", i))
-        for ci, case_edges in enumerate(cases[: args.cases or 0]):
-            case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
-            labelled.append(simulate_case(graph, case_spec, args.samples,
-                                          config.seed + 9000 + ci, f"case{ci + 1:02d}",
-                                          mode_index))
-        if spec is not None:
-            seed = config.seed + 777
+    if args.modes == "builtin":
+        for i, mode in enumerate(builtin_modes()):
+            labelled.append(simulate_case(
+                mode, None, args.samples, config.seed + i, f"nominal_mode{i + 1}", i))
+    for ci, case_edges in enumerate(cases[: args.cases or 0]):
+        case_spec = FaultSpec(kind="pattern_break", edges=case_edges)
+        labelled.append(simulate_case(graph, case_spec, args.samples,
+                                      config.seed + 9000 + ci, f"case{ci + 1:02d}",
+                                      mode_index))
+    if spec is not None:
+        seed = config.seed + 777
+        try:
             labelled.append(simulate_case(graph, spec, args.samples, seed, name, mode_index))
-            # a nominal companion for baseline fitting
-            nominal = simulate_var(graph, args.samples, seed=seed + 1)
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+        except DataError as exc:
+            raise UsageError(f"--fault {args.fault}: {exc}") from None
+        # a nominal companion for baseline fitting
+        nominal = simulate_var(graph, args.samples, seed=seed + 1)
 
     os.makedirs(out, exist_ok=True)
     for ts, labels in labelled:

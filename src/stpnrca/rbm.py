@@ -6,7 +6,12 @@ free energy to everything else; the free-energy threshold calibrated on the
 training vectors is the anomaly detector.
 
 F(v) = -v.a - sum_j softplus(b_j + (vW)_j) is computed only in `_free_energy`,
-which both `free_energy` and `switching.s3_search` call.
+which both `free_energy` and `switching.s3_search` call. The kernel evaluates
+softplus(x) = max(x, 0) + log1p(exp(-|x|)) with numpy's vectorised exp and
+log1p, in place: it overwrites the pre-activation array it is given, so each
+caller passes one it owns. np.logaddexp(0, x) evaluates the same formula
+through scalar libm calls; where numpy's vectorised exp or log1p rounds
+differently, an energy differs from that one in its last bits.
 """
 
 from __future__ import annotations
@@ -90,8 +95,18 @@ def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams
 
 def _free_energy(act: np.ndarray, visible_term) -> np.ndarray:
     """F per row from the hidden pre-activations `act` (rows, n_h), each
-    b + vW, and the visible terms v.a; softplus evaluated overflow-safely."""
-    return -visible_term - np.logaddexp(0.0, act).sum(axis=1)
+    b + vW, and the visible terms v.a. Overwrites `act` with softplus(act).
+
+    softplus(x) = max(x, 0) + log1p(exp(-|x|)), the overflow-safe form that
+    np.logaddexp(0, x) evaluates, built from numpy's vectorised exp and log1p.
+    """
+    positive = np.maximum(act, 0.0)
+    np.abs(act, out=act)
+    np.negative(act, out=act)
+    np.exp(act, out=act)
+    np.log1p(act, out=act)
+    act += positive
+    return -visible_term - act.sum(axis=1)
 
 
 def free_energy(params: RbmParams, v: np.ndarray) -> float | np.ndarray:

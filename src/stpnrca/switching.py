@@ -7,7 +7,10 @@ drop its lone flip produces.
 
 Free energies come from `rbm._free_energy`. The search shifts b + vW and v.a
 by one weight row per flip, so a sweep over the remaining candidates costs
-O(n_cand * n_h) rather than a matrix rebuild.
+O(n_cand * n_h) rather than a matrix rebuild. The signed rows +-W_i and +-a_i
+are built once per search; each step gathers the remaining candidates' rows,
+in index order, into one (n_v, n_h) block allocated once, adds b + vW in
+place, and hands the block to the kernel, which overwrites it.
 """
 
 from __future__ import annotations
@@ -53,10 +56,15 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     w, a = params.weights, params.visible_bias
     act = params.hidden_bias + v @ w
     visible_term = float(v @ a)
-    f0 = float(_free_energy(act[None, :], visible_term)[0])
+    f0 = float(_free_energy(act[None, :].copy(), visible_term)[0])
+    # Flipping bit i adds (sign[i] * w[i], sign[i] * a[i]) to (b + vW, v.a).
     # A flipped bit leaves the candidates, so its sign is only ever read on v.
     sign = 1.0 - 2.0 * v
-    single = _free_energy(act + sign[:, None] * w, visible_term + sign * a)
+    signed_w, signed_a = sign[:, None] * w, sign * a
+    # one (n_v, n_h) block, reused: the lone flips, then each step's
+    # remaining candidates gathered into its leading rows in index order
+    block = signed_w + act
+    single = _free_energy(block, visible_term + signed_a)
     candidates = single < f0 - DESCENT_TOL
 
     f_current = f0
@@ -64,13 +72,15 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     trace = [f0]
     while candidates.any():
         cand = np.flatnonzero(candidates)
-        f_cand = _free_energy(act + sign[cand, None] * w[cand], visible_term + sign[cand] * a[cand])
+        rows = np.take(signed_w, cand, axis=0, out=block[: cand.size])
+        rows += act
+        f_cand = _free_energy(rows, visible_term + signed_a[cand])
         best = int(np.argmin(f_cand))  # argmin takes the lowest index on ties
         if f_cand[best] >= f_current - DESCENT_TOL:
             break
         idx = int(cand[best])
-        act = act + sign[idx] * w[idx]
-        visible_term += sign[idx] * a[idx]
+        act = act + signed_w[idx]
+        visible_term += signed_a[idx]
         f_current = float(f_cand[best])
         selected.append(idx)
         trace.append(f_current)

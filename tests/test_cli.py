@@ -114,6 +114,21 @@ class TestSimulate:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--modes", "builtin", "--samples", "0"], "--samples"),
+            (["--nodes", "6", "--fault", "node-delay:1:3", "--samples", "9"], "--samples"),
+            (["--nodes", "6", "--fault", "node-delay:9:3"], "--fault node-delay:9:3"),
+            (["--fault", "pattern-break:0-2"], "--fault pattern-break:0-2"),
+        ],
+    )
+    def test_simulation_error_names_the_flag(self, tmp_path, args, flag, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, *args) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag}")
+        assert not out.exists()
+
     def test_nothing_requested(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x") == 1
 

@@ -7,6 +7,7 @@ from stpnrca.errors import DataError
 from stpnrca.persist import load_rbm, save_rbm
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
+from stpnrca.switching import s3_search
 
 
 def zero_params(n_v=4, n_h=3):
@@ -51,6 +52,53 @@ class TestFreeEnergy:
         fb = free_energy(params, batch)
         for i in range(5):
             assert fb[i] == pytest.approx(free_energy(params, batch[i]))
+
+
+def logaddexp_free_energy(params, rows):
+    """F from np.logaddexp, the softplus the kernel replaced."""
+    act = params.hidden_bias + rows @ params.weights
+    return -rows @ params.visible_bias - np.logaddexp(0.0, act).sum(axis=1)
+
+
+class TestSoftplusKernel:
+    # pre-activations b + vW at the magnitudes where softplus changes form
+    MAGNITUDES = [0.0, 1e-300, -1e-300, 30.0, -30.0, 800.0, -800.0]
+
+    def test_matches_logaddexp_across_magnitudes(self):
+        n_h = len(self.MAGNITUDES)
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        for b, w1 in [(self.MAGNITUDES, np.zeros(n_h)), (np.zeros(n_h), self.MAGNITUDES)]:
+            w = np.vstack([w1, -np.asarray(w1)])
+            params = RbmParams(np.array([0.5, -2.0]), np.array(b), w)
+            got = free_energy(params, rows)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, logaddexp_free_energy(params, rows),
+                                       rtol=1e-15, atol=0)
+
+    def test_rows_of_exact_zeros(self):
+        rng = np.random.default_rng(12)
+        params = RbmParams(rng.normal(size=6), np.array(self.MAGNITUDES), rng.normal(size=(6, 7)))
+        zeros = np.zeros((3, 6))
+        np.testing.assert_allclose(free_energy(params, zeros),
+                                   logaddexp_free_energy(params, zeros), rtol=1e-15, atol=0)
+        zero_machine = zero_params(6, 7)
+        assert free_energy(zero_machine, zeros) == pytest.approx([-7 * math.log(2)] * 3, rel=1e-15)
+
+    def test_inputs_left_unchanged(self):
+        # the kernel overwrites its pre-activation array; never the caller's
+        rng = np.random.default_rng(13)
+        params = RbmParams(rng.normal(size=8), rng.normal(size=5), rng.normal(size=(8, 5)))
+        arrays = (params.visible_bias, params.hidden_bias, params.weights)
+        before = [x.copy() for x in arrays]
+        batch = (rng.random((4, 8)) < 0.5).astype(float)
+        v = batch[0].copy()
+        kept_batch, kept_v = batch.copy(), v.copy()
+        free_energy(params, batch)
+        free_energy(params, v)
+        s3_search(params, v)
+        assert np.array_equal(batch, kept_batch) and np.array_equal(v, kept_v)
+        for x, y in zip(arrays, before):
+            assert np.array_equal(x, y)
 
 
 class TestTraining:

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from stpnrca.errors import DataError
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, free_energy, train_rbm
-from stpnrca.switching import exhaustive_switch_oracle, s3_search
+from stpnrca.switching import DESCENT_TOL, S3Result, exhaustive_switch_oracle, s3_search
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +152,69 @@ def test_s3_incremental_energies_match_explicit_free_energy(case):
         drop = free_energy(params, lone) - f0
         expected = drop if abs(f0) < 1e-12 else drop / f0
         assert weight == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def loop_reference_s3(params, v):
+    """s3_search as it was before the reused candidate block and the
+    vectorised softplus: each step gathers sign[cand, None] * w[cand] afresh
+    and evaluates softplus with np.logaddexp."""
+
+    def energies(act, visible_term):
+        return -visible_term - np.logaddexp(0.0, act).sum(axis=1)
+
+    w, a = params.weights, params.visible_bias
+    act = params.hidden_bias + v @ w
+    visible_term = float(v @ a)
+    f0 = float(energies(act[None, :], visible_term)[0])
+    sign = 1.0 - 2.0 * v
+    single = energies(act + sign[:, None] * w, visible_term + sign * a)
+    candidates = single < f0 - DESCENT_TOL
+    f_current, selected, trace = f0, [], [f0]
+    while candidates.any():
+        cand = np.flatnonzero(candidates)
+        f_cand = energies(act + sign[cand, None] * w[cand], visible_term + sign[cand] * a[cand])
+        best = int(np.argmin(f_cand))
+        if f_cand[best] >= f_current - DESCENT_TOL:
+            break
+        idx = int(cand[best])
+        act = act + sign[idx] * w[idx]
+        visible_term += sign[idx] * a[idx]
+        f_current = float(f_cand[best])
+        selected.append(idx)
+        trace.append(f_current)
+        candidates[idx] = False
+    scale = 1.0 if abs(f0) < 1e-12 else f0
+    weights = tuple(float((single[i] - f0) / scale) for i in selected)
+    return S3Result(tuple(selected), weights, tuple(trace))
+
+
+def assert_matches_loop_reference(params, v):
+    # same selections in the same order; energies within a float64 tolerance
+    # fixed in advance, since the softplus differs from np.logaddexp in the last bit
+    result, reference = s3_search(params, v), loop_reference_s3(params, v)
+    assert result.anomalous_patterns == reference.anomalous_patterns
+    tol = 1e-12 * (1.0 + np.max(np.abs(reference.trace)))
+    np.testing.assert_allclose(result.trace, reference.trace, rtol=0, atol=tol)
+
+    def drops(r):  # each selected bit's lone-flip energy drop, undoing the scale
+        return np.array(r.weights) * (1.0 if abs(r.trace[0]) < 1e-12 else r.trace[0])
+
+    np.testing.assert_allclose(drops(result), drops(reference), rtol=0, atol=tol)
+    return result
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=rbm_and_vector())
+def test_s3_matches_loop_reference(case):
+    assert_matches_loop_reference(*case)
+
+
+def test_s3_tie_goes_to_lowest_index():
+    # bits 1 and 3 have identical rows, so their flips tie at every step
+    rng = np.random.default_rng(11)
+    w = rng.normal(size=(5, 4))
+    w[3] = w[1]
+    a = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
+    params = RbmParams(a, rng.normal(size=4), w)
+    result = assert_matches_loop_reference(params, np.zeros(5))
+    assert result.anomalous_patterns[:2] == (1, 3)

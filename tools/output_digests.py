@@ -6,7 +6,9 @@ Imports ``stpnrca`` from SRC (default: this repository's ``src``) and runs,
 through ``stpnrca.cli.main`` in a temporary directory: ``simulate`` (the
 builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
-forced, var) and ``evaluate --out``. Prints one line per command, with its
+forced, var) and ``evaluate --out``; then ``simulate --nodes 12``, ``train``
+and a forced s3 ``rca`` on that 12-channel series, whose searches are long
+(82–97 flips each). Prints one line per command, with its
 exit code and the sha256 of its stdout, then one line per written file,
 with its sha256 and its path relative to the temporary directory. Run it
 once per source tree: two trees that print the same lines wrote the same
@@ -46,6 +48,14 @@ FLOW = [
      "--reports", "case01.s3.json", "fault.s3.json", "case02.a3.json", "fault.var.json",
      "--labels", "data/case01.labels.json", "data/fault.labels.json",
      "data/case02.labels.json", "data/fault.labels.json", "--out", "table.csv"],
+    # a 12-channel plant: 144 pattern bits, so each forced s3 search runs
+    # about 90 steps at the default rbm_hidden
+    ["simulate", "--out", "plant", "--nodes", "12", "--fault", "node-delay:3:5",
+     "--samples", "4000"],
+    ["train", "--nominal", "plant/fault_nominal.csv", "--out", "plant_model",
+     "--set", "window_length=400", "--set", "threshold_quantile=0.1"],
+    ["rca", "--model", "plant_model", "--data", "plant/fault.csv", "--force",
+     "--out", "plant.s3.json"],
 ]
 
 
