@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, replace
 from math import factorial
 
-import mpmath
 import numpy as np
 
 from .config import RunConfig
@@ -91,6 +90,8 @@ def exact_log_metric(model: np.ndarray, window: np.ndarray) -> float:
             w, c = int(window[m, n]), int(model[m, n])
             num *= factorial(w + c)
             den *= factorial(w) * factorial(c)
+    import mpmath  # here, not at the top: only this oracle needs its 4 MB
+
     with mpmath.workdps(60):
         return float(mpmath.log(num) - mpmath.log(den))
 

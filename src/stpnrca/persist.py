@@ -24,10 +24,43 @@ FORMAT_TAG = "stpnrca-model"
 FORMAT_VERSION = 1
 
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Arrays of more elements than this are written a block of rows at a time, so
+# a save never holds a whole weight matrix or count grid as Python numbers.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _encode(value, write) -> None:
+    """Write `value` as json.dumps(value, sort_keys=True, separators=(",", ":"))
+    would, with each numpy array in place of its .tolist()."""
+    if isinstance(value, dict):
+        write("{")
+        for k, key in enumerate(sorted(value)):
+            write(("," if k else "") + _compact(key) + ":")
+            _encode(value[key], write)
+        write("}")
+    elif isinstance(value, (list, tuple)):
+        write("[")
+        for k, item in enumerate(value):
+            if k:
+                write(",")
+            _encode(item, write)
+        write("]")
+    elif isinstance(value, np.ndarray) and value.size > _BLOCK_ELEMENTS:
+        rows = max(1, _BLOCK_ELEMENTS * len(value) // value.size)
+        write("[")
+        for lo in range(0, len(value), rows):
+            block = _compact(value[lo : lo + rows].tolist())[1:-1]  # no brackets
+            write(("," if lo else "") + block)
+        write("]")
+    else:
+        write(_compact(value.tolist() if isinstance(value, np.ndarray) else value))
+
+
 def _dump(kind: str, payload: dict, path: str) -> None:
     doc = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "kind": kind, "payload": payload}
     with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        _encode(doc, fh.write)
 
 
 def _load(kind: str, path: str, build):
@@ -64,12 +97,12 @@ def save_stpn(model: StpnModel, path: str | os.PathLike) -> None:
     payload = {
         "names": list(model.names),
         "alphabet_size": model.partition.alphabet_size,
-        "edges": [e.tolist() for e in model.partition.edges],
+        "edges": model.partition.edges,
         "depth": model.depth,
         "lag": model.lag,
         "window_length": model.window_length,
-        "counts": model.counts.tolist(),
-        "thresholds": model.thresholds.tolist(),
+        "counts": model.counts,
+        "thresholds": model.thresholds,
     }
     _dump("stpn", payload, os.fspath(path))
 
@@ -94,9 +127,9 @@ def load_stpn(path: str | os.PathLike) -> StpnModel:
 
 def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float) -> None:
     payload = {
-        "visible_bias": params.visible_bias.tolist(),
-        "hidden_bias": params.hidden_bias.tolist(),
-        "weights": params.weights.tolist(),
+        "visible_bias": params.visible_bias,
+        "hidden_bias": params.hidden_bias,
+        "weights": params.weights,
         "energy_threshold": threshold,
     }
     _dump("rbm", payload, os.fspath(path))
@@ -122,8 +155,8 @@ def load_rbm(path: str | os.PathLike) -> tuple[RbmParams, float]:
 
 def save_mlp(params: MlpParams, path: str | os.PathLike) -> None:
     payload = {
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "weights": params.weights,
+        "biases": params.biases,
         "dropout": params.dropout,
     }
     _dump("mlp", payload, os.fspath(path))

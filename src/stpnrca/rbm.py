@@ -12,6 +12,13 @@ log1p, in place: it overwrites the pre-activation array it is given, so each
 caller passes one it owns. np.logaddexp(0, x) evaluates the same formula
 through scalar libm calls; where numpy's vectorised exp or log1p rounds
 differently, an energy differs from that one in its last bits.
+
+Each row's energy depends on that row alone, not on the other rows passed
+with it. s3 relies on this: it scores only the candidates its bounds cannot
+rule out, and gets the floats a sweep over every candidate would get. Its
+bounds use softplus' = sigmoid. When every hidden unit is saturated, as at
+f = 52, sigmoid is nearly 1, F is nearly linear in v, and a flip changes
+every other candidate's F by nearly the same amount.
 """
 
 from __future__ import annotations

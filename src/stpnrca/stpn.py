@@ -158,8 +158,11 @@ def train_stpn(
                 f"nominal series of {ts.n_samples} samples shorter than "
                 f"2 x window_length = {2 * config.window_length}"
             )
-    pooled = TimeSeries(names, np.vstack([ts.values for ts in series]))
-    partition = learn_partition(pooled, config.alphabet_size, config.partition_method)
+    partition = learn_partition(
+        TimeSeries(names, np.vstack([ts.values for ts in series])),
+        config.alphabet_size,
+        config.partition_method,
+    )
     n_symbols = config.alphabet_size
     n_states = n_symbols**config.depth
 

@@ -106,7 +106,7 @@ def read_csv(path: str | os.PathLike) -> TimeSeries:
                         f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
                     )
                 try:
-                    values.append([float(x) for x in row])
+                    values.append(np.fromiter(map(float, row), dtype=float, count=len(row)))
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
                 linenos.append(lineno)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stpnrca import persist
 from stpnrca.association import MlpParams, init_mlp
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
@@ -222,3 +223,34 @@ def test_mlp_file_round_trips_exactly(params):
     assert all(same(a, b) for a, b in zip(loaded.weights, params.weights))
     assert all(same(a, b) for a, b in zip(loaded.biases, params.biases))
     assert loaded.dropout == params.dropout
+
+
+def as_lists(value):
+    if isinstance(value, dict):
+        return {k: as_lists(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+BLOCK = persist._BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("payload", [
+    {"below": np.linspace(-1.0, 1.0, BLOCK), "at": np.arange(BLOCK, dtype=float) / 7.0},
+    {"above": np.random.default_rng(0).normal(size=BLOCK + 1)},
+    # 1,000 rows of 67: blocks of 489 rows, the last one short
+    {"rows": np.random.default_rng(1).normal(size=(1000, 67)) * 1e-300},
+    # a 4-D integer count grid, 52 x 52 x 5 x 5 as at f = 52
+    {"counts": np.random.default_rng(2).integers(0, 10**12, size=(52, 52, 5, 5))},
+    {"one row": np.ones((1, BLOCK + 3)), "one column": np.full((BLOCK + 5, 1), -0.0)},
+    {"empty": np.zeros(0), "no rows": np.zeros((0, 4)), "no columns": np.zeros((3, 0)),
+     "layers": (np.zeros((2, 0)), [np.arange(3)]), "scalar": 2.5, "name": "é"},
+])
+def test_dump_writes_json_dumps_bytes(tmp_path, payload):
+    # blocks of rows, joined with commas, give the bytes of one json.dumps
+    path = tmp_path / "m.json"
+    persist._dump("kind", payload, str(path))
+    doc = {"format": persist.FORMAT_TAG, "version": persist.FORMAT_VERSION,
+           "kind": "kind", "payload": as_lists(payload)}
+    assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stpnrca import switching
 from stpnrca.errors import DataError
 from stpnrca.config import RunConfig
-from stpnrca.rbm import RbmParams, free_energy, train_rbm
+from stpnrca.rbm import RbmParams, _free_energy, free_energy, train_rbm
 from stpnrca.switching import DESCENT_TOL, S3Result, exhaustive_switch_oracle, s3_search
 
 
@@ -218,3 +219,88 @@ def test_s3_tie_goes_to_lowest_index():
     params = RbmParams(a, rng.normal(size=4), w)
     result = assert_matches_loop_reference(params, np.zeros(5))
     assert result.anomalous_patterns[:2] == (1, 3)
+
+
+def sweep_reference_s3(params, v):
+    """s3_search without the pruning bounds: every step scores every remaining
+    candidate, gathered in index order into one reused block."""
+    w, a = params.weights, params.visible_bias
+    act = params.hidden_bias + v @ w
+    visible_term = float(v @ a)
+    f0 = float(_free_energy(act[None, :].copy(), visible_term)[0])
+    sign = 1.0 - 2.0 * v
+    signed_w, signed_a = sign[:, None] * w, sign * a
+    block = signed_w + act
+    single = _free_energy(block, visible_term + signed_a)
+    candidates = single < f0 - DESCENT_TOL
+    f_current, selected, trace = f0, [], [f0]
+    while candidates.any():
+        cand = np.flatnonzero(candidates)
+        rows = np.take(signed_w, cand, axis=0, out=block[: cand.size])
+        rows += act
+        f_cand = _free_energy(rows, visible_term + signed_a[cand])
+        best = int(np.argmin(f_cand))
+        if f_cand[best] >= f_current - DESCENT_TOL:
+            break
+        idx = int(cand[best])
+        act = act + signed_w[idx]
+        visible_term += signed_a[idx]
+        f_current = float(f_cand[best])
+        selected.append(idx)
+        trace.append(f_current)
+        candidates[idx] = False
+    scale = 1.0 if abs(f0) < 1e-12 else f0
+    weights = tuple(float((single[i] - f0) / scale) for i in selected)
+    return S3Result(tuple(selected), weights, tuple(trace))
+
+
+@st.composite
+def s3_machine(draw):
+    """A machine and a vector for the exactness property: biases and weights
+    each up to +-1, +-5 or +-800, so hidden units can saturate as they do at
+    f = 52, and some bits copying another bit's bias, row and value, so that
+    their flips tie at every step."""
+    n_v, n_h = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+
+    def values(shape):
+        bound = draw(st.sampled_from([1.0, 5.0, 800.0]))
+        return draw(arrays(float, shape, elements=st.floats(-bound, bound)))
+
+    a, b, w = values(n_v), values(n_h), values((n_v, n_h))
+    v = draw(arrays(float, n_v, elements=st.sampled_from([0.0, 1.0])))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n_v - 1), st.integers(0, n_v - 1)),
+                                  max_size=n_v // 2)):
+        a[dst], w[dst], v[dst] = a[src], w[src], v[src]
+    return RbmParams(a, b, w), v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=s3_machine())
+def test_s3_equals_sweep_reference(case):
+    # the bounds only skip candidates that cannot win: same selections, and
+    # the same floats in the weights and the trace
+    params, v = case
+    assert s3_search(params, v) == sweep_reference_s3(params, v)
+
+
+def test_s3_scores_few_rows_per_step_on_a_saturated_machine(monkeypatch):
+    # hidden units saturated as at f = 52 (b + vW between 14 and 42): the bounds
+    # are tight, so a step scores a few rows, not every remaining candidate
+    rng = np.random.default_rng(7)
+    n_v, n_h = 1500, 16
+    params = RbmParams(
+        rng.uniform(0.5, 1.5, n_v), rng.uniform(20.0, 30.0, n_h), rng.normal(0.0, 0.05, (n_v, n_h))
+    )
+    v = (rng.random(n_v) < 0.1).astype(float)
+    rows = []
+
+    def counting(act, visible_term):
+        rows.append(act.shape[0])
+        return _free_energy(act, visible_term)
+
+    monkeypatch.setattr(switching, "_free_energy", counting)
+    result = s3_search(params, v)
+    steps = len(result.anomalous_patterns)
+    assert steps >= 1000
+    assert sum(rows) <= n_v + 4 * steps
+    assert result == sweep_reference_s3(params, v)
