@@ -20,7 +20,7 @@ from .metrics import (
     error_ratio,
     false_alarm_pattern_fraction,
 )
-from .nodes import NodeInferenceResult, infer_nodes, rank_nodes
+from .nodes import NodeInferenceResult, infer_nodes
 from .pipeline import (
     TrainedBundle,
     evaluate_case,

@@ -4,7 +4,8 @@ Each failed pattern a->b implicates its two endpoint channels; a channel's
 anomaly score is the weight sum of the remaining failed patterns it touches
 (self-patterns counted once). Channels are selected greedily by maximum
 score, removing the patterns they explain, until every failed pattern is
-covered — a weighted greedy cover of the failed-pattern edge set.
+covered — a weighted greedy cover of the failed-pattern edge set. The same
+pass ranks every channel: the cover first, then the rest by initial score.
 """
 
 from __future__ import annotations
@@ -14,31 +15,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .stpn import index_pattern
 
 
 @dataclass(frozen=True)
 class NodeInferenceResult:
-    """Selection order, score at selection time, and every channel's
-    initial anomaly score (before any selection)."""
+    """Every channel, ranked: the first `n_cover` are the cover in selection
+    order, each with its score at selection time; the rest follow by initial
+    anomaly score (descending, ties to the lowest index), with that score."""
 
-    nodes: tuple[int, ...]
+    ranking: tuple[int, ...]
     scores: tuple[float, ...]
-    initial_scores: tuple[float, ...]  # one per channel
+    n_cover: int
 
-
-def _node_scores(failed: dict[int, float], f: int) -> np.ndarray:
-    scores = np.zeros(f)
-    for idx, weight in failed.items():
-        a, b = index_pattern(idx, f)
-        scores[a] += weight
-        if b != a:
-            scores[b] += weight
-    return scores
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return self.ranking[: self.n_cover]
 
 
 def infer_nodes(failed, f: int) -> NodeInferenceResult:
-    """Greedy cover of failed patterns by their incident channels.
+    """Greedy cover of failed patterns by their incident channels, and the
+    full channel ranking that follows it.
 
     `failed` is an iterable of (pattern index, weight) pairs; duplicate
     indices accumulate weight. An empty input yields an empty cover. Ties
@@ -53,37 +49,28 @@ def infer_nodes(failed, f: int) -> NodeInferenceResult:
             raise DataError(f"non-finite weight for pattern {idx}")
         pool[idx] = pool.get(idx, 0.0) + float(weight)
 
-    initial = _node_scores(pool, f)
-    nodes, scores = [], []
-    node_scores = initial
-    while pool:
+    ends = np.array([divmod(i, f) for i in pool], dtype=np.intp).reshape(-1, 2)
+    weights = np.repeat(list(pool.values()), 2).reshape(-1, 2)
+    keep = np.ones(ends.shape, bool)  # endpoint entries of the remaining patterns
+    keep[:, 1] = ends[:, 0] != ends[:, 1]  # a self-pattern counts once
+
+    # bincount adds the weights in pool order, as a loop over the pool would,
+    # so the sums match that loop bit for bit; on no input it returns ints
+    live = ends[keep]
+    initial = node_scores = np.bincount(live, weights[keep], minlength=f).astype(float)
+    cover, scores = [], []
+    while live.size:
         # Only a channel that touches a remaining pattern clears one, even
         # when weights of zero or below leave an untouched channel on top.
-        touching = sorted({n for i in pool for n in index_pattern(i, f)})
-        best = max(touching, key=lambda n: node_scores[n])  # ties -> lowest index
-        for i in [i for i in pool if best in index_pattern(i, f)]:
-            del pool[i]
-        nodes.append(best)
+        touching = np.flatnonzero(np.bincount(live, minlength=f))
+        best = int(touching[np.argmax(node_scores[touching])])  # ties -> lowest index
+        keep[(ends == best).any(axis=1)] = False
+        cover.append(best)
         scores.append(float(node_scores[best]))
-        node_scores = _node_scores(pool, f)
+        live = ends[keep]
+        node_scores = np.bincount(live, weights[keep], minlength=f)
+
+    rest = [n for n in np.argsort(-initial, kind="stable").tolist() if n not in cover]
     return NodeInferenceResult(
-        tuple(nodes), tuple(scores), tuple(float(s) for s in initial)
-    )
-
-
-def rank_nodes(result: NodeInferenceResult) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Full channel ranking for diagnosis-cost evaluation, from the cover
-    that :func:`infer_nodes` returned.
-
-    Covered channels come first in selection order; the rest follow by
-    initial anomaly score (descending, ties to the lowest index).
-    """
-    initial = result.initial_scores
-    rest = sorted(
-        (n for n in range(len(initial)) if n not in result.nodes),
-        key=lambda n: (-initial[n], n),
-    )
-    return (
-        result.nodes + tuple(rest),
-        result.scores + tuple(initial[n] for n in rest),
+        tuple(cover + rest), tuple(scores + initial[rest].tolist()), len(cover)
     )

@@ -17,7 +17,7 @@ from .association import MlpParams, generate_artificial_anomalies, infer_a3, tra
 from .config import RunConfig, _config_from_values
 from .errors import DataError, UsageError
 from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
-from .nodes import infer_nodes, rank_nodes
+from .nodes import infer_nodes
 from .persist import (
     load_mlp,
     load_rbm,
@@ -199,7 +199,6 @@ def _report(head: dict, failed: list[tuple[int, float, float]]) -> dict:
     names = head["channels"]
     f = len(names)
     inference = infer_nodes([(p, w) for p, w, _ in failed], f)
-    ranking, ranking_scores = rank_nodes(inference)
 
     def nodes(ids, scores):
         return [{"node": int(n), "name": names[n], "score": float(s)} for n, s in zip(ids, scores)]
@@ -211,8 +210,8 @@ def _report(head: dict, failed: list[tuple[int, float, float]]) -> dict:
                 {**_pattern_entry(p, f, w), "window_fraction": fraction}
                 for p, w, fraction in failed
             ],
-            "nodes": nodes(inference.nodes, inference.scores),
-            "ranking": nodes(ranking, ranking_scores),
+            "nodes": nodes(inference.nodes, inference.scores[: inference.n_cover]),
+            "ranking": nodes(inference.ranking, inference.scores),
         },
     }
 

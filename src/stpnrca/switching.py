@@ -108,6 +108,8 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size != params.n_visible:
         raise DataError(f"expected a length-{params.n_visible} vector")
+    if not {0.0, 1.0}.issuperset(v.tolist()):
+        raise DataError("expected a binary vector: every entry 0 or 1")
     w, a = params.weights, params.visible_bias
     act = params.hidden_bias + v @ w
     visible_term = float(v @ a)

@@ -85,7 +85,7 @@ def read_csv(path: str | os.PathLike) -> TimeSeries:
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
             rows = _rows(fh)
             first = next(rows, None)
             if first is None:
@@ -152,7 +152,9 @@ def atomic_open(path: str | os.PathLike, newline: str | None = None):
 
     Yields a temporary file in the same directory; on normal exit it is
     renamed over `path`, and on any failure it is deleted, so readers never
-    see a partial file.
+    see a partial file. The file gets the mode a plain ``open(path, "w")``
+    of a new file would give it, 0o666 less the umask, not the temporary
+    file's owner-only 0o600.
     """
     path = os.fspath(path)
     try:
@@ -162,6 +164,9 @@ def atomic_open(path: str | os.PathLike, newline: str | None = None):
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             yield fh
+        umask = os.umask(0)  # the umask is read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpnrca.errors import DataError
-from stpnrca.nodes import infer_nodes, rank_nodes
+from stpnrca.nodes import infer_nodes
 from stpnrca.stpn import index_pattern, pattern_index
 
 
@@ -22,24 +22,24 @@ class TestInferNodes:
     def test_single_cross_pattern_tie_to_lower_endpoint(self):
         result = infer_nodes(as_failed([(2, 4)], f=5), f=5)
         assert result.nodes == (2,)
-        assert result.scores == (1.0,)
+        assert result.scores[: result.n_cover] == (1.0,)
 
     def test_hub_scores_and_selection(self):
         # failed 1->2, 1->3, 1->1 each weight 1: node 1 scores 3, others 1
         failed = as_failed([(1, 2), (1, 3), (1, 1)], f=4)
         result = infer_nodes(failed, f=4)
         assert result.nodes == (1,)
-        assert result.scores == (3.0,)
+        assert result.scores[: result.n_cover] == (3.0,)
 
     def test_self_pattern_counted_once(self):
         result = infer_nodes(as_failed([(2, 2)], f=3, weight=0.5), f=3)
         assert result.nodes == (2,)
-        assert result.scores == (0.5,)
+        assert result.scores[: result.n_cover] == (0.5,)
 
     def test_duplicate_indices_accumulate(self):
         idx = pattern_index(0, 1, 3)
         result = infer_nodes([(idx, 1.0), (idx, 2.0)], f=3)
-        assert result.scores == (3.0,)
+        assert result.scores[: result.n_cover] == (3.0,)
 
     def test_termination_and_coverage(self):
         rng = np.random.default_rng(0)
@@ -70,7 +70,7 @@ class TestInferNodes:
         # zero or positive; an untouched channel then tops the score
         assert infer_nodes([(pattern_index(2, 2, 3), 0.0)], f=3).nodes == (2,)
         result = infer_nodes([(pattern_index(1, 2, 3), -1.0)], f=3)
-        assert result.nodes == (1,) and result.scores == (-1.0,)
+        assert result.nodes == (1,) and result.scores[: result.n_cover] == (-1.0,)
 
     def test_bad_index(self):
         with pytest.raises(DataError):
@@ -129,22 +129,22 @@ class TestGreedyCoverQuality:
 class TestRankNodes:
     def test_full_ranking_covers_all_channels(self):
         failed = as_failed([(1, 2), (1, 3)], f=5)
-        ranking, scores = rank_nodes(infer_nodes(failed, f=5))
-        assert sorted(ranking) == [0, 1, 2, 3, 4]
-        assert ranking[0] == 1
-        assert len(scores) == 5
+        result = infer_nodes(failed, f=5)
+        assert sorted(result.ranking) == [0, 1, 2, 3, 4]
+        assert result.ranking[0] == 1
+        assert len(result.scores) == 5
 
     def test_uninvolved_nodes_ranked_by_initial_score(self):
         failed = as_failed([(0, 1)], f=4, weight=2.0) + as_failed([(2, 2)], f=4)
-        ranking, _ = rank_nodes(infer_nodes(failed, f=4))
+        ranking = infer_nodes(failed, f=4).ranking
         # node 0 covers 0->1; node 2 covers 2->2; node 1 has initial score 2,
         # node 3 has none
         assert ranking.index(1) < ranking.index(3)
 
     def test_empty_failed_list(self):
-        ranking, scores = rank_nodes(infer_nodes([], f=3))
-        assert sorted(ranking) == [0, 1, 2]
-        assert all(s == 0 for s in scores)
+        result = infer_nodes([], f=3)
+        assert sorted(result.ranking) == [0, 1, 2]
+        assert all(s == 0 for s in result.scores)
 
 
 @st.composite
@@ -160,9 +160,87 @@ def failed_sets(draw):
 def test_cover_and_ranking_are_valid(case):
     f, failed = case
     result = infer_nodes(failed, f)
-    ranking, scores = rank_nodes(result)
+    ranking, scores = result.ranking, result.scores
     for i, _ in failed:
         assert set(index_pattern(i, f)) & set(result.nodes)
     assert ranking[: len(result.nodes)] == result.nodes
     assert sorted(ranking) == list(range(f))
-    assert len(scores) == f and scores[: len(result.nodes)] == result.scores
+    assert len(scores) == f and result.n_cover == len(result.nodes)
+
+
+def loop_reference_cover(failed, f):
+    """The greedy cover and ranking as plain Python loops over the pattern
+    pool: (ranking, scores, cover). Scores are summed in pool order, as
+    :func:`infer_nodes` must sum them."""
+    pool = {}
+    for idx, weight in failed:
+        pool[int(idx)] = pool.get(int(idx), 0.0) + float(weight)
+
+    def node_scores():
+        scores = np.zeros(f)
+        for idx, weight in pool.items():
+            a, b = index_pattern(idx, f)
+            scores[a] += weight
+            if b != a:
+                scores[b] += weight
+        return scores
+
+    initial = [float(s) for s in node_scores()]
+    cover, cover_scores = [], []
+    scores = initial
+    while pool:
+        touching = sorted({n for i in pool for n in index_pattern(i, f)})
+        best = max(touching, key=lambda n: scores[n])
+        for i in [i for i in pool if best in index_pattern(i, f)]:
+            del pool[i]
+        cover.append(best)
+        cover_scores.append(float(scores[best]))
+        scores = node_scores()
+    rest = sorted((n for n in range(f) if n not in cover), key=lambda n: (-initial[n], n))
+    return tuple(cover + rest), tuple(cover_scores + [initial[n] for n in rest]), tuple(cover)
+
+
+def assert_matches_loop_reference(failed, f):
+    result = infer_nodes(failed, f)
+    ranking, scores, cover = loop_reference_cover(failed, f)
+    assert result.ranking == ranking
+    assert result.nodes == cover
+    assert result.scores == scores
+    assert [s.hex() for s in result.scores] == [s.hex() for s in scores]  # bit for bit
+
+
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-10.0, 10.0),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-9, 1e-3),
+)
+
+
+@st.composite
+def pooled_failed_sets(draw):
+    """A channel count up to 8 and failed patterns drawn from a few indices,
+    so duplicates are common."""
+    f = draw(st.integers(1, 8))
+    indices = st.integers(0, f * f - 1)
+    hot = draw(st.lists(indices, min_size=1, max_size=f + 1))
+    index = st.one_of(indices, st.sampled_from(hot))
+    return f, draw(st.lists(st.tuples(index, WEIGHTS), max_size=3 * f * f))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=pooled_failed_sets())
+def test_cover_equals_loop_reference(case):
+    f, failed = case
+    assert_matches_loop_reference(failed, f)
+
+
+def test_cover_equals_loop_reference_at_52_channels():
+    # about as many failed patterns as an f = 52 upset window gives s3
+    rng = np.random.default_rng(52)
+    f = 52
+    indices = rng.choice(f * f, size=1_800, replace=False)
+    weights = rng.lognormal(-6.0, 2.0, size=indices.size)
+    failed = [(int(i), float(w)) for i, w in zip(indices, weights)]
+    failed += [(int(i), 0.0) for i in indices[:20]] + [(int(indices[0]), -1e-4)]
+    assert_matches_loop_reference(failed, f)

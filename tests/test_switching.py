@@ -77,6 +77,14 @@ class TestS3Search:
         with pytest.raises(DataError):
             s3_search(toy_rbm, np.ones(5))
 
+    @pytest.mark.parametrize(
+        "v", [[0.5, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.0, -1.0, 1.0, 0.0],
+              [0.0, 0.0, float("nan"), 1.0]],
+    )
+    def test_non_binary_vector(self, toy_rbm, v):
+        with pytest.raises(DataError, match="binary"):
+            s3_search(toy_rbm, np.array(v))
+
 
 class TestExhaustiveOracle:
     def test_single_bit_checks_both_subsets(self):

@@ -36,6 +36,25 @@ class TestAtomicOpen:
             fh.write("a\r\n")
         assert path.read_bytes() == b"a\r\n"
 
+    @pytest.mark.skipif(os.name != "posix", reason="permission bits are POSIX")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_mode_follows_umask(self, tmp_path, umask, mode, existing):
+        """The file gets a plain open()'s mode for a new file, also when it
+        replaces an existing file of another mode."""
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_text("old")
+            path.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            with atomic_open(path) as fh:
+                fh.write("new")
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+        assert path.read_text() == "new"
+
 
 class TestReadCsv:
     def test_directory_is_data_error(self, tmp_path):
@@ -70,6 +89,20 @@ class TestReadCsv:
         lines = [sep.join(names)] * header + [sep.join(row) for row in cells]
         path = tmp_path / "plant.dat"
         path.write_text("\r\n".join(lines) + "\r\n")
+        ts = read_csv(path)
+        assert list(ts.names) == (names if header else PROCESS_VARIABLES)
+        assert ts.values.tobytes() == np.array(cells, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header, sep):
+        """A UTF-8 byte-order mark is not part of the first name or value."""
+        rng = np.random.default_rng(11)
+        cells = [[f"{x:.6e}" for x in row] for row in rng.normal(size=(3, 52))]
+        names = [f"v{i}" for i in range(52)]
+        lines = [sep.join(names)] * header + [sep.join(row) for row in cells]
+        path = tmp_path / "plant.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode())
         ts = read_csv(path)
         assert list(ts.names) == (names if header else PROCESS_VARIABLES)
         assert ts.values.tobytes() == np.array(cells, dtype=float).tobytes()
