@@ -77,11 +77,13 @@ def generate_artificial_anomalies(
 
     Every nominal vector contributes its unflipped self (labels all ones)
     plus, per flip order k, perturbed copies with k distinct bits flipped
-    and labels zeroed exactly there.
+    and labels zeroed exactly there. Every entry must be 0 or 1.
     """
     nominal = np.asarray(nominal_vectors, dtype=float)
     if nominal.ndim != 2 or nominal.shape[0] == 0:
         raise DataError("need a nonempty (n, L) matrix of nominal vectors")
+    if not ((nominal == 0.0) | (nominal == 1.0)).all():
+        raise DataError("expected binary nominal vectors: every entry 0 or 1")
     L = nominal.shape[1]
     orders = sorted(set(int(k) for k in flip_orders))
     if any(k < 1 or k > L for k in orders):
@@ -115,19 +117,29 @@ def init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
 
 
 def _forward(weights, biases, x, dropout=0.0, rng=None):
-    """Hidden activations and output logits; inverted dropout when training."""
+    """Hidden activations and output logits; inverted dropout when training.
+
+    Each layer is computed in place in its GEMM output. A dropout mask is
+    kept as a boolean keep mask: an activation is multiplied by its keep bit
+    and then by 1 / (1 - dropout), which gives the same float, signed zeros
+    included, as one multiply by 0 or by the keep scale.
+    """
     h = x
     hiddens, masks = [], []
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         if dropout > 0.0 and rng is not None:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-            h = h * mask
-            masks.append(mask)
+            keep = rng.random(h.shape) >= dropout
+            h *= keep
+            h *= 1.0 / (1.0 - dropout)
+            masks.append(keep)
         else:
             masks.append(None)
         hiddens.append(h)
-    logits = h @ weights[-1] + biases[-1]
+    logits = h @ weights[-1]
+    logits += biases[-1]
     return hiddens, masks, logits
 
 
@@ -147,9 +159,14 @@ def a3_loss(params: MlpParams, inputs, labels) -> float:
 
 
 def _gradients(weights, biases, x, y, dropout=0.0, rng=None):
-    """Analytic gradients of the batch loss, per layer (weights, biases)."""
+    """Analytic gradients of the batch loss, per layer (weights, biases).
+
+    The output error and each back-propagated delta are updated in place.
+    """
     hiddens, masks, logits = _forward(weights, biases, x, dropout, rng)
-    delta = (_sigmoid(logits) - y) / x.shape[0]
+    delta = _sigmoid(logits)
+    delta -= y
+    delta /= x.shape[0]
     grads_w, grads_b = [None] * len(weights), [None] * len(weights)
     acts = [x, *hiddens]
     for layer in range(len(weights) - 1, -1, -1):
@@ -158,8 +175,9 @@ def _gradients(weights, biases, x, y, dropout=0.0, rng=None):
         if layer > 0:
             delta = delta @ weights[layer].T
             if masks[layer - 1] is not None:
-                delta = delta * masks[layer - 1]
-            delta = delta * (hiddens[layer - 1] > 0.0)
+                delta *= masks[layer - 1]
+                delta *= 1.0 / (1.0 - dropout)
+            delta *= hiddens[layer - 1] > 0.0
     return grads_w, grads_b
 
 
@@ -170,6 +188,15 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     validation halves; training stops when validation loss has not improved
     for `patience` epochs and the best-validation-epoch parameters are
     returned, not the last ones.
+
+    Validation runs forward over the distinct validation inputs only, found
+    once by their bytes, and gathers the logits back to every validation
+    row, so the loss sums the same cells in the same order as a full pass.
+    A GEMM over fewer rows may still round a logit differently when BLAS
+    picks another kernel for the smaller row count (numpy takes gemv for
+    one row); the 1e-12 margin of the stopping rule absorbs such last-bit
+    differences. Each step updates the momentum buffers and parameters in
+    place, with the same arithmetic as fresh arrays.
     """
     if data.n_examples < 2:
         raise DataError("need at least 2 examples to split train/validation")
@@ -185,8 +212,14 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
 
+    # rows share a logit only when their bytes are equal
+    _, first, inverse = np.unique(
+        va_x.view(np.uint64), axis=0, return_index=True, return_inverse=True
+    )
+    va_distinct, inverse = va_x[first], inverse.reshape(-1)
+
     def val_loss():
-        return _loss(_forward(weights, biases, va_x)[2], va_y)
+        return _loss(_forward(weights, biases, va_distinct)[2][inverse], va_y)
 
     best = val_loss()
     best_w = [w.copy() for w in weights]
@@ -200,11 +233,11 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
             gw, gb = _gradients(
                 weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
             )
-            for layer in range(len(weights)):
-                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
-                weights[layer] += vel_w[layer]
-                biases[layer] += vel_b[layer]
+            for vel, g, p in zip(vel_w + vel_b, gw + gb, weights + biases):
+                vel *= momentum
+                g *= lr
+                vel -= g
+                p += vel
         current = val_loss()
         if current < best - 1e-12:
             best = current

@@ -90,6 +90,16 @@ class S3Result:
         return self.trace[-1]
 
 
+def _binary_vector(params: RbmParams, v) -> np.ndarray:
+    """`v` as a float vector of the machine's length, every entry 0 or 1."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size != params.n_visible:
+        raise DataError(f"expected a length-{params.n_visible} vector")
+    if not {0.0, 1.0}.issuperset(v.tolist()):
+        raise DataError("expected a binary vector: every entry 0 or 1")
+    return v
+
+
 def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     """Greedy minimization of free energy by single-bit flips.
 
@@ -105,11 +115,7 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     other candidate is strictly worse than the best, so the selections,
     trace and weights equal those of a sweep over every candidate.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size != params.n_visible:
-        raise DataError(f"expected a length-{params.n_visible} vector")
-    if not {0.0, 1.0}.issuperset(v.tolist()):
-        raise DataError("expected a binary vector: every entry 0 or 1")
+    v = _binary_vector(params, v)
     w, a = params.weights, params.visible_bias
     act = params.hidden_bias + v @ w
     visible_term = float(v @ a)
@@ -183,9 +189,10 @@ def exhaustive_switch_oracle(
 
     Ties break toward the smaller subset, then lexicographically. Only
     usable for vectors of at most ORACLE_MAX_BITS bits; serves as the
-    ground truth the greedy search is measured against.
+    ground truth the greedy search is measured against. Rejects what
+    `s3_search` rejects: a vector of the wrong length or not binary.
     """
-    v = np.asarray(v, dtype=float)
+    v = _binary_vector(params, v)
     n = v.size
     if n > ORACLE_MAX_BITS:
         raise DataError(f"{n} bits exceeds the oracle's {ORACLE_MAX_BITS}-bit limit")

@@ -1,10 +1,17 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stpnrca import association
 from stpnrca.association import (
     A3Dataset,
     MlpParams,
     _gradients,
+    _loss,
     a3_loss,
     generate_artificial_anomalies,
     infer_a3,
@@ -13,6 +20,7 @@ from stpnrca.association import (
 )
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
+from stpnrca.rbm import _sigmoid
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +62,13 @@ class TestGeneration:
     def test_order_too_large(self):
         with pytest.raises(DataError):
             generate_artificial_anomalies(np.ones((2, 4)), flip_orders=(5,))
+
+    @pytest.mark.parametrize(
+        "nominal", [[[0.5, 2.0, -1.0, 0.0]], [[1.0, 0.0], [1.0, float("nan")]]]
+    )
+    def test_non_binary_nominal_vectors(self, nominal):
+        with pytest.raises(DataError, match="binary"):
+            generate_artificial_anomalies(np.array(nominal), flip_orders=(1,))
 
     def test_default_orders_cover_one_to_four(self):
         import inspect
@@ -211,3 +226,162 @@ class TestInference:
         params, _ = trained
         with pytest.raises(DataError):
             infer_a3(params, np.ones(5))
+
+
+# Plain reference for train_a3: validation over every row, float dropout
+# masks and fresh arrays in each step. train_a3 must return the same bits.
+
+
+def _reference_forward(weights, biases, x, dropout=0.0, rng=None):
+    """Hidden activations and output logits; inverted dropout when training."""
+    h = x
+    hiddens, masks = [], []
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ w + b, 0.0)
+        if dropout > 0.0 and rng is not None:
+            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+            h = h * mask
+            masks.append(mask)
+        else:
+            masks.append(None)
+        hiddens.append(h)
+    logits = h @ weights[-1] + biases[-1]
+    return hiddens, masks, logits
+
+
+def _reference_gradients(weights, biases, x, y, dropout=0.0, rng=None):
+    """Analytic gradients of the batch loss, per layer (weights, biases)."""
+    hiddens, masks, logits = _reference_forward(weights, biases, x, dropout, rng)
+    delta = (_sigmoid(logits) - y) / x.shape[0]
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    acts = [x, *hiddens]
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ weights[layer].T
+            if masks[layer - 1] is not None:
+                delta = delta * masks[layer - 1]
+            delta = delta * (hiddens[layer - 1] > 0.0)
+    return grads_w, grads_b
+
+
+def loop_reference_train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
+    """Train with mini-batch gradient descent plus momentum and early stopping.
+
+    The dataset is shuffled (by seed) and split into equal training and
+    validation halves; training stops when validation loss has not improved
+    for `patience` epochs and the best-validation-epoch parameters are
+    returned, not the last ones.
+    """
+    if data.n_examples < 2:
+        raise DataError("need at least 2 examples to split train/validation")
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(data.n_examples)
+    half = data.n_examples // 2
+    tr_x, tr_y = data.inputs[order[:half]], data.labels[order[:half]]
+    va_x, va_y = data.inputs[order[half:]], data.labels[order[half:]]
+
+    init = init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+
+    def val_loss():
+        return _loss(_reference_forward(weights, biases, va_x)[2], va_y)
+
+    best = val_loss()
+    best_w = [w.copy() for w in weights]
+    best_b = [b.copy() for b in biases]
+    stale = 0
+    momentum, lr = config.a3_momentum, config.a3_learning_rate
+    for _ in range(config.a3_epochs):
+        idx = rng.permutation(tr_x.shape[0])
+        for lo in range(0, tr_x.shape[0], config.a3_batch_size):
+            batch = idx[lo : lo + config.a3_batch_size]
+            gw, gb = _reference_gradients(
+                weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
+            )
+            for layer in range(len(weights)):
+                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
+                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
+                weights[layer] += vel_w[layer]
+                biases[layer] += vel_b[layer]
+        current = val_loss()
+        if current < best - 1e-12:
+            best = current
+            best_w = [w.copy() for w in weights]
+            best_b = [b.copy() for b in biases]
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.a3_patience:
+                break
+    return MlpParams(tuple(best_w), tuple(best_b), dropout=config.a3_dropout)
+
+
+# near-equal inputs: 0 and -0.0 compare equal, 0.5 and its float neighbour
+# differ in the last bit, 0.004 rounds to 0 at two decimals
+INPUT_VALUES = [0.0, 1.0, -0.0, 0.5, float(np.nextafter(0.5, 1.0)), 0.004, 3.0]
+
+
+@st.composite
+def a3_training_cases(draw):
+    """A small dataset of heavily repeated rows and a config that stops early."""
+    n = draw(st.integers(2, 40))
+    width = draw(st.integers(1, 5))
+    n_distinct = draw(st.integers(1, min(n, 5)))
+    row = st.lists(st.sampled_from(INPUT_VALUES), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=n_distinct, max_size=n_distinct))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))
+    labels = draw(
+        st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=width, max_size=width),
+                 min_size=n, max_size=n)
+    )
+    half = n // 2
+    config = RunConfig(
+        a3_hidden=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
+        a3_dropout=draw(st.sampled_from([0.0, 0.3, 0.5, 0.77])),
+        a3_learning_rate=draw(st.sampled_from([0.05, 0.5, 3.0])),
+        a3_momentum=draw(st.sampled_from([0.0, 0.9])),
+        # batch sizes that leave a short last batch come first
+        a3_batch_size=draw(st.sampled_from([3, 7, 1, half + 1, max(half, 1)])),
+        a3_epochs=draw(st.integers(0, 8)),
+        a3_patience=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return A3Dataset(np.array(pool)[picks], np.array(labels)), config
+
+
+def _recording(log, loss=_loss):
+    """`_loss` that also keeps a copy of the logits it is given."""
+
+    def record(logits, y):
+        log.append(logits.copy())
+        return loss(logits, y)
+
+    return record
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=a3_training_cases())
+def test_train_a3_equals_loop_reference(case):
+    data, config = case
+    # every validation pass must score the same logits, not only reach the
+    # same early-stopping decisions. A GEMM over the distinct rows may take
+    # another BLAS kernel than one over all rows (numpy's gemv for a single
+    # row), so logits agree to rounding; wrongly merged rows differ by more.
+    seen, expected = [], []
+    with mock.patch.object(association, "_loss", _recording(seen)):
+        params = train_a3(data, config)
+    with mock.patch.object(sys.modules[__name__], "_loss", _recording(expected)):
+        reference = loop_reference_train_a3(data, config)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        scale = 1.0 + np.max(np.abs(want), where=np.isfinite(want), initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    assert params.dropout == reference.dropout
+    for got, want in zip(params.weights + params.biases, reference.weights + reference.biases):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

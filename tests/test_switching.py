@@ -112,6 +112,11 @@ class TestExhaustiveOracle:
         with pytest.raises(DataError):
             exhaustive_switch_oracle(params, np.zeros(20))
 
+    @pytest.mark.parametrize("v", [[0.5, 2.0, -1.0, 0.0], [0.0, 0.0, float("nan"), 1.0]])
+    def test_non_binary_vector(self, toy_rbm, v):
+        with pytest.raises(DataError, match="binary"):
+            exhaustive_switch_oracle(toy_rbm, np.array(v))
+
     def test_tie_breaks_to_smaller_then_lexicographic(self):
         # symmetric zero-parameter machine: all subsets tie, empty set wins
         params = RbmParams(np.zeros(3), np.zeros(2), np.zeros((3, 2)))

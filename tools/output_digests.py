@@ -6,13 +6,14 @@ Imports ``stpnrca`` from SRC (default: this repository's ``src``) and runs,
 through ``stpnrca.cli.main`` in a temporary directory: ``simulate`` (the
 builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
-forced, var) and ``evaluate --out``; then ``simulate --nodes 12``, ``train``
-and a forced s3 ``rca`` on that 12-channel series, whose searches are long
-(82–97 flips each). Prints one line per command, with its
-exit code and the sha256 of its stdout, then one line per written file,
-with its sha256 and its path relative to the temporary directory. Run it
-once per source tree: two trees that print the same lines wrote the same
-bytes. Exits 1 when a command exits non-zero.
+forced, var), two more ``train --a3`` runs (two hidden layers at dropout 0.3,
+and dropout 0), each followed by a forced a3 ``rca``, and ``evaluate --out``;
+then ``simulate --nodes 12``, ``train`` and a forced s3 ``rca`` on that
+12-channel series, whose searches are long (82–97 flips each). Prints one
+line per command, with its exit code and the sha256 of its stdout, then one
+line per written file, with its sha256 and its path relative to the
+temporary directory. Run it once per source tree: two trees that print the
+same lines wrote the same bytes. Exits 1 when a command exits non-zero.
 """
 
 from __future__ import annotations
@@ -31,17 +32,27 @@ SMALL = [
     "--set", "a3_hidden=16", "--set", "a3_epochs=5", "--set", "a3_samples_per_order=2",
     "--set", "detector_kappa=0",  # so the gated rca run analyses a window of fault.csv
 ]
+NOMINAL = [f"data/nominal_mode{i}.csv" for i in range(1, 7)]
 FLOW = [
     ["simulate", "--out", "data", "--modes", "builtin", "--cases", "2",
      "--fault", "node-delay:1:5", "--samples", "4000"],
-    ["train", "--nominal", *(f"data/nominal_mode{i}.csv" for i in range(1, 7)),
-     "--out", "model", "--a3", *SMALL],
+    ["train", "--nominal", *NOMINAL, "--out", "model", "--a3", *SMALL],
     ["detect", "--model", "model", "--data", "data/case01.csv"],
     ["rca", "--model", "model", "--data", "data/case01.csv", "--force",
      "--out", "case01.s3.json"],
     ["rca", "--model", "model", "--data", "data/fault.csv", "--out", "fault.s3.json"],
     ["rca", "--model", "model", "--data", "data/case02.csv", "--method", "a3", "--force",
      "--out", "case02.a3.json"],
+    # the model above has one hidden layer at dropout 0.5, whose keep scale is
+    # exactly 2; these cover two layers at keep scale 1/0.7, and no dropout
+    ["train", "--nominal", *NOMINAL, "--out", "model_deep", "--a3", *SMALL,
+     "--set", "a3_hidden=16,16", "--set", "a3_dropout=0.3"],
+    ["rca", "--model", "model_deep", "--data", "data/case02.csv", "--method", "a3", "--force",
+     "--out", "case02.a3_deep.json"],
+    ["train", "--nominal", *NOMINAL, "--out", "model_nodrop", "--a3", *SMALL,
+     "--set", "a3_dropout=0"],
+    ["rca", "--model", "model_nodrop", "--data", "data/case02.csv", "--method", "a3",
+     "--force", "--out", "case02.a3_nodrop.json"],
     ["rca", "--data", "data/fault.csv", "--method", "var", "--nominal",
      "data/fault_nominal.csv", "--out", "fault.var.json"],
     ["evaluate",
