@@ -43,10 +43,8 @@ class RbmParams:
         a = np.asarray(self.visible_bias, dtype=float)
         b = np.asarray(self.hidden_bias, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (a.size, b.size):
-            raise DataError(
-                f"weights {w.shape} inconsistent with biases ({a.size}, {b.size})"
-            )
+        if a.ndim != 1 or b.ndim != 1 or w.shape != (a.size, b.size):
+            raise DataError(f"weights {w.shape} inconsistent with biases {a.shape} and {b.shape}")
         for arr in (a, b, w):
             if not np.all(np.isfinite(arr)):
                 raise DataError("parameters must be finite")
@@ -64,12 +62,8 @@ class RbmParams:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams:

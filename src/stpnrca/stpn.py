@@ -45,6 +45,8 @@ class StpnModel:
         if min(self.depth, self.lag) < 1 or self.window_length < self.depth + self.lag:
             raise DataError("need depth, lag >= 1 and window_length >= depth + lag")
         f = len(self.names)
+        if self.partition.n_channels != f:
+            raise DataError(f"partition has {self.partition.n_channels} channels, names {f}")
         counts = np.asarray(self.counts)
         if not np.issubdtype(counts.dtype, np.integer):
             raise DataError(f"count grid must hold integers, not {counts.dtype}")

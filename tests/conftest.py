@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,17 @@ def toy_fault_ts(toy_fault_case):
 @pytest.fixture(scope="session")
 def toy_fresh_nominal(toy_graph, toy_config):
     return simulate_var(toy_graph, 6 * toy_config.window_length, seed=2)
+
+
+@pytest.fixture(scope="session")
+def rewrite_header():
+    """edit(path, change): apply `change` to the JSON header line of a model
+    file, in place, and keep the .npy array records after it."""
+
+    def edit(path, change):
+        header, _, arrays = path.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        change(doc)
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + arrays)
+
+    return edit

@@ -266,15 +266,22 @@ class TestDetect:
         "key, value", [("window_length", -40), ("window_length", 1), ("lag", 0)]
     )
     def test_meaningless_model_structure_is_data_error(
-        self, workdir, tmp_path, key, value, capsys
+        self, workdir, tmp_path, key, value, capsys, rewrite_header
     ):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
-        doc = json.loads((bundle / "stpn.json").read_text())
-        doc["payload"][key] = value
-        (bundle / "stpn.json").write_text(json.dumps(doc))
+        rewrite_header(bundle / "stpn.json", lambda doc: doc["payload"].update({key: value}))
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         assert "depth + lag" in capsys.readouterr().err
+
+    def test_truncated_model_file_is_data_error(self, workdir, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        data = (bundle / "rbm.json").read_bytes()
+        (bundle / "rbm.json").write_bytes(data[: len(data) // 2])
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert str(bundle / "rbm.json") in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -1,6 +1,10 @@
+import dataclasses
 import json
+import re
+import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,13 +34,129 @@ def make_rbm():
     return RbmParams(rng.normal(size=4), rng.normal(size=2), rng.normal(size=(4, 2)))
 
 
+def unchecked(model, **changes):
+    """A stand-in for `model` with `changes` that skips the model's own
+    checks, so a saver writes a file whose parts disagree."""
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    return SimpleNamespace(**{**fields, **changes})
+
+
+def write_rbm_file(path, **records):
+    """A version-2 rbm container of make_rbm()'s arrays, with `records` in
+    place of some: arrays, written as np.save writes them (object arrays
+    too), or raw bytes."""
+    params = make_rbm()
+    arrays = {"visible_bias": params.visible_bias, "hidden_bias": params.hidden_bias,
+              "weights": params.weights, **records}
+    header = {"format": persist.FORMAT_TAG, "version": persist.FORMAT_VERSION, "kind": "rbm",
+              "payload": {"energy_threshold": -1.5}, "arrays": list(arrays)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for a in arrays.values():
+            fh.write(a) if isinstance(a, bytes) else np.save(fh, a, allow_pickle=True)
+
+
+def npy_header(text: str) -> bytes:
+    """A version-1.0 .npy magic and header holding `text`, with no data."""
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text.encode("latin1")
+
+
+def float64_header(shape) -> bytes:
+    return npy_header(f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}}}")
+
+
+def saved(path) -> bytes:
+    """The bytes of make_rbm() saved at `path`."""
+    save_rbm(make_rbm(), path, -1.5)
+    return path.read_bytes()
+
+
+DAMAGED = {
+    "truncated in the last array": lambda path: path.write_bytes(saved(path)[:-3]),
+    "truncated in the first .npy header": lambda path: path.write_bytes(
+        saved(path)[: saved(path).index(b"\n") + 20]),
+    "header only": lambda path: path.write_bytes(saved(path).partition(b"\n")[0] + b"\n"),
+    "one trailing byte": lambda path: path.write_bytes(saved(path) + b"\0"),
+    "object array": lambda path: write_rbm_file(
+        path, visible_bias=np.array([1.0, "x", None, 2.0], dtype=object)),
+    "complex array": lambda path: write_rbm_file(
+        path, visible_bias=make_rbm().visible_bias + 0j),
+    "int32 array": lambda path: write_rbm_file(path, weights=np.ones((4, 2), np.int32)),
+    "Fortran-order array": lambda path: write_rbm_file(
+        path, weights=np.asfortranarray(make_rbm().weights)),
+    "declared shape (10**15,)": lambda path: write_rbm_file(
+        path, hidden_bias=float64_header((10**15,)) + bytes(16)),
+    "declared shape (-1,)": lambda path: write_rbm_file(
+        path, hidden_bias=float64_header((-1,)) + bytes(16)),
+    # numpy's header parser raises TypeError on the first, TokenError on the second
+    "unhashable key in the .npy header": lambda path: write_rbm_file(
+        path, hidden_bias=npy_header("{[]: 1}") + bytes(16)),
+    "unclosed bracket in the .npy header": lambda path: write_rbm_file(
+        path, hidden_bias=npy_header("{'descr': '<f8', (") + bytes(16)),
+    "not a .npy record": lambda path: write_rbm_file(path, hidden_bias=b"\x93NUMPZ" + bytes(90)),
+    "version-1 file": lambda path: path.write_text(json.dumps({
+        "format": persist.FORMAT_TAG, "version": 1, "kind": "rbm",
+        "payload": {"energy_threshold": -1.5, "visible_bias": [0.0], "hidden_bias": [0.0],
+                    "weights": [[0.0]]},
+    }, sort_keys=True, separators=(",", ":"))),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGED))
+def test_damaged_file_is_data_error_naming_it(tmp_path, damage):
+    path = tmp_path / "rbm.json"
+    DAMAGED[damage](path)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_rbm(path)
+
+
+def test_version_1_file_asks_for_version_2(tmp_path):
+    path = tmp_path / "rbm.json"
+    DAMAGED["version-1 file"](path)
+    with pytest.raises(DataError, match="container version 1, this toolkit reads version 2"):
+        load_rbm(path)
+
+
+def small_stpn(**changes):
+    model = StpnModel(
+        names=("a", "b"), partition=PartitionScheme((np.zeros(1), np.zeros(1)), 2),
+        depth=1, lag=1, window_length=10, counts=np.zeros((2, 2, 2, 2), np.int64),
+        thresholds=np.zeros((2, 2)),
+    )
+    return unchecked(model, **changes)
+
+
+@pytest.mark.parametrize("save, load, model, message", [
+    (lambda m, path: save_rbm(m, path, -1.5), load_rbm,
+     unchecked(make_rbm(), visible_bias=np.zeros(3), hidden_bias=np.zeros(2),
+               weights=np.zeros((2, 3))),
+     "weights (2, 3) inconsistent with biases (3,) and (2,)"),
+    (save_mlp, load_mlp,
+     unchecked(init_mlp(2, 2, RunConfig(a3_hidden=())), weights=(np.zeros((2, 2)),),
+               biases=(np.zeros(3),)),
+     "layer 0: weights (2, 2) and biases (3,) do not chain"),
+    (save_stpn, load_stpn, small_stpn(counts=np.zeros((1, 1, 2, 2), np.int64)),
+     "count grid shape (1, 1, 2, 2) != (2, 2, 2, 2)"),
+    (lambda m, path: save_rbm(m, path, -1.5), load_rbm,
+     unchecked(make_rbm(), visible_bias=make_rbm().visible_bias.reshape(4, 1)),
+     "weights (4, 2) inconsistent with biases (4, 1) and (2,)"),
+    (save_stpn, load_stpn,
+     small_stpn(partition=PartitionScheme((np.zeros(1),) * 3, 2)),
+     "partition has 3 channels, names 2"),
+], ids=["rbm", "mlp", "stpn", "rbm two-dimensional bias", "stpn partition of other width"])
+def test_model_whose_parts_disagree_names_the_file(tmp_path, save, load, model, message):
+    path = tmp_path / "model.json"
+    save(model, path)
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 class TestContainerChecks:
-    def test_version_mismatch_fails_loudly(self, tmp_path):
+    def test_version_mismatch_fails_loudly(self, tmp_path, rewrite_header):
         path = tmp_path / "m.json"
         save_rbm(make_rbm(), path, -1.5)
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        rewrite_header(path, lambda doc: doc.update(version=99))
         with pytest.raises(DataError, match="version"):
             load_rbm(path)
 
@@ -71,26 +191,31 @@ class TestContainerChecks:
     @pytest.mark.parametrize(
         "payload",
         [
-            {}, [], {"visible_bias": [1.0, [2.0]]},
+            {}, [],
+            # arrays are not in the payload; this damages the header's array
+            # list instead: the first record named twice, the second not at all
+            {"arrays": ["visible_bias", "visible_bias", "weights"]},
             {"energy_threshold": None}, {"energy_threshold": float("nan")},
         ],
     )
-    def test_malformed_payload(self, tmp_path, payload):
+    def test_malformed_payload(self, tmp_path, rewrite_header, payload):
         path = tmp_path / "m.json"
         save_rbm(make_rbm(), path, -1.5)
-        doc = json.loads(path.read_text())
-        doc["payload"] = {**doc["payload"], **payload} if payload else payload
-        path.write_text(json.dumps(doc))
+
+        def damage(doc):
+            if "arrays" in payload:
+                doc.update(payload)
+            else:
+                doc["payload"] = payload
+
+        rewrite_header(path, damage)
         with pytest.raises(DataError, match="malformed rbm payload"):
             load_rbm(path)
 
-
-    def test_rbm_without_threshold_rejected(self, tmp_path):
+    def test_rbm_without_threshold_rejected(self, tmp_path, rewrite_header):
         path = tmp_path / "m.json"
         save_rbm(make_rbm(), path, -1.5)
-        doc = json.loads(path.read_text())
-        del doc["payload"]["energy_threshold"]
-        path.write_text(json.dumps(doc))
+        rewrite_header(path, lambda doc: doc["payload"].pop("energy_threshold"))
         with pytest.raises(DataError, match="energy_threshold"):
             load_rbm(path)
 
@@ -98,10 +223,9 @@ class TestContainerChecks:
 class TestMlpShapes:
     def test_layers_that_do_not_chain_rejected(self, tmp_path):
         path = tmp_path / "mlp.json"
-        save_mlp(init_mlp(6, 6, RunConfig(a3_hidden=(5,))), path)
-        doc = json.loads(path.read_text())
-        doc["payload"]["biases"][0].append(0.0)
-        path.write_text(json.dumps(doc))
+        params = init_mlp(6, 6, RunConfig(a3_hidden=(5,)))
+        biases = (np.append(params.biases[0], 0.0), *params.biases[1:])
+        save_mlp(unchecked(params, biases=biases), path)
         with pytest.raises(DataError, match="chain"):
             load_mlp(path)
 
@@ -223,34 +347,3 @@ def test_mlp_file_round_trips_exactly(params):
     assert all(same(a, b) for a, b in zip(loaded.weights, params.weights))
     assert all(same(a, b) for a, b in zip(loaded.biases, params.biases))
     assert loaded.dropout == params.dropout
-
-
-def as_lists(value):
-    if isinstance(value, dict):
-        return {k: as_lists(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [as_lists(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
-BLOCK = persist._BLOCK_ELEMENTS
-
-
-@pytest.mark.parametrize("payload", [
-    {"below": np.linspace(-1.0, 1.0, BLOCK), "at": np.arange(BLOCK, dtype=float) / 7.0},
-    {"above": np.random.default_rng(0).normal(size=BLOCK + 1)},
-    # 1,000 rows of 67: blocks of 489 rows, the last one short
-    {"rows": np.random.default_rng(1).normal(size=(1000, 67)) * 1e-300},
-    # a 4-D integer count grid, 52 x 52 x 5 x 5 as at f = 52
-    {"counts": np.random.default_rng(2).integers(0, 10**12, size=(52, 52, 5, 5))},
-    {"one row": np.ones((1, BLOCK + 3)), "one column": np.full((BLOCK + 5, 1), -0.0)},
-    {"empty": np.zeros(0), "no rows": np.zeros((0, 4)), "no columns": np.zeros((3, 0)),
-     "layers": (np.zeros((2, 0)), [np.arange(3)]), "scalar": 2.5, "name": "é"},
-])
-def test_dump_writes_json_dumps_bytes(tmp_path, payload):
-    # blocks of rows, joined with commas, give the bytes of one json.dumps
-    path = tmp_path / "m.json"
-    persist._dump("kind", payload, str(path))
-    doc = {"format": persist.FORMAT_TAG, "version": persist.FORMAT_VERSION,
-           "kind": "kind", "payload": as_lists(payload)}
-    assert path.read_bytes() == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

@@ -6,7 +6,7 @@ import pytest
 from stpnrca.errors import DataError
 from stpnrca.persist import load_rbm, save_rbm
 from stpnrca.config import RunConfig
-from stpnrca.rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
+from stpnrca.rbm import RbmParams, _sigmoid, calibrate_threshold, free_energy, train_rbm
 from stpnrca.switching import s3_search
 
 
@@ -99,6 +99,35 @@ class TestSoftplusKernel:
         assert np.array_equal(batch, kept_batch) and np.array_equal(v, kept_v)
         for x, y in zip(arrays, before):
             assert np.array_equal(x, y)
+
+
+def masked_sigmoid(x):
+    """The logistic function split by sign with boolean masks: the reference."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 800.0, -800.0,
+               709.8, -745.2, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("shape", [(10, 2704), (128, 25), (128, 256), (32, 64), (7,), (64,)])
+    def test_bits_equal_masked_form(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(0.0, 30.0, size=shape)
+        x.flat[: len(self.SPECIAL)] = self.SPECIAL[: x.size]
+        with np.errstate(over="raise", invalid="raise"):  # tiny values may underflow to 0
+            got = _sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), masked_sigmoid(x).view(np.uint64))
+
+    def test_nan_maps_to_nan(self):
+        x = np.array([np.nan, 0.0, -np.nan])
+        got, want = _sigmoid(x), masked_sigmoid(x)
+        assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got[[0, 2]]).all()
+        assert got[1] == want[1] == 0.5
 
 
 class TestTraining:

@@ -1,4 +1,4 @@
-import json
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -267,9 +267,8 @@ class TestPersistence:
     def test_fractional_count_in_file_rejected(self, small_model, tmp_path):
         model, _ = small_model
         path = tmp_path / "stpn.json"
-        save_stpn(model, path)
-        doc = json.loads(path.read_text())
-        doc["payload"]["counts"][0][0][0][0] += 0.5
-        path.write_text(json.dumps(doc))
+        fractional = copy.copy(model)  # past StpnModel's own integer check
+        object.__setattr__(fractional, "counts", model.counts + 0.5)
+        save_stpn(fractional, path)
         with pytest.raises(DataError, match="integers"):
             load_stpn(path)

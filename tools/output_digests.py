@@ -12,8 +12,13 @@ then ``simulate --nodes 12``, ``train`` and a forced s3 ``rca`` on that
 12-channel series, whose searches are long (82–97 flips each). Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
 line per written file, with its sha256 and its path relative to the
-temporary directory. Run it once per source tree: two trees that print the
-same lines wrote the same bytes. Exits 1 when a command exits non-zero.
+temporary directory. Then it loads each model bundle the flow wrote and
+prints one line per model array (and energy threshold), with the sha256 of
+its dtype, shape and bytes and a ``<bundle>/<file>:<array>`` name. Run it
+once per source tree: two trees that print the same lines wrote the same
+bytes; two that differ only in model-file lines but print the same array
+lines stored the same models in different file formats. Exits 1 when a
+command exits non-zero.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SMALL = [
     "--set", "window_length=200", "--set", "rbm_hidden=16", "--set", "rbm_epochs=20",
@@ -74,6 +81,26 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _array_digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    return _sha256(f"{a.dtype.str} {a.shape} ".encode() + a.tobytes())
+
+
+def _model_arrays(bundle):
+    """(model kind, array name, array) for every array of a loaded bundle."""
+    stpn, rbm = bundle.stpn, bundle.rbm
+    yield "stpn", "edges", np.array(stpn.partition.edges, dtype=float)
+    yield "stpn", "counts", stpn.counts
+    yield "stpn", "thresholds", stpn.thresholds
+    yield "rbm", "visible_bias", rbm.visible_bias
+    yield "rbm", "hidden_bias", rbm.hidden_bias
+    yield "rbm", "weights", rbm.weights
+    yield "rbm", "energy_threshold", np.float64(bundle.energy_threshold)
+    for i, (w, b) in enumerate(zip(bundle.mlp.weights, bundle.mlp.biases) if bundle.mlp else ()):
+        yield "mlp", f"w{i}", w
+        yield "mlp", f"b{i}", b
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
@@ -81,6 +108,7 @@ def main(argv=None) -> int:
     src = parser.parse_args(argv).src.resolve()
     sys.path.insert(0, str(src))
     from stpnrca.cli import main as cli_main
+    from stpnrca.pipeline import BUNDLE_FILES, load_bundle
 
     failed = False
     cwd = os.getcwd()
@@ -96,6 +124,11 @@ def main(argv=None) -> int:
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file():
                     print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
+            for run_json in sorted(Path(".").rglob(BUNDLE_FILES["run"])):
+                bundle = load_bundle(run_json.parent)
+                for kind, name, a in _model_arrays(bundle):
+                    where = f"{run_json.parent.as_posix()}/{BUNDLE_FILES[kind]}:{name}"
+                    print(f"{_array_digest(a)}  {where}")
         finally:
             os.chdir(cwd)
     return 1 if failed else 0
