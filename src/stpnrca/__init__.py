@@ -21,14 +21,12 @@ from .metrics import (
     false_alarm_pattern_fraction,
 )
 from .nodes import NodeInferenceResult, infer_nodes
+from .persist import TrainedBundle, load_bundle, save_bundle
 from .pipeline import (
-    TrainedBundle,
     evaluate_case,
-    load_bundle,
     run_detect,
     run_rca,
     run_var_rca,
-    save_bundle,
     train_bundle,
 )
 from .rbm import RbmParams, calibrate_threshold, free_energy, train_rbm

@@ -5,10 +5,11 @@ Subcommands: simulate, train, detect, rca, evaluate, bench. Exit codes:
 failure; a library warning prints as one "warning: <message>" line on
 stderr. Only train, simulate and rca --method var read --config, --set and
 the STPNRCA_CONFIG default config file (explicit flags win); detect and rca
---method s3/a3 use the config fixed in the bundle's run.json, stride
-included. All outputs are written atomically (temp file + rename), so
-failures leave no partial files. bench runs one verification suite by
-name; `bench --help` lists them, and only the tep suite takes --data.
+--method s3/a3 use the config stored in the bundle file, stride included.
+All outputs are written atomically (temp file + rename), so failures leave
+no partial files, and each output path is checked before any input is
+read. bench runs one verification suite by name; `bench --help` lists
+them, and only the tep suite takes --data.
 
 Every series file is read by one reader that works out its layout: fields
 split on commas or whitespace, after a header row of channel names unless
@@ -34,13 +35,12 @@ import numpy as np
 from . import bench as bench_mod
 from .config import RunConfig
 from .errors import DataError, NumericalError, StpnRcaError, UsageError
+from .persist import load_bundle, save_bundle
 from .pipeline import (
     evaluate_case,
-    load_bundle,
     run_detect,
     run_rca,
     run_var_rca,
-    save_bundle,
     train_bundle,
 )
 from .synth import (
@@ -73,10 +73,17 @@ def _read_json(path: str):
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _check_out_dir(path: str | None) -> None:
-    """Fail before any input is read when `path`'s directory does not exist."""
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _check_out_dir(path: str | None, directory: bool = False) -> None:
+    """Fail before any input is read when `path` cannot take the output: an
+    existing path must be a directory exactly when the output is one, and a
+    file output needs an existing parent directory."""
+    if path and os.path.exists(path) and os.path.isdir(path) != directory:
+        code = errno.ENOTDIR if directory else errno.EISDIR
+    elif path and not directory and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        code = errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)  # OSError picks the subclass for the code
 
 
 def _parse_fault(text: str) -> FaultSpec:
@@ -114,6 +121,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_simulate(args) -> int:
+    _check_out_dir(args.out, directory=True)
     config = _config_from_args(args)
     out = args.out
     spec = _parse_fault(args.fault) if args.fault else None
@@ -176,6 +184,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out, directory=True)
     config = _config_from_args(args)
     series = [read_csv(p) for p in args.nominal]
     bundle = train_bundle(series, config, with_a3=args.a3)
@@ -199,7 +208,7 @@ def cmd_detect(args) -> int:
 def _check_rca_flags(args) -> None:
     """Every rule on which rca flags go with which method. var fits its
     baseline to --nominal under the --config/--set config; s3 and a3 read
-    the --model bundle, whose run.json fixes the config."""
+    the --model bundle, whose stored config is fixed."""
     if args.method == "var":
         required = {"--nominal": args.nominal}
         rejected = {"--model": args.model, "--force": args.force}
@@ -211,7 +220,7 @@ def _check_rca_flags(args) -> None:
             raise UsageError(f"--method {args.method} needs {flag}")
     given = [flag for flag, value in rejected.items() if value not in (None, False)]
     if given:
-        why = "" if args.method == "var" else "; the bundle's run.json fixes the config"
+        why = "" if args.method == "var" else "; the bundle stores its config"
         raise UsageError(f"{', '.join(given)} not accepted with --method {args.method}{why}")
 
 

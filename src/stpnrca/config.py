@@ -101,7 +101,7 @@ class RunConfig:
 
 
 def _config_from_values(values: dict) -> RunConfig:
-    """RunConfig from text values (config file, --set) or JSON ones (run.json);
+    """RunConfig from text values (config file, --set) or JSON ones (a bundle header);
     unknown keys and values of the wrong type are a UsageError."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     parsed = {}

@@ -1,37 +1,57 @@
-"""Versioned persistence for trained models.
+"""Versioned persistence for trained bundles.
 
-Every file is one line of compact JSON (format tag, version, kind, the
-model's scalars and names as its payload, and the names of its arrays),
-then those arrays as ``.npy`` records. Loading anything with an unexpected
-tag, version, kind or array dtype fails loudly. Arrays keep their raw bytes,
-so save/load round-trips are exact and a fixed seed gives byte-identical files.
+A bundle is one file, ``<directory>/bundle.stpnrca``, written with one
+rename: one line of compact JSON (format tag, version, kind, a payload of
+the run config, channel names and energy threshold, and the array names),
+then the arrays as ``.npy`` records. The config is the only stored copy of
+the models' structure. Loading anything with an unexpected tag, version,
+kind or array dtype fails loudly. Arrays keep their raw bytes, so save/load
+round-trips are exact and a fixed seed gives byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tokenize
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .association import MlpParams
-from .errors import DataError
+from .config import RunConfig, _config_from_values
+from .errors import DataError, UsageError
 from .rbm import RbmParams
 from .stpn import StpnModel
 from .symbolic import PartitionScheme
 from .timeseries import atomic_open
 
 FORMAT_TAG = "stpnrca-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+BUNDLE_FILE = "bundle.stpnrca"
+_KIND = "bundle"
+_MODEL_ARRAYS = ("edges", "counts", "thresholds", "visible_bias", "hidden_bias", "weights")
 
 _NPY = np.lib.format
 _NPY_HEADERS = {(1, 0): _NPY.read_array_header_1_0, (2, 0): _NPY.read_array_header_2_0}
 
 
-def _dump(kind: str, payload: dict, arrays: dict, path: str) -> None:
-    header = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "kind": kind,
+@dataclass(frozen=True, eq=False)
+class TrainedBundle:
+    """Trained pattern network, energy model, and optional classifier."""
+
+    stpn: StpnModel
+    rbm: RbmParams
+    energy_threshold: float
+    config: RunConfig
+    mlp: MlpParams | None = None
+    training_vectors: np.ndarray | None = field(default=None, repr=False)
+
+
+def _dump(payload: dict, arrays: dict, path: str) -> None:
+    header = {"format": FORMAT_TAG, "version": FORMAT_VERSION, "kind": _KIND,
               "payload": payload, "arrays": list(arrays)}
     with atomic_open(path) as fh:  # bytes go to the binary layer, untranslated
         fh.buffer.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
@@ -58,23 +78,9 @@ def _read_array(fh, name) -> np.ndarray:
     return np.fromfile(fh, dtype=want, count=count).reshape(shape)
 
 
-def _unpack(arrays: list, *names) -> list:
-    """The arrays read from a file, if it lists exactly `names` in this order."""
-    if [name for name, _ in arrays] != list(names):
-        raise ValueError(f"arrays {[name for name, _ in arrays]}, expected {list(names)}")
-    return [a for _, a in arrays]
-
-
-def _load(kind: str, path: str, build):
-    """Check the container at `path`, then build its model from the payload
-    and the (name, array) pairs read after the header.
-
-    A damaged array, a payload with missing fields or values of the wrong
-    type, and a model whose parts disagree are each reported as a DataError
-    naming the file, like a damaged container.
-    """
-    if not os.path.exists(path):
-        raise DataError(f"no such model file: {path}")
+def _read(path: str) -> tuple[dict, list]:
+    """The header and the (name, array) pairs of the container at `path`;
+    a damaged container is a DataError naming the file."""
     with open(path, "rb") as fh:
         try:
             doc = json.loads(fh.readline())
@@ -89,76 +95,98 @@ def _load(kind: str, path: str, build):
                 f"{path}: container version {doc.get('version')!r}, "
                 f"this toolkit reads version {FORMAT_VERSION}"
             )
-        if doc.get("kind") != kind:
-            raise DataError(f"{path}: contains a {doc.get('kind')!r} model, expected {kind!r}")
+        if doc.get("kind") != _KIND:
+            raise DataError(f"{path}: contains a {doc.get('kind')!r} model, expected {_KIND!r}")
         if not isinstance(doc.get("arrays"), list):
-            raise DataError(f"{path}: malformed {kind} container (no list of arrays)")
+            raise DataError(f"{path}: malformed {_KIND} container (no list of arrays)")
         arrays = []
         for name in doc["arrays"]:
             try:
                 arrays.append((name, _read_array(fh, name)))
             # numpy's .npy header parser raises each of these on damaged bytes
             except (ValueError, TypeError, tokenize.TokenError) as exc:
-                raise DataError(f"{path}: damaged {kind} array {name!r} ({exc})") from None
+                raise DataError(f"{path}: damaged {_KIND} array {name!r} ({exc})") from None
         if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after the last {kind} array")
+            raise DataError(f"{path}: trailing bytes after the last {_KIND} array")
+    return doc, arrays
+
+
+def _check_config(config: RunConfig, stpn: StpnModel, rbm: RbmParams,
+                  mlp: MlpParams | None) -> None:
+    """The config is the only stored copy of the models' structure, so each
+    value it states must be the one the models were built with."""
+    built = {"alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
+             "lag": stpn.lag, "window_length": stpn.window_length, "rbm_hidden": rbm.n_hidden}
+    if mlp is not None:
+        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]), a3_dropout=mlp.dropout)
+    wrong = [f"{key} = {getattr(config, key)!r}, the models {value!r}"
+             for key, value in built.items() if getattr(config, key) != value]
+    if wrong:
+        raise DataError(f"config has {', '.join(wrong)}")
+
+
+def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
+    """Write `bundle` as ``<directory>/bundle.stpnrca`` with one rename; a
+    bundle whose config disagrees with its models is a DataError, raised
+    before anything is written."""
+    stpn, rbm, mlp = bundle.stpn, bundle.rbm, bundle.mlp
+    _check_config(bundle.config, stpn, rbm, mlp)
+    n_symbols = stpn.partition.alphabet_size
+    edges = np.array(stpn.partition.edges, dtype=float).reshape(-1, n_symbols - 1)
+    model_arrays = (edges, stpn.counts, stpn.thresholds, rbm.visible_bias, rbm.hidden_bias,
+                    rbm.weights)
+    arrays = dict(zip(_MODEL_ARRAYS, model_arrays))
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases) if mlp else ()):
+        arrays.update({f"w{i}": w, f"b{i}": b})
+    payload = {"config": dataclasses.asdict(bundle.config), "names": list(stpn.names),
+               "energy_threshold": bundle.energy_threshold}
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    _dump(payload, arrays, os.path.join(directory, BUNDLE_FILE))
+
+
+def _build(payload: dict, arrays: list) -> TrainedBundle:
+    """The bundle a container holds: DataError when its parts disagree,
+    UsageError when its config is out of range, and LookupError, TypeError
+    or ValueError when the payload or the array list is malformed."""
+    config = _config_from_values(payload["config"])
+    layers = range((len(arrays) - len(_MODEL_ARRAYS)) // 2)
+    names = [*_MODEL_ARRAYS, *(f"{x}{i}" for i in layers for x in "wb")]
+    if [name for name, _ in arrays] != names:
+        raise ValueError(f"arrays {[name for name, _ in arrays]}, expected {names}")
+    got = dict(arrays)
+    partition = PartitionScheme(tuple(got["edges"]), config.alphabet_size)
+    stpn = StpnModel(tuple(payload["names"]), partition, config.depth, config.lag,
+                     config.window_length, got["counts"], got["thresholds"])
+    rbm = RbmParams(got["visible_bias"], got["hidden_bias"], got["weights"])
+    weights, biases = (tuple(got[f"{x}{i}"] for i in layers) for x in "wb")
+    mlp = MlpParams(weights, biases, dropout=config.a3_dropout) if layers else None
+    _check_config(config, stpn, rbm, mlp)
+    widths = {"energy model": rbm.n_visible}
+    if mlp is not None:
+        widths.update({"classifier input": mlp.n_inputs, "classifier output": mlp.n_outputs})
+    for part, width in widths.items():
+        if width != stpn.n_patterns:
+            raise DataError(f"{part} width {width} != {stpn.n_patterns} patterns")
+    threshold = float(payload["energy_threshold"])
+    if not np.isfinite(threshold):  # a NaN threshold would flag no window
+        raise ValueError(f"energy threshold {threshold} is not finite")
+    return TrainedBundle(stpn=stpn, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp)
+
+
+def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
+    """Load a saved bundle; a missing, damaged or inconsistent one is a DataError."""
+    directory = os.fspath(directory)
+    path = os.path.join(directory, BUNDLE_FILE)
+    if not os.path.isfile(path):
+        raise DataError(f"{directory}: not a model bundle (no {BUNDLE_FILE}; bundles "
+                        f"from container versions 1 and 2 must be retrained)")
+    doc, arrays = _read(path)
     try:
-        return build(doc["payload"], arrays)
-    except DataError as exc:  # the model's own checks: its parts disagree
+        return _build(doc["payload"], arrays)
+    except DataError as exc:  # the models' own checks: their parts disagree
         raise type(exc)(f"{path}: {exc}") from None
-    except (LookupError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed {kind} payload ({exc!r})") from None
-
-
-def save_stpn(model: StpnModel, path: str | os.PathLike) -> None:
-    n_symbols = model.partition.alphabet_size
-    payload = dict(names=list(model.names), alphabet_size=n_symbols, depth=model.depth,
-                   lag=model.lag, window_length=model.window_length)
-    edges = np.array(model.partition.edges, dtype=float).reshape(-1, n_symbols - 1)
-    arrays = dict(edges=edges, counts=model.counts, thresholds=model.thresholds)
-    _dump("stpn", payload, arrays, os.fspath(path))
-
-
-def load_stpn(path: str | os.PathLike) -> StpnModel:
-    def build(p, arrays):
-        edges, counts, thresholds = _unpack(arrays, "edges", "counts", "thresholds")
-        partition = PartitionScheme(tuple(edges), int(p["alphabet_size"]))
-        return StpnModel(tuple(p["names"]), partition, int(p["depth"]), int(p["lag"]),
-                         int(p["window_length"]), counts, thresholds)
-
-    return _load("stpn", os.fspath(path), build)
-
-
-def save_rbm(params: RbmParams, path: str | os.PathLike, threshold: float) -> None:
-    arrays = dict(visible_bias=params.visible_bias, hidden_bias=params.hidden_bias,
-                  weights=params.weights)
-    _dump("rbm", {"energy_threshold": threshold}, arrays, os.fspath(path))
-
-
-def load_rbm(path: str | os.PathLike) -> tuple[RbmParams, float]:
-    """The energy model and its detection threshold; a file without a
-    finite threshold is a DataError."""
-
-    def build(p, arrays):
-        params = RbmParams(*_unpack(arrays, "visible_bias", "hidden_bias", "weights"))
-        threshold = float(p["energy_threshold"])
-        if not np.isfinite(threshold):  # a NaN threshold would flag no window
-            raise ValueError(f"energy threshold {threshold} is not finite")
-        return params, threshold
-
-    return _load("rbm", os.fspath(path), build)
-
-
-def save_mlp(params: MlpParams, path: str | os.PathLike) -> None:
-    layers = enumerate(zip(params.weights, params.biases))
-    arrays = {f"{x}{i}": a for i, layer in layers for x, a in zip("wb", layer)}
-    _dump("mlp", {"dropout": params.dropout}, arrays, os.fspath(path))
-
-
-def load_mlp(path: str | os.PathLike) -> MlpParams:
-    def build(p, arrays):
-        layers = range(len(arrays) // 2)
-        unpacked = _unpack(arrays, *(f"{x}{i}" for i in layers for x in "wb"))
-        return MlpParams(tuple(unpacked[0::2]), tuple(unpacked[1::2]), dropout=float(p["dropout"]))
-
-    return _load("mlp", os.fspath(path), build)
+    except UsageError as exc:
+        raise DataError(f"{path}: bad config ({exc})") from None
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {_KIND} payload ({exc!r})") from None

@@ -6,43 +6,21 @@ and the benchmark suites drive the exact same code paths.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .association import MlpParams, generate_artificial_anomalies, infer_a3, train_a3
-from .config import RunConfig, _config_from_values
+from .association import generate_artificial_anomalies, infer_a3, train_a3
+from .config import RunConfig
 from .errors import DataError, UsageError
 from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
 from .nodes import infer_nodes
-from .persist import (
-    load_mlp,
-    load_rbm,
-    load_stpn,
-    save_mlp,
-    save_rbm,
-    save_stpn,
-)
-from .rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
-from .stpn import StpnModel, index_pattern, scan_windows, train_stpn
+from .persist import TrainedBundle, load_bundle, save_bundle  # noqa: F401 (pipeline API)
+from .rbm import calibrate_threshold, free_energy, train_rbm
+from .stpn import index_pattern, scan_windows, train_stpn
 from .switching import s3_search
 from .synth import var_fit, var_rca_baseline
-from .timeseries import TimeSeries, atomic_open
-
-
-@dataclass(frozen=True, eq=False)
-class TrainedBundle:
-    """Trained pattern network, energy model, and optional classifier."""
-
-    stpn: StpnModel
-    rbm: RbmParams
-    energy_threshold: float
-    config: RunConfig
-    mlp: MlpParams | None = None
-    training_vectors: np.ndarray | None = field(default=None, repr=False)
+from .timeseries import TimeSeries
 
 
 def train_bundle(
@@ -71,75 +49,6 @@ def train_bundle(
         config=config,
         mlp=mlp,
         training_vectors=vectors,
-    )
-
-
-BUNDLE_FILES = {
-    "stpn": "stpn.json",
-    "rbm": "rbm.json",
-    "mlp": "a3.json",
-    "run": "run.json",
-}
-
-
-def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    save_stpn(bundle.stpn, os.path.join(directory, BUNDLE_FILES["stpn"]))
-    save_rbm(bundle.rbm, os.path.join(directory, BUNDLE_FILES["rbm"]), bundle.energy_threshold)
-    mlp_path = os.path.join(directory, BUNDLE_FILES["mlp"])
-    if bundle.mlp is not None:
-        save_mlp(bundle.mlp, mlp_path)
-    elif os.path.exists(mlp_path):  # a classifier left by an earlier bundle
-        os.remove(mlp_path)
-    run = {
-        "config": dataclasses.asdict(bundle.config),
-        "fingerprint": bundle.config.fingerprint(),
-    }
-    with atomic_open(os.path.join(directory, BUNDLE_FILES["run"])) as fh:
-        json.dump(run, fh, sort_keys=True, indent=1, default=list)
-
-
-def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
-    """Load a saved bundle; a damaged or inconsistent one is a DataError."""
-    directory = os.fspath(directory)
-    run_path = os.path.join(directory, BUNDLE_FILES["run"])
-    if not os.path.isfile(run_path):
-        raise DataError(f"{directory}: not a model bundle (missing run.json)")
-    try:
-        with open(run_path) as fh:
-            config = _config_from_values(json.load(fh)["config"])
-    except (AttributeError, LookupError, TypeError, ValueError, UsageError) as exc:
-        raise DataError(f"{run_path}: bad run file ({exc})") from None
-    stpn = load_stpn(os.path.join(directory, BUNDLE_FILES["stpn"]))
-    rbm, threshold = load_rbm(os.path.join(directory, BUNDLE_FILES["rbm"]))
-    mlp_path = os.path.join(directory, BUNDLE_FILES["mlp"])
-    mlp = load_mlp(mlp_path) if os.path.exists(mlp_path) else None
-    widths = {"energy model": rbm.n_visible}
-    if mlp is not None:
-        widths.update({"classifier input": mlp.n_inputs, "classifier output": mlp.n_outputs})
-    for part, width in widths.items():
-        if width != stpn.n_patterns:
-            raise DataError(
-                f"{directory}: {part} width {width} != {stpn.n_patterns} patterns"
-            )
-    # run.json's config is the bundle's stated config (reports carry its
-    # fingerprint), so it must agree with the models it sits beside
-    built = {
-        "alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
-        "lag": stpn.lag, "window_length": stpn.window_length,
-        "rbm_hidden": rbm.n_hidden,
-    }
-    if mlp is not None:
-        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]), a3_dropout=mlp.dropout)
-    for key, value in built.items():
-        if getattr(config, key) != value:
-            raise DataError(
-                f"{directory}: run.json has {key} = {getattr(config, key)!r}, "
-                f"the model files {value!r}"
-            )
-    return TrainedBundle(
-        stpn=stpn, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp
     )
 
 

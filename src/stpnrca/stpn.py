@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .config import RunConfig
-from .errors import DataError
+from .errors import DataError, UsageError
 from .symbolic import (
     PartitionScheme,
     learn_partition,
@@ -54,7 +54,7 @@ class StpnModel:
         n_symbols = self.partition.alphabet_size
         shape = (f, f, n_symbols**self.depth, n_symbols)
         if counts.shape != shape:
-            raise DataError(f"count grid shape {counts.shape} != {shape}")
+            raise DataError(f"count grid shape {counts.shape} != {shape} at depth {self.depth}")
         if counts.size and counts.min() < 0:
             raise DataError("count grid must be nonnegative")
         object.__setattr__(self, "counts", counts)
@@ -169,7 +169,13 @@ def train_stpn(
     n_states = n_symbols**config.depth
 
     f = len(names)
-    counts = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)
+    try:
+        counts = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)
+    except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the grid
+        raise UsageError(
+            f"alphabet_size {n_symbols} and depth {config.depth} need a count grid of "
+            f"{f * f * n_states * n_symbols} cells for {f} channels, more than fit in memory"
+        ) from None
     per_series = []
     # Long series are counted in blocks of time steps, so the bincount index
     # stays about window-sized instead of growing to (n_samples, f).

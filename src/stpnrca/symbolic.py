@@ -34,8 +34,8 @@ class PartitionScheme:
             e = np.asarray(e, dtype=float)
             if e.shape != (self.alphabet_size - 1,):
                 raise DataError(
-                    f"channel {i}: expected {self.alphabet_size - 1} interior edges, "
-                    f"got {e.shape}"
+                    f"channel {i}: expected {self.alphabet_size - 1} interior edges "
+                    f"for alphabet_size {self.alphabet_size}, got {e.shape}"
                 )
             if e.size > 1 and not np.all(np.diff(e) > 0):
                 raise DegeneratePartitionError(

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -64,13 +65,22 @@ def toy_fresh_nominal(toy_graph, toy_config):
 
 @pytest.fixture(scope="session")
 def rewrite_header():
-    """edit(path, change): apply `change` to the JSON header line of a model
-    file, in place, and keep the .npy array records after it."""
+    """edit(path, change=None, **records): apply `change` to the JSON header
+    line of a bundle file, in place, and keep the .npy array records after
+    it, except those named in `records`: each is replaced by the given array,
+    written as np.save writes it (object arrays too), or by raw bytes."""
 
-    def edit(path, change):
-        header, _, arrays = path.read_bytes().partition(b"\n")
+    def edit(path, change=None, **records):
+        header, _, rest = path.read_bytes().partition(b"\n")
         doc = json.loads(header)
-        change(doc)
-        path.write_bytes(json.dumps(doc).encode() + b"\n" + arrays)
+        if records:
+            stream, out = io.BytesIO(rest), io.BytesIO()
+            arrays = {name: np.load(stream) for name in doc["arrays"]}
+            for a in {**arrays, **records}.values():
+                out.write(a) if isinstance(a, bytes) else np.save(out, a, allow_pickle=True)
+            rest = out.getvalue()
+        if change is not None:
+            change(doc)
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
 
     return edit

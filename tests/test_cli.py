@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import errno
 import json
 import os
 import re
@@ -11,7 +13,7 @@ import pytest
 
 from stpnrca import bench, cli
 from stpnrca.cli import main
-from stpnrca.pipeline import save_bundle
+from stpnrca.persist import BUNDLE_FILE, load_bundle, save_bundle
 from stpnrca.timeseries import TimeSeries, read_csv, write_csv
 
 
@@ -175,9 +177,10 @@ class TestTrainDeterminism:
         small_a3 = ["--set", "a3_hidden=8", "--set", "a3_epochs=2",
                     "--set", "a3_samples_per_order=2"]
         assert run(*args, "--a3", *small_a3) == 0
-        assert (tmp_path / "b" / "a3.json").exists()
+        assert load_bundle(tmp_path / "b").mlp is not None
         assert run(*args) == 0
-        assert not (tmp_path / "b" / "a3.json").exists()
+        assert load_bundle(tmp_path / "b").mlp is None
+        assert os.listdir(tmp_path / "b") == [BUNDLE_FILE]
         rca = ["rca", "--model", tmp_path / "b", "--data", data, "--method", "a3", "--force"]
         assert run(*rca) == 1
 
@@ -249,18 +252,20 @@ class TestDetect:
     @pytest.mark.parametrize(
         "damage", ["unknown_key", "out_of_range", "garbled"]
     )
-    def test_damaged_run_file_is_data_error(self, workdir, tmp_path, damage, capsys):
+    def test_damaged_run_file_is_data_error(
+        self, workdir, tmp_path, damage, capsys, rewrite_header
+    ):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
-        run_json = bundle / "run.json"
-        doc = json.loads(run_json.read_text())
-        if damage == "unknown_key":
-            doc["config"]["rbm_hiden"] = 8
-        elif damage == "out_of_range":
-            doc["config"]["rbm_batch_size"] = 0
-        run_json.write_text("{garbled" if damage == "garbled" else json.dumps(doc))
+        path = bundle / BUNDLE_FILE
+        if damage == "garbled":
+            path.write_bytes(b"{garbled\n" + path.read_bytes().partition(b"\n")[2])
+        else:
+            key, value = ("rbm_hiden", 8) if damage == "unknown_key" else ("rbm_batch_size", 0)
+            rewrite_header(path, lambda doc: doc["payload"]["config"].update({key: value}))
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
-        assert "run.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, value", [("window_length", -40), ("window_length", 1), ("lag", 0)]
@@ -270,32 +275,35 @@ class TestDetect:
     ):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
-        rewrite_header(bundle / "stpn.json", lambda doc: doc["payload"].update({key: value}))
+        path = bundle / BUNDLE_FILE
+        rewrite_header(path, lambda doc: doc["payload"]["config"].update({key: value}))
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
-        assert "depth + lag" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and f"config key {key!r}" in err
 
     def test_truncated_model_file_is_data_error(self, workdir, tmp_path, capsys):
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
-        data = (bundle / "rbm.json").read_bytes()
-        (bundle / "rbm.json").write_bytes(data[: len(data) // 2])
+        data = (bundle / BUNDLE_FILE).read_bytes()
+        (bundle / BUNDLE_FILE).write_bytes(data[: len(data) // 2])
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         err = capsys.readouterr().err
-        assert str(bundle / "rbm.json") in err and "Traceback" not in err
+        assert str(bundle / BUNDLE_FILE) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key, value",
-        [("alphabet_size", 9), ("depth", 2), ("lag", 2), ("window_length", 1000),
-         ("rbm_hidden", 3), ("a3_hidden", [64, 64]), ("a3_dropout", 0.25)],
+        [("alphabet_size", 9), ("depth", 2), ("rbm_hidden", 3), ("a3_hidden", [64, 64])],
+        ids=["alphabet_size-9", "depth-2", "rbm_hidden-3", "a3_hidden-value5"],
     )
     def test_run_file_contradicting_the_models_is_data_error(
-        self, workdir, tmp_path, key, value, capsys
+        self, workdir, tmp_path, key, value, capsys, rewrite_header
     ):
+        """The config's widths must fit the stored arrays' shapes."""
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
-        doc = json.loads((bundle / "run.json").read_text())
-        doc["config"][key] = value
-        (bundle / "run.json").write_text(json.dumps(doc))
+        rewrite_header(
+            bundle / BUNDLE_FILE, lambda doc: doc["payload"]["config"].update({key: value})
+        )
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         err = capsys.readouterr().err
         assert str(bundle) in err and key in err
@@ -305,6 +313,13 @@ class TestDetect:
         path.write_bytes(b"\xff\xfe\x00garbage")
         assert run("detect", "--model", workdir / "bundle", "--data", path) == 2
         assert "binary.csv" in capsys.readouterr().err
+
+    def test_four_file_bundle_is_data_error(self, workdir, tmp_path, capsys):
+        for name in ("stpn.json", "rbm.json", "run.json"):
+            (tmp_path / name).write_text("{}")
+        assert run("detect", "--model", tmp_path, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path) in err and "must be retrained" in err and "Traceback" not in err
 
 
 class TestRca:
@@ -357,10 +372,9 @@ class TestRca:
         assert code == 1
         assert f"{extra[0]} not accepted with --method {method}" in capsys.readouterr().err
 
-    def test_a3_without_classifier_is_usage_error(self, workdir, tmp_path, capsys):
+    def test_a3_without_classifier_is_usage_error(self, workdir, tmp_path, capsys, toy_bundle):
         bundle = tmp_path / "bundle"
-        shutil.copytree(workdir / "bundle", bundle)
-        (bundle / "a3.json").unlink()
+        save_bundle(dataclasses.replace(toy_bundle, mlp=None), bundle)
         # no window of the fresh series is flagged, so none would be analysed
         assert run("rca", "--model", bundle, "--data", workdir / "fresh.csv", "--method", "a3") == 1
         assert "classifier" in capsys.readouterr().err
@@ -397,7 +411,7 @@ class TestRca:
             "--method", method, "--force", flag, "a3_cutoff=0.9" if flag == "--set" else cfg,
         )
         assert code == 1
-        assert "run.json" in capsys.readouterr().err
+        assert "the bundle stores its config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["rca", "evaluate", "simulate"])
     def test_unwritable_out_is_data_error(
@@ -424,6 +438,33 @@ class TestRca:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(report / "sim" if command == "simulate" else missing) in err
+
+    @pytest.mark.parametrize("command", ["train", "simulate", "rca", "evaluate"])
+    def test_out_of_the_wrong_kind_fails_before_any_work(
+        self, workdir, report_and_labels, tmp_path, command, capsys, monkeypatch
+    ):
+        """A directory output at an existing file, or a file output at an
+        existing directory, fails before any input is read, naming the path."""
+        report, labels = report_and_labels
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work ran before the output was checked")
+
+        for name in ("train_bundle", "simulate_case", "run_rca", "evaluate_case"):
+            monkeypatch.setattr(cli, name, no_work)
+        taken = report if command in ("train", "simulate") else tmp_path
+        argv = {
+            "train": ["train", "--nominal", workdir / "nominal.csv", "--out", taken],
+            "simulate": ["simulate", "--out", taken, "--modes", "builtin", "--samples", "50"],
+            "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+                    "--force", "--out", taken],
+            "evaluate": ["evaluate", "--reports", report, "--labels", labels, "--out", taken],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        code = errno.ENOTDIR if command in ("train", "simulate") else errno.EISDIR
+        assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(taken)!r}\n"
 
 
 class TestEvaluate:
@@ -578,6 +619,17 @@ class TestUsageErrors:
         assert run(*argv, "--set", "window_length=400", "--set", item) == 1
         assert item.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    def test_count_grid_too_large_is_usage_error(self, tmp_path, toy_nominal, capsys):
+        """9 symbols at depth 20 need 9**21 cells per channel pair, more than
+        numpy can index, so it refuses without allocating."""
+        data = tmp_path / "n.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        argv = ["train", "--nominal", data, "--out", tmp_path / "b"]
+        assert run(*argv, "--set", "window_length=400", "--set", "depth=20") == 1
+        err = capsys.readouterr().err
+        assert "alphabet_size 9 and depth 20" in err and f"{16 * 9**21} cells" in err
+        assert "Traceback" not in err and not (tmp_path / "b").exists()
 
 
 class TestTepFormat:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stpnrca.cli import main
+from stpnrca.persist import BUNDLE_FILE
 from stpnrca.pipeline import RunConfig, save_bundle
 from stpnrca.timeseries import write_csv
 
@@ -30,11 +31,9 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-JSON_FILES = (
-    "bundle/run.json",
-    "bundle/stpn.json",
-    "bundle/rbm.json",
-    "bundle/a3.json",
+# no strict prefix of one of these files is a valid file of its kind
+WHOLE_FILES = (
+    f"bundle/{BUNDLE_FILE}",
     "fault.report.json",
     "fault.labels.json",
 )
@@ -81,9 +80,10 @@ def damaged_file(draw):
     """(relative path, damage, kind) for one file of the pristine set: a
     strict prefix of it ("cut"), junk inserted into the CSV ("insert"), or
     bytes that are not UTF-8 ("binary")."""
-    target = draw(st.sampled_from((*JSON_FILES, "fault.csv")))
-    # a strict prefix of one JSON object is never valid JSON, but a prefix
-    # of a CSV file can be a shorter valid series
+    target = draw(st.sampled_from((*WHOLE_FILES, "fault.csv")))
+    # a strict prefix of a JSON object is never valid JSON, nor one of a
+    # bundle a whole bundle, but a prefix of a CSV file can be a shorter
+    # valid series
     kind = draw(st.sampled_from(("insert" if target == "fault.csv" else "cut", "binary")))
     if kind == "binary":  # never valid UTF-8
         return target, b"\xff" + draw(st.binary(max_size=64)), kind

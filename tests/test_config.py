@@ -58,7 +58,7 @@ def valid_configs(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cfg=valid_configs())
 def test_config_survives_run_json(cfg):
-    """A valid config written the way run.json stores it reads back equal."""
+    """A valid config written the way a bundle header stores it reads back equal."""
     doc = json.loads(json.dumps(dataclasses.asdict(cfg), default=list))
     loaded = _config_from_values(doc)
     for f in dataclasses.fields(RunConfig):

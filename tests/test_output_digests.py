@@ -21,6 +21,6 @@ def test_every_command_of_the_flow_exits_zero(capsys):
     assert all(m.group(2) == "0" for m in commands)
     files = [re.fullmatch(r"[0-9a-f]{64}  (\S+)", l) for l in lines[n:]]
     assert all(files) and {
-        "table.csv", "model/a3.json", "fault.var.json",  # written files
-        "model/rbm.json:weights", "model/a3.json:b1", "plant_model/stpn.json:counts",  # arrays
+        "table.csv", "model/bundle.stpnrca", "fault.var.json",  # written files
+        "model:rbm.weights", "model:mlp.b1", "plant_model:stpn.counts",  # arrays
     } <= {m.group(1) for m in files}

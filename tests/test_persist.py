@@ -1,10 +1,10 @@
 import dataclasses
+import errno
 import json
 import re
 import struct
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,17 +16,13 @@ from stpnrca import persist
 from stpnrca.association import MlpParams, init_mlp
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
-from stpnrca.persist import (
-    load_mlp,
-    load_rbm,
-    load_stpn,
-    save_mlp,
-    save_rbm,
-    save_stpn,
-)
+from stpnrca.persist import BUNDLE_FILE, TrainedBundle, load_bundle, save_bundle
 from stpnrca.rbm import RbmParams
 from stpnrca.stpn import StpnModel
 from stpnrca.symbolic import PartitionScheme
+
+# two channels of two symbols: 4 patterns, an RBM of 4 x 2, a classifier 4 -> 3 -> 4
+CONFIG = RunConfig(alphabet_size=2, window_length=10, rbm_hidden=2, a3_hidden=(3,))
 
 
 def make_rbm():
@@ -34,26 +30,26 @@ def make_rbm():
     return RbmParams(rng.normal(size=4), rng.normal(size=2), rng.normal(size=(4, 2)))
 
 
-def unchecked(model, **changes):
-    """A stand-in for `model` with `changes` that skips the model's own
-    checks, so a saver writes a file whose parts disagree."""
-    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
-    return SimpleNamespace(**{**fields, **changes})
+def small_bundle(config=CONFIG):
+    stpn = StpnModel(
+        names=("a", "b"), partition=PartitionScheme((np.zeros(1), np.zeros(1)), 2),
+        depth=1, lag=1, window_length=10, counts=np.zeros((2, 2, 2, 2), np.int64),
+        thresholds=np.zeros((2, 2)),
+    )
+    return TrainedBundle(stpn, make_rbm(), -1.5, config, init_mlp(4, 4, config))
 
 
-def write_rbm_file(path, **records):
-    """A version-2 rbm container of make_rbm()'s arrays, with `records` in
-    place of some: arrays, written as np.save writes them (object arrays
-    too), or raw bytes."""
-    params = make_rbm()
-    arrays = {"visible_bias": params.visible_bias, "hidden_bias": params.hidden_bias,
-              "weights": params.weights, **records}
-    header = {"format": persist.FORMAT_TAG, "version": persist.FORMAT_VERSION, "kind": "rbm",
-              "payload": {"energy_threshold": -1.5}, "arrays": list(arrays)}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for a in arrays.values():
-            fh.write(a) if isinstance(a, bytes) else np.save(fh, a, allow_pickle=True)
+def saved(path) -> bytes:
+    """The bytes of small_bundle() saved at `path`, a bundle file."""
+    save_bundle(small_bundle(), path.parent)
+    return path.read_bytes()
+
+
+def bundle_arrays(bundle) -> list:
+    stpn, rbm, mlp = bundle.stpn, bundle.rbm, bundle.mlp
+    layers = (*mlp.weights, *mlp.biases) if mlp else ()
+    return [*stpn.partition.edges, stpn.counts, stpn.thresholds, rbm.visible_bias,
+            rbm.hidden_bias, rbm.weights, *layers]
 
 
 def npy_header(text: str) -> bytes:
@@ -65,36 +61,34 @@ def float64_header(shape) -> bytes:
     return npy_header(f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}}}")
 
 
-def saved(path) -> bytes:
-    """The bytes of make_rbm() saved at `path`."""
-    save_rbm(make_rbm(), path, -1.5)
-    return path.read_bytes()
+def replaced(**records):
+    """Damage: small_bundle() saved, then `records` in place of some arrays."""
+
+    def damage(path, rewrite_header):
+        saved(path)
+        rewrite_header(path, **records)
+
+    return damage
 
 
 DAMAGED = {
-    "truncated in the last array": lambda path: path.write_bytes(saved(path)[:-3]),
-    "truncated in the first .npy header": lambda path: path.write_bytes(
+    "truncated in the last array": lambda path, _: path.write_bytes(saved(path)[:-3]),
+    "truncated in the first .npy header": lambda path, _: path.write_bytes(
         saved(path)[: saved(path).index(b"\n") + 20]),
-    "header only": lambda path: path.write_bytes(saved(path).partition(b"\n")[0] + b"\n"),
-    "one trailing byte": lambda path: path.write_bytes(saved(path) + b"\0"),
-    "object array": lambda path: write_rbm_file(
-        path, visible_bias=np.array([1.0, "x", None, 2.0], dtype=object)),
-    "complex array": lambda path: write_rbm_file(
-        path, visible_bias=make_rbm().visible_bias + 0j),
-    "int32 array": lambda path: write_rbm_file(path, weights=np.ones((4, 2), np.int32)),
-    "Fortran-order array": lambda path: write_rbm_file(
-        path, weights=np.asfortranarray(make_rbm().weights)),
-    "declared shape (10**15,)": lambda path: write_rbm_file(
-        path, hidden_bias=float64_header((10**15,)) + bytes(16)),
-    "declared shape (-1,)": lambda path: write_rbm_file(
-        path, hidden_bias=float64_header((-1,)) + bytes(16)),
+    "header only": lambda path, _: path.write_bytes(saved(path).partition(b"\n")[0] + b"\n"),
+    "one trailing byte": lambda path, _: path.write_bytes(saved(path) + b"\0"),
+    "object array": replaced(visible_bias=np.array([1.0, "x", None, 2.0], dtype=object)),
+    "complex array": replaced(visible_bias=make_rbm().visible_bias + 0j),
+    "int32 array": replaced(weights=np.ones((4, 2), np.int32)),
+    "Fortran-order array": replaced(weights=np.asfortranarray(make_rbm().weights)),
+    "declared shape (10**15,)": replaced(hidden_bias=float64_header((10**15,)) + bytes(16)),
+    "declared shape (-1,)": replaced(hidden_bias=float64_header((-1,)) + bytes(16)),
     # numpy's header parser raises TypeError on the first, TokenError on the second
-    "unhashable key in the .npy header": lambda path: write_rbm_file(
-        path, hidden_bias=npy_header("{[]: 1}") + bytes(16)),
-    "unclosed bracket in the .npy header": lambda path: write_rbm_file(
-        path, hidden_bias=npy_header("{'descr': '<f8', (") + bytes(16)),
-    "not a .npy record": lambda path: write_rbm_file(path, hidden_bias=b"\x93NUMPZ" + bytes(90)),
-    "version-1 file": lambda path: path.write_text(json.dumps({
+    "unhashable key in the .npy header": replaced(hidden_bias=npy_header("{[]: 1}") + bytes(16)),
+    "unclosed bracket in the .npy header": replaced(
+        hidden_bias=npy_header("{'descr': '<f8', (") + bytes(16)),
+    "not a .npy record": replaced(hidden_bias=b"\x93NUMPZ" + bytes(90)),
+    "version-1 file": lambda path, _: path.write_text(json.dumps({
         "format": persist.FORMAT_TAG, "version": 1, "kind": "rbm",
         "payload": {"energy_threshold": -1.5, "visible_bias": [0.0], "hidden_bias": [0.0],
                     "weights": [[0.0]]},
@@ -103,131 +97,154 @@ DAMAGED = {
 
 
 @pytest.mark.parametrize("damage", list(DAMAGED))
-def test_damaged_file_is_data_error_naming_it(tmp_path, damage):
-    path = tmp_path / "rbm.json"
-    DAMAGED[damage](path)
+def test_damaged_file_is_data_error_naming_it(tmp_path, damage, rewrite_header):
+    path = tmp_path / BUNDLE_FILE
+    DAMAGED[damage](path, rewrite_header)
     with pytest.raises(DataError, match=re.escape(str(path))):
-        load_rbm(path)
+        load_bundle(tmp_path)
 
 
-def test_version_1_file_asks_for_version_2(tmp_path):
-    path = tmp_path / "rbm.json"
-    DAMAGED["version-1 file"](path)
-    with pytest.raises(DataError, match="container version 1, this toolkit reads version 2"):
-        load_rbm(path)
+def test_version_1_file_asks_for_version_3(tmp_path):
+    path = tmp_path / BUNDLE_FILE
+    DAMAGED["version-1 file"](path, None)
+    with pytest.raises(DataError, match="container version 1, this toolkit reads version 3"):
+        load_bundle(tmp_path)
 
 
-def small_stpn(**changes):
-    model = StpnModel(
-        names=("a", "b"), partition=PartitionScheme((np.zeros(1), np.zeros(1)), 2),
-        depth=1, lag=1, window_length=10, counts=np.zeros((2, 2, 2, 2), np.int64),
-        thresholds=np.zeros((2, 2)),
-    )
-    return unchecked(model, **changes)
-
-
-@pytest.mark.parametrize("save, load, model, message", [
-    (lambda m, path: save_rbm(m, path, -1.5), load_rbm,
-     unchecked(make_rbm(), visible_bias=np.zeros(3), hidden_bias=np.zeros(2),
-               weights=np.zeros((2, 3))),
+@pytest.mark.parametrize("records, message", [
+    (dict(visible_bias=np.zeros(3), hidden_bias=np.zeros(2), weights=np.zeros((2, 3))),
      "weights (2, 3) inconsistent with biases (3,) and (2,)"),
-    (save_mlp, load_mlp,
-     unchecked(init_mlp(2, 2, RunConfig(a3_hidden=())), weights=(np.zeros((2, 2)),),
-               biases=(np.zeros(3),)),
+    (dict(w0=np.zeros((2, 2)), b0=np.zeros(3)),
      "layer 0: weights (2, 2) and biases (3,) do not chain"),
-    (save_stpn, load_stpn, small_stpn(counts=np.zeros((1, 1, 2, 2), np.int64)),
-     "count grid shape (1, 1, 2, 2) != (2, 2, 2, 2)"),
-    (lambda m, path: save_rbm(m, path, -1.5), load_rbm,
-     unchecked(make_rbm(), visible_bias=make_rbm().visible_bias.reshape(4, 1)),
+    (dict(counts=np.zeros((1, 1, 2, 2), np.int64)),
+     "count grid shape (1, 1, 2, 2) != (2, 2, 2, 2) at depth 1"),
+    (dict(visible_bias=make_rbm().visible_bias.reshape(4, 1)),
      "weights (4, 2) inconsistent with biases (4, 1) and (2,)"),
-    (save_stpn, load_stpn,
-     small_stpn(partition=PartitionScheme((np.zeros(1),) * 3, 2)),
-     "partition has 3 channels, names 2"),
+    (dict(edges=np.zeros((3, 1))), "partition has 3 channels, names 2"),
 ], ids=["rbm", "mlp", "stpn", "rbm two-dimensional bias", "stpn partition of other width"])
-def test_model_whose_parts_disagree_names_the_file(tmp_path, save, load, model, message):
-    path = tmp_path / "model.json"
-    save(model, path)
+def test_model_whose_parts_disagree_names_the_file(tmp_path, rewrite_header, records, message):
+    path = tmp_path / BUNDLE_FILE
+    saved(path)
+    rewrite_header(path, **records)
     with pytest.raises(DataError) as info:
-        load(path)
+        load_bundle(tmp_path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_save_refuses_a_config_that_disagrees_with_the_models(tmp_path):
+    """The config is the only stored copy of the lag, so a bundle whose
+    config states another one would load as another model."""
+    bundle = dataclasses.replace(small_bundle(), config=dataclasses.replace(CONFIG, lag=2))
+    with pytest.raises(DataError, match="config has lag = 2, the models 1"):
+        save_bundle(bundle, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+def test_interrupted_save_keeps_the_previous_bundle(tmp_path, monkeypatch):
+    """A retrain that fails part-way leaves the previous bundle, whole."""
+    old = small_bundle()
+    save_bundle(old, tmp_path)
+    new = dataclasses.replace(
+        old, energy_threshold=old.energy_threshold + 1.0,
+        stpn=dataclasses.replace(old.stpn, thresholds=old.stpn.thresholds + 1.0),
+        rbm=RbmParams(*(2.0 * a for a in (old.rbm.visible_bias, old.rbm.hidden_bias,
+                                          old.rbm.weights))),
+    )
+    calls, save = [], np.save
+
+    def fourth_save_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(np, "save", fourth_save_fails)
+    with pytest.raises(OSError, match="No space left"):
+        save_bundle(new, tmp_path)
+    monkeypatch.undo()
+    loaded = load_bundle(tmp_path)
+    assert loaded.energy_threshold == old.energy_threshold
+    assert all(same(a, b) for a, b in zip(bundle_arrays(loaded), bundle_arrays(old), strict=True))
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestContainerChecks:
     def test_version_mismatch_fails_loudly(self, tmp_path, rewrite_header):
-        path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path, -1.5)
+        path = tmp_path / BUNDLE_FILE
+        saved(path)
         rewrite_header(path, lambda doc: doc.update(version=99))
         with pytest.raises(DataError, match="version"):
-            load_rbm(path)
+            load_bundle(tmp_path)
 
-    def test_wrong_kind(self, tmp_path):
-        path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path, -1.5)
+    def test_wrong_kind(self, tmp_path, rewrite_header):
+        path = tmp_path / BUNDLE_FILE
+        saved(path)
+        rewrite_header(path, lambda doc: doc.update(kind="rbm"))
         with pytest.raises(DataError, match="kind|contains"):
-            load_stpn(path)
+            load_bundle(tmp_path)
 
     def test_unknown_format_tag(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text('{"format": "other", "version": 1, "kind": "rbm", "payload": {}}')
+        path = tmp_path / BUNDLE_FILE
+        path.write_text('{"format": "other", "version": 3, "kind": "bundle", "payload": {}}')
         with pytest.raises(DataError, match="format"):
-            load_rbm(path)
+            load_bundle(tmp_path)
 
     def test_not_json(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text("definitely not json")
+        (tmp_path / BUNDLE_FILE).write_text("definitely not json")
         with pytest.raises(DataError):
-            load_rbm(path)
+            load_bundle(tmp_path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
-            load_mlp(tmp_path / "absent.json")
+            load_bundle(tmp_path / "absent")
 
     def test_not_utf8(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_bytes(b"\xff\xfe\x00")
+        (tmp_path / BUNDLE_FILE).write_bytes(b"\xff\xfe\x00")
         with pytest.raises(DataError):
-            load_rbm(path)
+            load_bundle(tmp_path)
 
     @pytest.mark.parametrize(
         "payload",
         [
             {}, [],
             # arrays are not in the payload; this damages the header's array
-            # list instead: the first record named twice, the second not at all
-            {"arrays": ["visible_bias", "visible_bias", "weights"]},
+            # list instead: the fourth record named twice, the fifth not at all
+            {"arrays": (4, 3)},
             {"energy_threshold": None}, {"energy_threshold": float("nan")},
         ],
     )
     def test_malformed_payload(self, tmp_path, rewrite_header, payload):
-        path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path, -1.5)
+        path = tmp_path / BUNDLE_FILE
+        saved(path)
 
         def damage(doc):
             if "arrays" in payload:
-                doc.update(payload)
+                at, source = payload["arrays"]
+                doc["arrays"][at] = doc["arrays"][source]
+            elif "energy_threshold" in payload:
+                doc["payload"].update(payload)
             else:
                 doc["payload"] = payload
 
         rewrite_header(path, damage)
-        with pytest.raises(DataError, match="malformed rbm payload"):
-            load_rbm(path)
+        with pytest.raises(DataError, match="malformed bundle payload"):
+            load_bundle(tmp_path)
 
     def test_rbm_without_threshold_rejected(self, tmp_path, rewrite_header):
-        path = tmp_path / "m.json"
-        save_rbm(make_rbm(), path, -1.5)
+        path = tmp_path / BUNDLE_FILE
+        saved(path)
         rewrite_header(path, lambda doc: doc["payload"].pop("energy_threshold"))
         with pytest.raises(DataError, match="energy_threshold"):
-            load_rbm(path)
+            load_bundle(tmp_path)
 
 
 class TestMlpShapes:
-    def test_layers_that_do_not_chain_rejected(self, tmp_path):
-        path = tmp_path / "mlp.json"
-        params = init_mlp(6, 6, RunConfig(a3_hidden=(5,)))
-        biases = (np.append(params.biases[0], 0.0), *params.biases[1:])
-        save_mlp(unchecked(params, biases=biases), path)
+    def test_layers_that_do_not_chain_rejected(self, tmp_path, rewrite_header):
+        path = tmp_path / BUNDLE_FILE
+        saved(path)
+        rewrite_header(path, b0=np.append(small_bundle().mlp.biases[0], 0.0))
         with pytest.raises(DataError, match="chain"):
-            load_mlp(path)
+            load_bundle(tmp_path)
 
     def test_dropout_range(self):
         params = init_mlp(3, 3, RunConfig(a3_hidden=(2,)))
@@ -237,10 +254,10 @@ class TestMlpShapes:
 
 class TestMlpRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
-        params = init_mlp(6, 6, RunConfig(a3_hidden=(5,), a3_dropout=0.4, seed=3))
-        path = tmp_path / "mlp.json"
-        save_mlp(params, path)
-        loaded = load_mlp(path)
+        config = dataclasses.replace(CONFIG, a3_hidden=(5,), a3_dropout=0.4, seed=3)
+        params = small_bundle(config).mlp
+        save_bundle(small_bundle(config), tmp_path)
+        loaded = load_bundle(tmp_path).mlp
         assert loaded.dropout == params.dropout
         for w1, w2 in zip(params.weights, loaded.weights):
             assert np.array_equal(w1, w2)
@@ -249,7 +266,7 @@ class TestMlpRoundtrip:
 
 
 # ---------------------------------------------------------------------------
-# exact round trips of arbitrary valid models
+# exact round trips of arbitrary valid bundles
 
 ROUNDTRIP = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -260,12 +277,12 @@ def finite_arrays(*shape):
 
 
 @st.composite
-def stpn_models(draw):
+def bundles(draw, with_mlp):
     f = draw(st.integers(1, 3))
     n_symbols = draw(st.integers(2, 4))
     depth, lag = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     interior = st.lists(FINITE, min_size=n_symbols - 1, max_size=n_symbols - 1, unique=True)
-    return StpnModel(
+    stpn = StpnModel(
         names=tuple(draw(st.lists(st.text(min_size=1, max_size=6), min_size=f, max_size=f,
                                   unique=True))),
         partition=PartitionScheme(
@@ -273,29 +290,29 @@ def stpn_models(draw):
         ),
         depth=depth,
         lag=lag,
-        window_length=draw(st.integers(depth + lag, 10**6)),
+        window_length=draw(st.integers(max(depth + lag, n_symbols), 10**6)),
         counts=draw(arrays(np.int64, (f, f, n_symbols**depth, n_symbols),
                            elements=st.integers(0, 10**12))),
         thresholds=draw(finite_arrays(f, f)),
     )
-
-
-@st.composite
-def rbm_params(draw):
-    n_v, n_h = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    return RbmParams(
+    n_v, n_h = f * f, draw(st.integers(1, 4))
+    rbm = RbmParams(
         draw(finite_arrays(n_v)), draw(finite_arrays(n_h)), draw(finite_arrays(n_v, n_h))
     )
-
-
-@st.composite
-def mlp_params(draw):
-    sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
-    return MlpParams(
-        tuple(draw(finite_arrays(a, b)) for a, b in zip(sizes, sizes[1:])),
-        tuple(draw(finite_arrays(b)) for b in sizes[1:]),
-        dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
-    )
+    hidden = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
+    dropout = draw(st.floats(0.0, 1.0, exclude_max=True))
+    mlp = None
+    if with_mlp:
+        sizes = [n_v, *hidden, n_v]
+        mlp = MlpParams(
+            tuple(draw(finite_arrays(a, b)) for a, b in zip(sizes, sizes[1:])),
+            tuple(draw(finite_arrays(b)) for b in sizes[1:]),
+            dropout=dropout,
+        )
+    config = RunConfig(alphabet_size=n_symbols, depth=depth, lag=lag,
+                       window_length=stpn.window_length, rbm_hidden=n_h, a3_hidden=hidden,
+                       a3_dropout=dropout, seed=draw(st.integers(0, 2**32)))
+    return TrainedBundle(stpn, rbm, draw(FINITE), config, mlp)
 
 
 def same(a, b):
@@ -303,47 +320,30 @@ def same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def round_trip(save, load, model, *extra):
-    """Save, load, save again: the loaded model and the second file."""
+@ROUNDTRIP
+@pytest.mark.parametrize("with_mlp", [False, True], ids=["no classifier", "classifier"])
+@given(data=st.data())
+def test_bundle_file_round_trips_exactly(with_mlp, data):
+    """Save, load, save again: the loaded bundle equals the saved one array
+    for array, and the second file equals the first byte for byte."""
+    bundle = data.draw(bundles(with_mlp))
     with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
-        save(model, first, *extra)
-        loaded = load(first)
-        again, *again_extra = loaded if extra else (loaded,)
-        save(again, second, *again_extra)
-        assert first.read_bytes() == second.read_bytes()
-    return loaded
-
-
-@ROUNDTRIP
-@given(model=stpn_models())
-def test_stpn_file_round_trips_exactly(model):
-    loaded = round_trip(save_stpn, load_stpn, model)
-    assert loaded.names == model.names
-    assert (loaded.depth, loaded.lag, loaded.window_length) == (
-        model.depth, model.lag, model.window_length
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        save_bundle(bundle, first)
+        loaded = load_bundle(first)
+        save_bundle(loaded, second)
+        assert (first / BUNDLE_FILE).read_bytes() == (second / BUNDLE_FILE).read_bytes()
+    assert loaded.stpn.names == bundle.stpn.names
+    assert loaded.config == bundle.config
+    assert (loaded.stpn.depth, loaded.stpn.lag, loaded.stpn.window_length) == (
+        bundle.stpn.depth, bundle.stpn.lag, bundle.stpn.window_length
     )
-    assert loaded.partition.alphabet_size == model.partition.alphabet_size
-    assert all(same(a, b) for a, b in zip(loaded.partition.edges, model.partition.edges))
-    assert same(loaded.counts, model.counts)
-    assert same(loaded.thresholds, model.thresholds)
-
-
-@ROUNDTRIP
-@given(params=rbm_params(), threshold=FINITE)
-def test_rbm_file_round_trips_exactly(params, threshold):
-    loaded, loaded_threshold = round_trip(save_rbm, load_rbm, params, threshold)
-    assert same(loaded.visible_bias, params.visible_bias)
-    assert same(loaded.hidden_bias, params.hidden_bias)
-    assert same(loaded.weights, params.weights)
-    assert loaded_threshold == threshold and type(loaded_threshold) is float
-
-
-@ROUNDTRIP
-@given(params=mlp_params())
-def test_mlp_file_round_trips_exactly(params):
-    loaded = round_trip(save_mlp, load_mlp, params)
-    assert len(loaded.weights) == len(params.weights)
-    assert all(same(a, b) for a, b in zip(loaded.weights, params.weights))
-    assert all(same(a, b) for a, b in zip(loaded.biases, params.biases))
-    assert loaded.dropout == params.dropout
+    assert loaded.stpn.partition.alphabet_size == bundle.stpn.partition.alphabet_size
+    assert loaded.energy_threshold == bundle.energy_threshold
+    assert type(loaded.energy_threshold) is float
+    assert (loaded.mlp is None) == (bundle.mlp is None)
+    if bundle.mlp is not None:
+        assert len(loaded.mlp.weights) == len(bundle.mlp.weights)
+        assert loaded.mlp.dropout == bundle.mlp.dropout
+    assert all(same(a, b) for a, b in zip(bundle_arrays(loaded), bundle_arrays(bundle),
+                                          strict=True))

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 
 import numpy as np
@@ -8,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpnrca import pipeline
-from stpnrca.association import init_mlp
 from stpnrca.config import CONFIG_ENV_VAR, RunConfig
 from stpnrca.errors import DataError, UsageError
-from stpnrca.persist import save_mlp, save_rbm
+from stpnrca.persist import BUNDLE_FILE
 from stpnrca.pipeline import (
     evaluate_case,
     load_bundle,
@@ -20,7 +18,6 @@ from stpnrca.pipeline import (
     run_var_rca,
     save_bundle,
 )
-from stpnrca.rbm import RbmParams
 from stpnrca.stpn import pattern_index, scan_windows
 from stpnrca.synth import FaultSpec, simulate_var
 
@@ -136,24 +133,24 @@ class TestBundleRoundtrip:
         "key, value",
         [("alphabet_size", 9.5), ("a3_hidden", "wide"), ("seed", True), ("depth", None)],
     )
-    def test_mistyped_run_value_rejected(self, toy_bundle, tmp_path, key, value):
+    def test_mistyped_run_value_rejected(self, toy_bundle, tmp_path, key, value, rewrite_header):
         save_bundle(toy_bundle, tmp_path)
-        doc = json.loads((tmp_path / "run.json").read_text())
-        doc["config"][key] = value
-        (tmp_path / "run.json").write_text(json.dumps(doc))
+        config = {key: value}
+        rewrite_header(tmp_path / BUNDLE_FILE, lambda doc: doc["payload"]["config"].update(config))
         with pytest.raises(DataError, match=key):
             load_bundle(tmp_path)
 
     @pytest.mark.parametrize("part", ["rbm", "a3_inputs", "a3_outputs"])
-    def test_inconsistent_widths_rejected(self, toy_bundle, tmp_path, part):
+    def test_inconsistent_widths_rejected(self, toy_bundle, tmp_path, part, rewrite_header):
         save_bundle(toy_bundle, tmp_path)
-        n = toy_bundle.stpn.n_patterns
-        if part == "rbm":
-            rbm = RbmParams(np.zeros(n + 1), np.zeros(2), np.zeros((n + 1, 2)))
-            save_rbm(rbm, tmp_path / "rbm.json", threshold=toy_bundle.energy_threshold)
-        else:
-            shape = (n - 1, n) if part == "a3_inputs" else (n, n - 1)
-            save_mlp(init_mlp(*shape, RunConfig(a3_hidden=(3,))), tmp_path / "a3.json")
+        n, n_h = toy_bundle.stpn.n_patterns, toy_bundle.rbm.n_hidden
+        (hidden,) = toy_bundle.config.a3_hidden
+        records = {
+            "rbm": dict(visible_bias=np.zeros(n + 1), weights=np.zeros((n + 1, n_h))),
+            "a3_inputs": dict(w0=np.zeros((n - 1, hidden))),
+            "a3_outputs": dict(w1=np.zeros((hidden, n - 1)), b1=np.zeros(n - 1)),
+        }[part]
+        rewrite_header(tmp_path / BUNDLE_FILE, **records)
         with pytest.raises(DataError, match="width"):
             load_bundle(tmp_path)
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stpnrca.errors import DataError
-from stpnrca.persist import load_rbm, save_rbm
+from stpnrca.persist import load_bundle, save_bundle
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, _sigmoid, calibrate_threshold, free_energy, train_rbm
 from stpnrca.switching import s3_search
@@ -189,13 +190,14 @@ class TestThresholdConstruction:
 
 
 class TestRbmPersistence:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, toy_bundle, tmp_path):
         rng = np.random.default_rng(9)
-        params = RbmParams(rng.normal(size=5), rng.normal(size=3), rng.normal(size=(5, 3)))
-        path = tmp_path / "rbm.json"
-        save_rbm(params, path, threshold=-12.5)
-        loaded, threshold = load_rbm(path)
+        n_v, n_h = toy_bundle.rbm.weights.shape
+        params = RbmParams(rng.normal(size=n_v), rng.normal(size=n_h), rng.normal(size=(n_v, n_h)))
+        save_bundle(replace(toy_bundle, rbm=params, energy_threshold=-12.5), tmp_path)
+        loaded = load_bundle(tmp_path)
+        threshold, loaded = loaded.energy_threshold, loaded.rbm
         assert threshold == -12.5
         assert np.array_equal(loaded.weights, params.weights)
-        v = (rng.random(5) < 0.5).astype(float)
+        v = (rng.random(n_v) < 0.5).astype(float)
         assert free_energy(loaded, v) == free_energy(params, v)

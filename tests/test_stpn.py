@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
-from stpnrca.persist import load_stpn, save_stpn
+from stpnrca.persist import TrainedBundle, load_bundle, save_bundle
+from stpnrca.rbm import RbmParams
 from stpnrca.stpn import (
     StpnModel,
     binarize,
@@ -252,23 +253,28 @@ class TestBinarize:
             binarize(np.zeros((3, 3)), model)
 
 
+def save_in_bundle(model, config, directory):
+    """Save `model` in a bundle around an all-zero energy model."""
+    n_v, n_h = model.n_patterns, config.rbm_hidden
+    rbm = RbmParams(np.zeros(n_v), np.zeros(n_h), np.zeros((n_v, n_h)))
+    save_bundle(TrainedBundle(model, rbm, 0.0, config), directory)
+
+
 class TestPersistence:
-    def test_roundtrip_reproduces_metrics(self, small_model, tmp_path):
+    def test_roundtrip_reproduces_metrics(self, small_model, small_config, tmp_path):
         model, nominal = small_model
-        path = tmp_path / "stpn.json"
-        save_stpn(model, path)
-        loaded = load_stpn(path)
+        save_in_bundle(model, small_config, tmp_path)
+        loaded = load_bundle(tmp_path).stpn
         window = nominal.window(400, model.window_length)
         assert np.array_equal(
             scan_windows(model, window).metrics, scan_windows(loaded, window).metrics
         )
         assert np.array_equal(model.thresholds, loaded.thresholds)
 
-    def test_fractional_count_in_file_rejected(self, small_model, tmp_path):
+    def test_fractional_count_in_file_rejected(self, small_model, small_config, tmp_path):
         model, _ = small_model
-        path = tmp_path / "stpn.json"
         fractional = copy.copy(model)  # past StpnModel's own integer check
         object.__setattr__(fractional, "counts", model.counts + 0.5)
-        save_stpn(fractional, path)
+        save_in_bundle(fractional, small_config, tmp_path)
         with pytest.raises(DataError, match="integers"):
-            load_stpn(path)
+            load_bundle(tmp_path)

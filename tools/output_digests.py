@@ -12,13 +12,14 @@ then ``simulate --nodes 12``, ``train`` and a forced s3 ``rca`` on that
 12-channel series, whose searches are long (82–97 flips each). Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
 line per written file, with its sha256 and its path relative to the
-temporary directory. Then it loads each model bundle the flow wrote and
-prints one line per model array (and energy threshold), with the sha256 of
-its dtype, shape and bytes and a ``<bundle>/<file>:<array>`` name. Run it
-once per source tree: two trees that print the same lines wrote the same
-bytes; two that differ only in model-file lines but print the same array
-lines stored the same models in different file formats. Exits 1 when a
-command exits non-zero.
+temporary directory. Then it loads the bundle of each ``train --out`` of
+the flow and prints one line per model array (and energy threshold), with
+the sha256 of its dtype, shape and bytes and a ``<bundle>:<part>.<array>``
+name, such as ``model:rbm.weights``; the names do not depend on how a
+bundle lays out its files. Run it once per source tree: two trees that
+print the same lines wrote the same bytes; two that differ only in
+model-file lines but print the same array lines stored the same models in
+different file formats. Exits 1 when a command exits non-zero.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _array_digest(a) -> str:
 
 
 def _model_arrays(bundle):
-    """(model kind, array name, array) for every array of a loaded bundle."""
+    """(model part, array name, array) for every array of a loaded bundle."""
     stpn, rbm = bundle.stpn, bundle.rbm
     yield "stpn", "edges", np.array(stpn.partition.edges, dtype=float)
     yield "stpn", "counts", stpn.counts
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
     src = parser.parse_args(argv).src.resolve()
     sys.path.insert(0, str(src))
     from stpnrca.cli import main as cli_main
-    from stpnrca.pipeline import BUNDLE_FILES, load_bundle
+    from stpnrca.pipeline import load_bundle
 
     failed = False
     cwd = os.getcwd()
@@ -124,11 +125,9 @@ def main(argv=None) -> int:
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file():
                     print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
-            for run_json in sorted(Path(".").rglob(BUNDLE_FILES["run"])):
-                bundle = load_bundle(run_json.parent)
-                for kind, name, a in _model_arrays(bundle):
-                    where = f"{run_json.parent.as_posix()}/{BUNDLE_FILES[kind]}:{name}"
-                    print(f"{_array_digest(a)}  {where}")
+            for out in sorted(c[c.index("--out") + 1] for c in FLOW if c[0] == "train"):
+                for part, name, a in _model_arrays(load_bundle(out)):
+                    print(f"{_array_digest(a)}  {out}:{part}.{name}")
         finally:
             os.chdir(cwd)
     return 1 if failed else 0
