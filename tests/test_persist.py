@@ -320,27 +320,53 @@ def same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@ROUNDTRIP
-@pytest.mark.parametrize("with_mlp", [False, True], ids=["no classifier", "classifier"])
-@given(data=st.data())
-def test_bundle_file_round_trips_exactly(with_mlp, data):
-    """Save, load, save again: the loaded bundle equals the saved one array
-    for array, and the second file equals the first byte for byte."""
-    bundle = data.draw(bundles(with_mlp))
+def round_trip(bundle):
+    """Save, load, save again: the bundle as loaded, once the second file has
+    been checked to equal the first byte for byte."""
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a", Path(tmp) / "b"
         save_bundle(bundle, first)
         loaded = load_bundle(first)
         save_bundle(loaded, second)
         assert (first / BUNDLE_FILE).read_bytes() == (second / BUNDLE_FILE).read_bytes()
-    assert loaded.stpn.names == bundle.stpn.names
-    assert loaded.config == bundle.config
-    assert (loaded.stpn.depth, loaded.stpn.lag, loaded.stpn.window_length) == (
-        bundle.stpn.depth, bundle.stpn.lag, bundle.stpn.window_length
+    return loaded
+
+
+@ROUNDTRIP
+@given(bundle=bundles(with_mlp=False))
+def test_stpn_file_round_trips_exactly(bundle):
+    model, loaded = bundle.stpn, round_trip(bundle).stpn
+    assert loaded.names == model.names
+    assert (loaded.depth, loaded.lag, loaded.window_length) == (
+        model.depth, model.lag, model.window_length
     )
-    assert loaded.stpn.partition.alphabet_size == bundle.stpn.partition.alphabet_size
+    assert loaded.partition.alphabet_size == model.partition.alphabet_size
+    assert all(same(a, b) for a, b in zip(loaded.partition.edges, model.partition.edges,
+                                          strict=True))
+    assert same(loaded.counts, model.counts)
+    assert same(loaded.thresholds, model.thresholds)
+
+
+@ROUNDTRIP
+@given(bundle=bundles(with_mlp=False))
+def test_rbm_file_round_trips_exactly(bundle):
+    params, loaded = bundle.rbm, round_trip(bundle)
+    assert same(loaded.rbm.visible_bias, params.visible_bias)
+    assert same(loaded.rbm.hidden_bias, params.hidden_bias)
+    assert same(loaded.rbm.weights, params.weights)
     assert loaded.energy_threshold == bundle.energy_threshold
     assert type(loaded.energy_threshold) is float
+
+
+@ROUNDTRIP
+@pytest.mark.parametrize("with_mlp", [False, True], ids=["no classifier", "classifier"])
+@given(data=st.data())
+def test_bundle_file_round_trips_exactly(with_mlp, data):
+    """The loaded bundle equals the saved one array for array, and its
+    config and classifier come back as saved."""
+    bundle = data.draw(bundles(with_mlp))
+    loaded = round_trip(bundle)
+    assert loaded.config == bundle.config
     assert (loaded.mlp is None) == (bundle.mlp is None)
     if bundle.mlp is not None:
         assert len(loaded.mlp.weights) == len(bundle.mlp.weights)
