@@ -32,7 +32,6 @@ from .pipeline import (
 from .rbm import RbmParams, calibrate_threshold, free_energy, train_rbm
 from .stpn import (
     StpnModel,
-    binarize,
     index_pattern,
     pattern_index,
     scan_windows,

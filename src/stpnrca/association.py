@@ -40,11 +40,11 @@ class A3Dataset:
 
 @dataclass(frozen=True, eq=False)
 class MlpParams:
-    """Layer weights/biases; hidden layers are ReLU, outputs logistic."""
+    """Layer weights/biases; hidden layers are ReLU, outputs logistic. The
+    dropout fraction is a training setting: train_a3 reads the config's."""
 
     weights: tuple[np.ndarray, ...] = field(repr=False)
     biases: tuple[np.ndarray, ...] = field(repr=False)
-    dropout: float = 0.0
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -55,8 +55,6 @@ class MlpParams:
                 raise DataError(f"layer {i}: weights {w.shape} and biases {b.shape} do not chain")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise DataError("parameters must be finite")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError("dropout must lie in [0, 1)")
 
     @property
     def n_inputs(self) -> int:
@@ -105,7 +103,7 @@ def generate_artificial_anomalies(
     return A3Dataset(np.stack(inputs), np.stack(labels))
 
 
-def init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
+def _init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
     """Scaled random initialization (deterministic per seed)."""
     rng = np.random.default_rng(config.seed)
     sizes = [n_inputs, *config.a3_hidden, n_outputs]
@@ -113,7 +111,7 @@ def init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpParams(tuple(weights), tuple(biases), dropout=config.a3_dropout)
+    return MlpParams(tuple(weights), tuple(biases))
 
 
 def _forward(weights, biases, x, dropout=0.0, rng=None):
@@ -206,7 +204,7 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     tr_x, tr_y = data.inputs[order[:half]], data.labels[order[:half]]
     va_x, va_y = data.inputs[order[half:]], data.labels[order[half:]]
 
-    init = init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
+    init = _init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
     weights = [w.copy() for w in init.weights]
     biases = [b.copy() for b in init.biases]
     vel_w = [np.zeros_like(w) for w in weights]
@@ -248,7 +246,7 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
             stale += 1
             if stale >= config.a3_patience:
                 break
-    return MlpParams(tuple(best_w), tuple(best_b), dropout=config.a3_dropout)
+    return MlpParams(tuple(best_w), tuple(best_b))
 
 
 def infer_a3(

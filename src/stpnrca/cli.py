@@ -74,12 +74,16 @@ def _read_json(path: str):
 
 
 def _check_out_dir(path: str | None, directory: bool = False) -> None:
-    """Fail before any input is read when `path` cannot take the output: an
-    existing path must be a directory exactly when the output is one, and a
-    file output needs an existing parent directory."""
-    if path and os.path.exists(path) and os.path.isdir(path) != directory:
+    """Fail before any input is read when `path` cannot take the output: a
+    directory output's nearest existing ancestor (the path itself, when it
+    exists) must be a directory, and a file output must not be an existing
+    directory and needs an existing parent directory."""
+    nearest = os.path.abspath(path or ".")
+    while directory and not os.path.exists(nearest):  # the root exists, so this ends
+        nearest = os.path.dirname(nearest)
+    if path and directory != os.path.isdir(nearest if directory else path):
         code = errno.ENOTDIR if directory else errno.EISDIR
-    elif path and not directory and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    elif path and not directory and not os.path.isdir(os.path.dirname(nearest)):
         code = errno.ENOENT
     else:
         return

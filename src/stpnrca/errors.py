@@ -18,7 +18,11 @@ class DataError(StpnRcaError):
 
 
 class DegeneratePartitionError(DataError):
-    """A channel cannot be partitioned (constant values or duplicated edges)."""
+    """A channel cannot be partitioned; `channel` is its index, when known."""
+
+    def __init__(self, message: str, channel: int | None = None):
+        super().__init__(message)
+        self.channel = channel
 
 
 class NumericalError(StpnRcaError):

@@ -118,7 +118,7 @@ def _check_config(config: RunConfig, stpn: StpnModel, rbm: RbmParams,
     built = {"alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
              "lag": stpn.lag, "window_length": stpn.window_length, "rbm_hidden": rbm.n_hidden}
     if mlp is not None:
-        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]), a3_dropout=mlp.dropout)
+        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]))
     wrong = [f"{key} = {getattr(config, key)!r}, the models {value!r}"
              for key, value in built.items() if getattr(config, key) != value]
     if wrong:
@@ -131,10 +131,8 @@ def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
     before anything is written."""
     stpn, rbm, mlp = bundle.stpn, bundle.rbm, bundle.mlp
     _check_config(bundle.config, stpn, rbm, mlp)
-    n_symbols = stpn.partition.alphabet_size
-    edges = np.array(stpn.partition.edges, dtype=float).reshape(-1, n_symbols - 1)
-    model_arrays = (edges, stpn.counts, stpn.thresholds, rbm.visible_bias, rbm.hidden_bias,
-                    rbm.weights)
+    model_arrays = (stpn.partition.edges, stpn.counts, stpn.thresholds, rbm.visible_bias,
+                    rbm.hidden_bias, rbm.weights)
     arrays = dict(zip(_MODEL_ARRAYS, model_arrays))
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases) if mlp else ()):
         arrays.update({f"w{i}": w, f"b{i}": b})
@@ -155,12 +153,11 @@ def _build(payload: dict, arrays: list) -> TrainedBundle:
     if [name for name, _ in arrays] != names:
         raise ValueError(f"arrays {[name for name, _ in arrays]}, expected {names}")
     got = dict(arrays)
-    partition = PartitionScheme(tuple(got["edges"]), config.alphabet_size)
-    stpn = StpnModel(tuple(payload["names"]), partition, config.depth, config.lag,
-                     config.window_length, got["counts"], got["thresholds"])
+    stpn = StpnModel(tuple(payload["names"]), PartitionScheme(got["edges"]), config.depth,
+                     config.lag, config.window_length, got["counts"], got["thresholds"])
     rbm = RbmParams(got["visible_bias"], got["hidden_bias"], got["weights"])
     weights, biases = (tuple(got[f"{x}{i}"] for i in layers) for x in "wb")
-    mlp = MlpParams(weights, biases, dropout=config.a3_dropout) if layers else None
+    mlp = MlpParams(weights, biases) if layers else None
     _check_config(config, stpn, rbm, mlp)
     widths = {"energy model": rbm.n_visible}
     if mlp is not None:

@@ -28,6 +28,8 @@ from .symbolic import (
 )
 from .timeseries import TimeSeries
 
+_MAX_DEPTH = 63  # alphabet_size >= 2: deeper states number 2**64 or more
+
 
 @dataclass(frozen=True, eq=False)
 class StpnModel:
@@ -42,8 +44,10 @@ class StpnModel:
     thresholds: np.ndarray = field(repr=False)  # (f, f) float
 
     def __post_init__(self):
-        if min(self.depth, self.lag) < 1 or self.window_length < self.depth + self.lag:
-            raise DataError("need depth, lag >= 1 and window_length >= depth + lag")
+        if (min(self.depth, self.lag) < 1 or self.depth > _MAX_DEPTH  # before the power
+                or self.window_length < self.depth + self.lag):
+            raise DataError(f"need 1 <= depth <= {_MAX_DEPTH}, lag >= 1 and "
+                            "window_length >= depth + lag")
         f = len(self.names)
         if self.partition.n_channels != f:
             raise DataError(f"partition has {self.partition.n_channels} channels, names {f}")
@@ -165,10 +169,11 @@ def train_stpn(
         config.alphabet_size,
         config.partition_method,
     )
-    n_symbols = config.alphabet_size
+    n_symbols, f = config.alphabet_size, len(names)
+    if config.depth > _MAX_DEPTH:  # refused before the power is computed or printed
+        raise UsageError(f"alphabet_size {n_symbols} and depth {config.depth} need at least "
+                         f"2**64 states; depth must be <= {_MAX_DEPTH}")
     n_states = n_symbols**config.depth
-
-    f = len(names)
     try:
         counts = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)
     except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the grid
@@ -234,8 +239,7 @@ def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
     """
     table, model_cells, model_rows, model_row_terms = model._metric_tables
     f = model.n_channels
-    n_symbols = model.partition.alphabet_size
-    n_states = n_symbols**model.depth
+    n_symbols, n_states = model.partition.alphabet_size, model.counts.shape[2]
     plus_one, plus_symbols = table[1:], table[n_symbols:]  # lg[k + 1], lg[k + A]
     out = np.empty((f, f))
     for a, window in enumerate(
@@ -270,7 +274,7 @@ def _score_windows(model: StpnModel, symbols, states, stride: int):
     return starts, metrics
 
 
-def binarize(metrics: np.ndarray, model: StpnModel) -> np.ndarray:
+def _binarize(metrics: np.ndarray, model: StpnModel) -> np.ndarray:
     """Threshold a metric grid into a flat 0/1 pattern vector of length f*f,
     or an (n, f, f) stack of grids into an (n, f*f) matrix of such vectors.
 
@@ -298,7 +302,7 @@ def _window_scan(model: StpnModel, starts, metrics: np.ndarray) -> WindowScan:
     return WindowScan(
         starts=np.array(starts, dtype=np.int64),
         metrics=metrics,
-        vectors=binarize(metrics, model),
+        vectors=_binarize(metrics, model),
     )
 
 

@@ -21,33 +21,32 @@ from .timeseries import TimeSeries
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Per-channel ordered interior bin edges for a common alphabet size."""
+    """Interior bin edges for a common alphabet size: a read-only float64
+    (channels, alphabet_size - 1) matrix, stored as is in a bundle file,
+    whose every row must be finite and strictly increasing."""
 
-    edges: tuple[np.ndarray, ...]
-    alphabet_size: int
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise DataError("alphabet_size must be >= 2")
-        frozen = []
-        for i, e in enumerate(self.edges):
-            e = np.asarray(e, dtype=float)
-            if e.shape != (self.alphabet_size - 1,):
-                raise DataError(
-                    f"channel {i}: expected {self.alphabet_size - 1} interior edges "
-                    f"for alphabet_size {self.alphabet_size}, got {e.shape}"
-                )
-            if e.size > 1 and not np.all(np.diff(e) > 0):
-                raise DegeneratePartitionError(
-                    f"channel {i}: bin edges are not strictly increasing"
-                )
-            e.setflags(write=False)
-            frozen.append(e)
-        object.__setattr__(self, "edges", tuple(frozen))
+        edges = np.array(self.edges, dtype=np.float64)
+        if edges.ndim != 2 or edges.shape[1] < 1:
+            raise DataError(f"partition edges of shape {edges.shape}, expected "
+                            "(channels, alphabet_size - 1) with alphabet_size >= 2")
+        ordered = np.isfinite(edges).all(axis=1) & (np.diff(edges, axis=1) > 0).all(axis=1)
+        if not ordered.all():
+            i = int(np.argmin(ordered))
+            raise DegeneratePartitionError(
+                f"channel {i}: bin edges are not finite and strictly increasing", i)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def alphabet_size(self) -> int:
+        return self.edges.shape[1] + 1
 
     @property
     def n_channels(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
 
 def learn_partition(
@@ -60,8 +59,6 @@ def learn_partition(
     observed range. Constant channels are rejected: their partition is
     undefined and the caller must exclude or dither them.
     """
-    if alphabet_size < 2:
-        raise DataError("alphabet_size must be >= 2")
     if ts.n_samples < alphabet_size:
         raise DataError(
             f"need at least {alphabet_size} samples to fit {alphabet_size} bins"
@@ -69,26 +66,21 @@ def learn_partition(
     method = method.lower()
     if method not in ("mep", "up"):
         raise DataError(f"unknown partition method {method!r} (use 'mep' or 'up')")
-    edges = []
-    for i in range(ts.n_channels):
-        x = ts.channel(i)
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if lo == hi:
-            raise DegeneratePartitionError(
-                f"channel {ts.names[i]!r} is constant; partition undefined"
-            )
-        if method == "mep":
-            qs = np.arange(1, alphabet_size) / alphabet_size
-            e = np.quantile(x, qs)
-        else:
-            e = lo + (hi - lo) * np.arange(1, alphabet_size) / alphabet_size
-        if e.size > 1 and not np.all(np.diff(e) > 0):
-            raise DegeneratePartitionError(
-                f"channel {ts.names[i]!r}: duplicated bin edges "
-                "(too many tied samples for equal-frequency binning)"
-            )
-        edges.append(e)
-    return PartitionScheme(tuple(edges), alphabet_size)
+    lo, hi = ts.values.min(axis=0), ts.values.max(axis=0)
+    if np.any(lo == hi):
+        name = ts.names[np.argmax(lo == hi)]
+        raise DegeneratePartitionError(f"channel {name!r} is constant; partition undefined")
+    k = np.arange(1, alphabet_size)
+    if method == "mep":  # per channel: np.quantile copies all it is given
+        edges = [np.quantile(ts.channel(i), k / alphabet_size) for i in range(ts.n_channels)]
+    else:
+        edges = lo[:, None] + (hi - lo)[:, None] * k / alphabet_size
+    try:
+        return PartitionScheme(edges)
+    except DegeneratePartitionError as exc:  # finite samples: tied, or past float64's range
+        raise DegeneratePartitionError(
+            f"channel {ts.names[exc.channel]!r}: duplicated or non-finite bin edges (too "
+            "many tied samples for equal-frequency binning)", exc.channel) from None
 
 
 def symbolize(ts: TimeSeries, scheme: PartitionScheme) -> np.ndarray:

@@ -11,11 +11,11 @@ from stpnrca.association import (
     A3Dataset,
     MlpParams,
     _gradients,
+    _init_mlp,
     _loss,
     a3_loss,
     generate_artificial_anomalies,
     infer_a3,
-    init_mlp,
     train_a3,
 )
 from stpnrca.config import RunConfig
@@ -87,7 +87,7 @@ class TestGeneration:
 class TestLoss:
     def test_decomposes_into_per_position_terms(self, flip_dataset):
         cfg = RunConfig(a3_hidden=(16,), seed=5)
-        params = init_mlp(12, 12, cfg)
+        params = _init_mlp(12, 12, cfg)
         total = a3_loss(params, flip_dataset.inputs, flip_dataset.labels)
         # position j's sub-problem alone: the same net cut to output j
         per_position = [
@@ -108,7 +108,7 @@ class TestLoss:
         # sits exactly at its kink (where the subgradient is one-sided)
         rng = np.random.default_rng(7)
         cfg = RunConfig(a3_hidden=(3,), a3_dropout=0.0, seed=7)
-        params = init_mlp(3, 3, cfg)
+        params = _init_mlp(3, 3, cfg)
         weights = [w.copy() for w in params.weights]
         biases = [b + rng.normal(0.0, 0.3, size=b.shape) for b in params.biases]
         x = (rng.random((6, 3)) < 0.5).astype(float)
@@ -145,7 +145,7 @@ class TestLoss:
 class TestTraining:
     def test_loss_not_worse_than_initial(self, flip_dataset, trained):
         params, cfg = trained
-        fresh = init_mlp(12, 12, cfg)
+        fresh = _init_mlp(12, 12, cfg)
         trained_loss = a3_loss(params, flip_dataset.inputs, flip_dataset.labels)
         initial_loss = a3_loss(fresh, flip_dataset.inputs, flip_dataset.labels)
         assert trained_loss <= initial_loss
@@ -282,7 +282,7 @@ def loop_reference_train_a3(data: A3Dataset, config: RunConfig = RunConfig()) ->
     tr_x, tr_y = data.inputs[order[:half]], data.labels[order[:half]]
     va_x, va_y = data.inputs[order[half:]], data.labels[order[half:]]
 
-    init = init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
+    init = _init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
     weights = [w.copy() for w in init.weights]
     biases = [b.copy() for b in init.biases]
     vel_w = [np.zeros_like(w) for w in weights]
@@ -318,7 +318,7 @@ def loop_reference_train_a3(data: A3Dataset, config: RunConfig = RunConfig()) ->
             stale += 1
             if stale >= config.a3_patience:
                 break
-    return MlpParams(tuple(best_w), tuple(best_b), dropout=config.a3_dropout)
+    return MlpParams(tuple(best_w), tuple(best_b))
 
 
 # near-equal inputs: 0 and -0.0 compare equal, 0.5 and its float neighbour
@@ -381,7 +381,6 @@ def test_train_a3_equals_loop_reference(case):
     for got, want in zip(seen, expected):
         scale = 1.0 + np.max(np.abs(want), where=np.isfinite(want), initial=0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-    assert params.dropout == reference.dropout
     for got, want in zip(params.weights + params.biases, reference.weights + reference.biases):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -314,6 +314,40 @@ class TestDetect:
         assert run("detect", "--model", workdir / "bundle", "--data", path) == 2
         assert "binary.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [64, 10000, 100000000])
+    def test_depth_beyond_any_count_grid_is_data_error(
+        self, workdir, tmp_path, depth, capsys, rewrite_header
+    ):
+        """A header depth past 63 is refused before the power of the
+        alphabet size is computed, so it neither hangs nor prints a traceback."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        path = bundle / BUNDLE_FILE
+        rewrite_header(path, lambda doc: doc["payload"]["config"].update(
+            depth=depth, window_length=10**9))
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: need 1 <= depth <= 63" in err and "Traceback" not in err
+
+    def test_non_finite_partition_edge_is_data_error(
+        self, workdir, tmp_path, capsys, rewrite_header
+    ):
+        """At alphabet size 2 each channel has one edge, so only the
+        finiteness check stops a NaN edge from binning every sample as 0."""
+        bundle = tmp_path / "bundle"
+        assert run("train", "--nominal", workdir / "nominal.csv", "--out", bundle,
+                   "--set", "alphabet_size=2", "--set", "window_length=400",
+                   "--set", "rbm_epochs=1") == 0
+        path = bundle / BUNDLE_FILE
+        edges = load_bundle(bundle).stpn.partition.edges.copy()
+        edges[2, 0] = np.nan
+        rewrite_header(path, edges=edges)
+        capsys.readouterr()
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {path}: channel 2: bin edges are not finite and "
+                       "strictly increasing\n")
+
     def test_four_file_bundle_is_data_error(self, workdir, tmp_path, capsys):
         for name in ("stpn.json", "rbm.json", "run.json"):
             (tmp_path / name).write_text("{}")
@@ -439,12 +473,15 @@ class TestRca:
         assert err.startswith("error: ")
         assert str(report / "sim" if command == "simulate" else missing) in err
 
-    @pytest.mark.parametrize("command", ["train", "simulate", "rca", "evaluate"])
+    @pytest.mark.parametrize(
+        "command", ["train", "simulate", "rca", "evaluate", "train-under", "simulate-under"]
+    )
     def test_out_of_the_wrong_kind_fails_before_any_work(
         self, workdir, report_and_labels, tmp_path, command, capsys, monkeypatch
     ):
-        """A directory output at an existing file, or a file output at an
-        existing directory, fails before any input is read, naming the path."""
+        """A directory output at an existing file or under one, or a file
+        output at an existing directory, fails before any input is read,
+        naming the path."""
         report, labels = report_and_labels
 
         def no_work(*args, **kwargs):
@@ -452,10 +489,14 @@ class TestRca:
 
         for name in ("train_bundle", "simulate_case", "run_rca", "evaluate_case"):
             monkeypatch.setattr(cli, name, no_work)
-        taken = report if command in ("train", "simulate") else tmp_path
+        taken = {"train": report, "simulate": report, "train-under": report / "b",
+                 "simulate-under": report / "sim"}.get(command, tmp_path)
         argv = {
             "train": ["train", "--nominal", workdir / "nominal.csv", "--out", taken],
             "simulate": ["simulate", "--out", taken, "--modes", "builtin", "--samples", "50"],
+            "train-under": ["train", "--nominal", workdir / "nominal.csv", "--out", taken],
+            "simulate-under": ["simulate", "--out", taken, "--modes", "builtin",
+                               "--samples", "50"],
             "rca": ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
                     "--force", "--out", taken],
             "evaluate": ["evaluate", "--reports", report, "--labels", labels, "--out", taken],
@@ -463,7 +504,7 @@ class TestRca:
         capsys.readouterr()
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        code = errno.ENOTDIR if command in ("train", "simulate") else errno.EISDIR
+        code = errno.EISDIR if command in ("rca", "evaluate") else errno.ENOTDIR
         assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(taken)!r}\n"
 
 
@@ -622,14 +663,18 @@ class TestUsageErrors:
 
     def test_count_grid_too_large_is_usage_error(self, tmp_path, toy_nominal, capsys):
         """9 symbols at depth 20 need 9**21 cells per channel pair, more than
-        numpy can index, so it refuses without allocating."""
+        numpy can index, so it refuses without allocating. Past depth 63 it
+        refuses before computing the power, whose digits at depth 10000 are
+        too many to print and which at depth 100000000 takes minutes."""
         data = tmp_path / "n.csv"
         write_csv(toy_nominal.window(0, 8 * 400), data)
         argv = ["train", "--nominal", data, "--out", tmp_path / "b"]
-        assert run(*argv, "--set", "window_length=400", "--set", "depth=20") == 1
-        err = capsys.readouterr().err
-        assert "alphabet_size 9 and depth 20" in err and f"{16 * 9**21} cells" in err
-        assert "Traceback" not in err and not (tmp_path / "b").exists()
+        for depth in (20, 10000, 100000000):
+            assert run(*argv, "--set", "window_length=400", "--set", f"depth={depth}") == 1
+            err = capsys.readouterr().err
+            assert f"alphabet_size 9 and depth {depth}" in err
+            assert f"{16 * 9**21} cells" in err if depth == 20 else "2**64 states" in err
+            assert "Traceback" not in err and not (tmp_path / "b").exists()
 
 
 class TestTepFormat:

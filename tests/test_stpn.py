@@ -12,7 +12,7 @@ from stpnrca.persist import TrainedBundle, load_bundle, save_bundle
 from stpnrca.rbm import RbmParams
 from stpnrca.stpn import (
     StpnModel,
-    binarize,
+    _binarize,
     index_pattern,
     pattern_index,
     scan_windows,
@@ -159,7 +159,7 @@ def test_window_metrics_equal_per_pattern_reference(
     edges = np.arange(n_symbols - 1) + 0.5
     model = StpnModel(
         names=tuple(f"c{i}" for i in range(f)),
-        partition=PartitionScheme(tuple(edges for _ in range(f)), n_symbols),
+        partition=PartitionScheme(np.tile(edges, (f, 1))),
         depth=depth,
         lag=lag,
         window_length=length,
@@ -236,21 +236,21 @@ class TestBinarize:
     def test_all_above(self, small_model):
         model, _ = small_model
         metrics = model.thresholds + 1.0
-        assert np.all(binarize(metrics, model) == 1)
+        assert np.all(_binarize(metrics, model) == 1)
 
     def test_all_below(self, small_model):
         model, _ = small_model
         metrics = model.thresholds - 1.0
-        assert np.all(binarize(metrics, model) == 0)
+        assert np.all(_binarize(metrics, model) == 0)
 
     def test_exactly_at_threshold_is_one(self, small_model):
         model, _ = small_model
-        assert np.all(binarize(model.thresholds.copy(), model) == 1)
+        assert np.all(_binarize(model.thresholds.copy(), model) == 1)
 
     def test_shape_mismatch(self, small_model):
         model, _ = small_model
         with pytest.raises(DataError):
-            binarize(np.zeros((3, 3)), model)
+            _binarize(np.zeros((3, 3)), model)
 
 
 def save_in_bundle(model, config, directory):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stpnrca.bench import exact_log_metric, two_state_counts
 from stpnrca.errors import DataError, DegeneratePartitionError
 from stpnrca.symbolic import (
+    PartitionScheme,
     count_matrix,
     learn_partition,
     log_inference_metric,
@@ -60,6 +62,82 @@ class TestLearnPartition:
         ts = series([0.0] * 50 + [1.0, 2.0])
         with pytest.raises(DegeneratePartitionError):
             learn_partition(ts, 4, "mep")
+
+
+def loop_reference_partition(ts, alphabet_size, method):
+    """Edges one channel at a time, or None where a channel is constant or
+    its edges tie."""
+    edges = []
+    for i in range(ts.n_channels):
+        x = ts.channel(i)
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if lo == hi:
+            return None
+        if method == "mep":
+            e = np.quantile(x, np.arange(1, alphabet_size) / alphabet_size)
+        else:
+            e = lo + (hi - lo) * np.arange(1, alphabet_size) / alphabet_size
+        if not np.all(np.diff(e) > 0):
+            return None
+        edges.append(e)
+    return np.array(edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    method=st.sampled_from(["mep", "up"]),
+    alphabet_size=st.integers(2, 17),
+    data=st.data(),
+)
+def test_learn_partition_equals_loop_reference(method, alphabet_size, data):
+    """learn_partition gives the per-channel loop's edges bit for bit (its
+    equal-width edges come from one expression over all channels), and fails
+    exactly where a channel is constant or its edges tie."""
+    shape = (data.draw(st.integers(alphabet_size, 80)), data.draw(st.integers(1, 6)))
+    # distinct values bin cleanly; a few repeated ones make ties and constant
+    # channels common
+    values = data.draw(st.one_of(
+        arrays(float, shape, elements=st.floats(-1e300, 1e300), unique=True),
+        arrays(float, shape, elements=st.sampled_from([-2.5, 0.0, 1e-300, 3.0, 7.25])),
+    ))
+    ts = TimeSeries(tuple(f"c{i}" for i in range(shape[1])), values)
+    want = loop_reference_partition(ts, alphabet_size, method)
+    if want is None:
+        with pytest.raises(DegeneratePartitionError):
+            learn_partition(ts, alphabet_size, method)
+        return
+    got = learn_partition(ts, alphabet_size, method).edges
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestPartitionScheme:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("alphabet_size", [2, 4])
+    def test_non_finite_edge_names_the_channel(self, bad, alphabet_size):
+        edges = np.tile(np.arange(alphabet_size - 1.0), (3, 1))
+        edges[1, -1] = bad
+        with pytest.raises(DegeneratePartitionError, match="channel 1: bin edges are not "
+                           "finite and strictly increasing") as info:
+            PartitionScheme(edges)
+        assert info.value.channel == 1
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [2.0, 1.0], [0.0, -0.0]])
+    def test_non_increasing_row_names_the_channel(self, row):
+        with pytest.raises(DegeneratePartitionError, match="channel 2"):
+            PartitionScheme(np.array([[0.0, 1.0], [0.0, 1.0], row]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 0), (2, 2, 1)])
+    def test_edges_must_be_a_matrix_of_one_column_or_more(self, shape):
+        with pytest.raises(DataError, match="alphabet_size >= 2"):
+            PartitionScheme(np.zeros(shape))
+
+    def test_shape_gives_the_structure(self):
+        edges = np.array([[0, 1, 2], [-1, 0.5, 4]])
+        scheme = PartitionScheme(edges)
+        assert (scheme.n_channels, scheme.alphabet_size) == (2, 4)
+        assert scheme.edges.dtype == np.float64 and not scheme.edges.flags.writeable
+        assert edges.flags.writeable  # a copy is frozen, not the caller's array
 
 
 class TestSymbolize:

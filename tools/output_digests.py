@@ -7,9 +7,10 @@ through ``stpnrca.cli.main`` in a temporary directory: ``simulate`` (the
 builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
 forced, var), two more ``train --a3`` runs (two hidden layers at dropout 0.3,
-and dropout 0), each followed by a forced a3 ``rca``, and ``evaluate --out``;
-then ``simulate --nodes 12``, ``train`` and a forced s3 ``rca`` on that
-12-channel series, whose searches are long (82–97 flips each). Prints one
+and dropout 0), each followed by a forced a3 ``rca``, a ``train`` at alphabet
+size 2 (one edge per channel) followed by a forced s3 ``rca``, and
+``evaluate --out``; then ``simulate --nodes 12``, ``train`` and a forced s3
+``rca`` on that 12-channel series, whose searches are long (82–97 flips each). Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
 line per written file, with its sha256 and its path relative to the
 temporary directory. Then it loads the bundle of each ``train --out`` of
@@ -61,6 +62,11 @@ FLOW = [
      "--set", "a3_dropout=0"],
     ["rca", "--model", "model_nodrop", "--data", "data/case02.csv", "--method", "a3",
      "--force", "--out", "case02.a3_nodrop.json"],
+    # one interior edge per channel
+    ["train", "--nominal", *NOMINAL, "--out", "model_binary", *SMALL,
+     "--set", "alphabet_size=2"],
+    ["rca", "--model", "model_binary", "--data", "data/case01.csv", "--force",
+     "--out", "case01.s3_binary.json"],
     ["rca", "--data", "data/fault.csv", "--method", "var", "--nominal",
      "data/fault_nominal.csv", "--out", "fault.var.json"],
     ["evaluate",
@@ -90,7 +96,7 @@ def _array_digest(a) -> str:
 def _model_arrays(bundle):
     """(model part, array name, array) for every array of a loaded bundle."""
     stpn, rbm = bundle.stpn, bundle.rbm
-    yield "stpn", "edges", np.array(stpn.partition.edges, dtype=float)
+    yield "stpn", "edges", stpn.partition.edges
     yield "stpn", "counts", stpn.counts
     yield "stpn", "thresholds", stpn.thresholds
     yield "rbm", "visible_bias", rbm.visible_bias
