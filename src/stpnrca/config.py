@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import UsageError
 
 CONFIG_ENV_VAR = "STPNRCA_CONFIG"
+_MAX_DEPTH = 63  # alphabet_size >= 2: deeper states number 2**64 or more
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,11 @@ class RunConfig:
         for key, low in at_least.items():
             if getattr(self, key) < low:
                 raise UsageError(f"config key {key!r} must be >= {low}")
-        if self.window_length < self.alphabet_size:
-            raise UsageError("config key 'window_length' must be >= alphabet_size")
+        if self.depth > _MAX_DEPTH:  # refused before any power of the alphabet size
+            raise UsageError(f"alphabet_size {self.alphabet_size} and depth {self.depth} need "
+                             f"at least 2**64 states; depth must be <= {_MAX_DEPTH}")
+        if self.window_length < max(self.alphabet_size, self.depth + self.lag):
+            raise UsageError("config key 'window_length' must be >= alphabet_size and depth + lag")
         if not 0.0 <= self.threshold_quantile < 1.0:
             raise UsageError("config key 'threshold_quantile' must lie in [0, 1)")
         if min(self.a3_hidden, default=1) < 1 or min(self.a3_flip_orders, default=1) < 1:

@@ -40,7 +40,10 @@ _NPY_HEADERS = {(1, 0): _NPY.read_array_header_1_0, (2, 0): _NPY.read_array_head
 
 @dataclass(frozen=True, eq=False)
 class TrainedBundle:
-    """Trained pattern network, energy model, and optional classifier."""
+    """Trained pattern network, energy model, and optional classifier; a
+    DataError unless the config states the models' structure (it is the only
+    stored copy), the energy model and classifier are f*f wide, and the
+    energy threshold is finite (a NaN one would flag no window)."""
 
     stpn: StpnModel
     rbm: RbmParams
@@ -48,6 +51,25 @@ class TrainedBundle:
     config: RunConfig
     mlp: MlpParams | None = None
     training_vectors: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        stpn, rbm, mlp, config = self.stpn, self.rbm, self.mlp, self.config
+        built = {"alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
+                 "lag": stpn.lag, "window_length": stpn.window_length,
+                 "rbm_hidden": rbm.n_hidden}
+        widths = {"energy model": rbm.n_visible}
+        if mlp is not None:
+            built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]))
+            widths.update({"classifier input": mlp.n_inputs, "classifier output": mlp.n_outputs})
+        wrong = [f"{key} = {getattr(config, key)!r}, the models {value!r}"
+                 for key, value in built.items() if getattr(config, key) != value]
+        if wrong:
+            raise DataError(f"config has {', '.join(wrong)}")
+        for part, width in widths.items():
+            if width != stpn.n_patterns:
+                raise DataError(f"{part} width {width} != {stpn.n_patterns} patterns")
+        if not math.isfinite(self.energy_threshold):
+            raise DataError(f"energy threshold {self.energy_threshold} is not finite")
 
 
 def _dump(payload: dict, arrays: dict, path: str) -> None:
@@ -111,26 +133,10 @@ def _read(path: str) -> tuple[dict, list]:
     return doc, arrays
 
 
-def _check_config(config: RunConfig, stpn: StpnModel, rbm: RbmParams,
-                  mlp: MlpParams | None) -> None:
-    """The config is the only stored copy of the models' structure, so each
-    value it states must be the one the models were built with."""
-    built = {"alphabet_size": stpn.partition.alphabet_size, "depth": stpn.depth,
-             "lag": stpn.lag, "window_length": stpn.window_length, "rbm_hidden": rbm.n_hidden}
-    if mlp is not None:
-        built.update(a3_hidden=tuple(b.size for b in mlp.biases[:-1]))
-    wrong = [f"{key} = {getattr(config, key)!r}, the models {value!r}"
-             for key, value in built.items() if getattr(config, key) != value]
-    if wrong:
-        raise DataError(f"config has {', '.join(wrong)}")
-
-
 def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
-    """Write `bundle` as ``<directory>/bundle.stpnrca`` with one rename; a
-    bundle whose config disagrees with its models is a DataError, raised
-    before anything is written."""
+    """Write `bundle` as ``<directory>/bundle.stpnrca`` with one rename; the
+    bundle checked its parts when it was built, so this only encodes them."""
     stpn, rbm, mlp = bundle.stpn, bundle.rbm, bundle.mlp
-    _check_config(bundle.config, stpn, rbm, mlp)
     model_arrays = (stpn.partition.edges, stpn.counts, stpn.thresholds, rbm.visible_bias,
                     rbm.hidden_bias, rbm.weights)
     arrays = dict(zip(_MODEL_ARRAYS, model_arrays))
@@ -145,8 +151,8 @@ def save_bundle(bundle: TrainedBundle, directory: str | os.PathLike) -> None:
 
 def _build(payload: dict, arrays: list) -> TrainedBundle:
     """The bundle a container holds: DataError when its parts disagree,
-    UsageError when its config is out of range, and LookupError, TypeError
-    or ValueError when the payload or the array list is malformed."""
+    UsageError when its config is out of range, and LookupError, TypeError,
+    ValueError or OverflowError when the payload or the array list is malformed."""
     config = _config_from_values(payload["config"])
     layers = range((len(arrays) - len(_MODEL_ARRAYS)) // 2)
     names = [*_MODEL_ARRAYS, *(f"{x}{i}" for i in layers for x in "wb")]
@@ -158,17 +164,7 @@ def _build(payload: dict, arrays: list) -> TrainedBundle:
     rbm = RbmParams(got["visible_bias"], got["hidden_bias"], got["weights"])
     weights, biases = (tuple(got[f"{x}{i}"] for i in layers) for x in "wb")
     mlp = MlpParams(weights, biases) if layers else None
-    _check_config(config, stpn, rbm, mlp)
-    widths = {"energy model": rbm.n_visible}
-    if mlp is not None:
-        widths.update({"classifier input": mlp.n_inputs, "classifier output": mlp.n_outputs})
-    for part, width in widths.items():
-        if width != stpn.n_patterns:
-            raise DataError(f"{part} width {width} != {stpn.n_patterns} patterns")
-    threshold = float(payload["energy_threshold"])
-    if not np.isfinite(threshold):  # a NaN threshold would flag no window
-        raise ValueError(f"energy threshold {threshold} is not finite")
-    return TrainedBundle(stpn=stpn, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp)
+    return TrainedBundle(stpn, rbm, float(payload["energy_threshold"]), config, mlp)
 
 
 def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
@@ -185,5 +181,5 @@ def load_bundle(directory: str | os.PathLike) -> TrainedBundle:
         raise type(exc)(f"{path}: {exc}") from None
     except UsageError as exc:
         raise DataError(f"{path}: bad config ({exc})") from None
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {_KIND} payload ({exc!r})") from None

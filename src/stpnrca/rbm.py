@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +129,14 @@ def free_energy(params: RbmParams, v: np.ndarray) -> float | np.ndarray:
 def calibrate_threshold(
     params: RbmParams, nominal_vectors: np.ndarray, kappa: float = 1.0
 ) -> float:
-    """Detection threshold: max nominal free energy plus kappa sigma margin."""
+    """Detection threshold: max nominal free energy plus kappa sigma margin;
+    a NumericalError naming detector_kappa when that sum is not finite."""
     f = np.atleast_1d(free_energy(params, nominal_vectors))
     if f.size == 0:
         raise DataError("need at least one nominal vector to calibrate")
-    return float(np.max(f) + kappa * np.std(f))
+    top, spread = float(np.max(f)), float(np.std(f))  # overflow to inf without a warning
+    threshold = top + kappa * spread
+    if not np.isfinite(threshold):
+        raise NumericalError(f"energy threshold {threshold} is not finite: max free energy "
+                             f"{top} plus detector_kappa {kappa} x std {spread}")
+    return threshold

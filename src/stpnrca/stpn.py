@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .config import RunConfig
+from .config import _MAX_DEPTH, RunConfig
 from .errors import DataError, UsageError
 from .symbolic import (
     PartitionScheme,
@@ -27,8 +27,6 @@ from .symbolic import (
     symbolize,
 )
 from .timeseries import TimeSeries
-
-_MAX_DEPTH = 63  # alphabet_size >= 2: deeper states number 2**64 or more
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +168,6 @@ def train_stpn(
         config.partition_method,
     )
     n_symbols, f = config.alphabet_size, len(names)
-    if config.depth > _MAX_DEPTH:  # refused before the power is computed or printed
-        raise UsageError(f"alphabet_size {n_symbols} and depth {config.depth} need at least "
-                         f"2**64 states; depth must be <= {_MAX_DEPTH}")
     n_states = n_symbols**config.depth
     try:
         counts = np.zeros((f, f, n_states, n_symbols), dtype=np.int64)

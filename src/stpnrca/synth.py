@@ -65,7 +65,6 @@ class CausalGraph:
 
     coeffs: np.ndarray = field(repr=False)
     noise_std: np.ndarray = field(repr=False)
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -76,14 +75,10 @@ class CausalGraph:
             raise DataError("noise_std must have one entry per channel")
         if np.any(noise <= 0):
             raise DataError("noise_std must be positive")
-        names = self.names or tuple(f"x{i + 1}" for i in range(coeffs.shape[1]))
-        if len(names) != coeffs.shape[1]:
-            raise DataError("names length must equal channel count")
         coeffs.setflags(write=False)
         noise.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_std", noise)
-        object.__setattr__(self, "names", tuple(names))
         radius = self.spectral_radius()
         if radius >= 1.0:
             raise DataError(f"unstable graph: companion spectral radius {radius:.3f}")
@@ -91,6 +86,10 @@ class CausalGraph:
     @property
     def n_channels(self) -> int:
         return self.coeffs.shape[1]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(f"x{i + 1}" for i in range(self.n_channels))
 
     @property
     def n_lags(self) -> int:
@@ -159,12 +158,12 @@ def simulate_var(g: CausalGraph, T: int, seed: int = 0) -> TimeSeries:
     return TimeSeries(g.names, y[p + burn :].copy())
 
 
-def _stabilized(coeffs: np.ndarray, noise: np.ndarray, names=()) -> CausalGraph:
+def _stabilized(coeffs: np.ndarray, noise: np.ndarray) -> CausalGraph:
     """Uniformly scale coefficients down until the graph is stationary."""
     coeffs = np.asarray(coeffs, dtype=float)
     for _ in range(60):
         try:
-            return CausalGraph(coeffs, noise, names)
+            return CausalGraph(coeffs, noise)
         except DataError:
             coeffs = coeffs * 0.9
     raise NumericalError("could not stabilize the coefficient tensor")
@@ -229,7 +228,7 @@ def _broken_graph(g: CausalGraph, edges: tuple[tuple[int, int], ...]) -> CausalG
     coeffs = g.coeffs.copy()
     for src, dst in edges:
         coeffs[:, dst, src] = 0.0
-    return CausalGraph(coeffs, g.noise_std, g.names)
+    return CausalGraph(coeffs, g.noise_std)
 
 
 def inject_fault(

@@ -318,8 +318,9 @@ class TestDetect:
     def test_depth_beyond_any_count_grid_is_data_error(
         self, workdir, tmp_path, depth, capsys, rewrite_header
     ):
-        """A header depth past 63 is refused before the power of the
-        alphabet size is computed, so it neither hangs nor prints a traceback."""
+        """A header depth past 63 is a config the toolkit refuses, before the
+        power of the alphabet size is computed, so it neither hangs nor
+        prints a traceback."""
         bundle = tmp_path / "bundle"
         shutil.copytree(workdir / "bundle", bundle)
         path = bundle / BUNDLE_FILE
@@ -327,7 +328,8 @@ class TestDetect:
             depth=depth, window_length=10**9))
         assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
         err = capsys.readouterr().err
-        assert f"{path}: need 1 <= depth <= 63" in err and "Traceback" not in err
+        assert f"{path}: bad config (" in err and "depth must be <= 63" in err
+        assert "Traceback" not in err
 
     def test_non_finite_partition_edge_is_data_error(
         self, workdir, tmp_path, capsys, rewrite_header
@@ -660,6 +662,42 @@ class TestUsageErrors:
         assert run(*argv, "--set", "window_length=400", "--set", item) == 1
         assert item.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("command", ["train", "rca"])
+    def test_window_shorter_than_depth_plus_lag_fails_before_any_input(
+        self, tmp_path, command, capsys, monkeypatch
+    ):
+        """A state of `depth` symbols followed `lag` samples later by a symbol
+        does not fit in a shorter window; that is a config out of range,
+        refused before any file is read."""
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an input was read before the config was checked")
+
+        monkeypatch.setattr(cli, "read_csv", no_read)
+        data = tmp_path / "absent.csv"
+        argv = {"train": ["train", "--nominal", data, "--out", tmp_path / "b"],
+                "rca": ["rca", "--method", "var", "--nominal", data, "--data", data]}[command]
+        short = ["--set", "alphabet_size=2", "--set", "depth=3", "--set", "window_length=3"]
+        assert run(*argv, *short) == 1
+        err = capsys.readouterr().err
+        assert err == ("usage error: config key 'window_length' must be >= alphabet_size "
+                       "and depth + lag\n")
+        assert not (tmp_path / "b").exists()
+
+    def test_threshold_past_the_float_range_is_numerical_failure(
+        self, tmp_path, toy_nominal, capsys
+    ):
+        """max F + kappa * std(F) overflows to inf: train exits 3 and writes
+        no bundle, instead of one whose header is not JSON."""
+        data = tmp_path / "n.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        assert run("train", "--nominal", data, "--out", tmp_path / "b",
+                   "--set", "window_length=400", "--set", "rbm_epochs=5",
+                   "--set", "detector_kappa=1e308", "--set", "rbm_learning_rate=5") == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("numerical failure: energy threshold inf is not finite")
+        assert "detector_kappa 1e+308" in err and not (tmp_path / "b").exists()
 
     def test_count_grid_too_large_is_usage_error(self, tmp_path, toy_nominal, capsys):
         """9 symbols at depth 20 need 9**21 cells per channel pair, more than

@@ -3,10 +3,12 @@ import dataclasses
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpnrca.config import RunConfig, _config_from_values
+from stpnrca.errors import UsageError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "stpnrca"
 
@@ -25,12 +27,12 @@ def unit():
 
 @st.composite
 def valid_configs(draw):
-    alphabet_size = draw(st.integers(2, 50))
+    alphabet_size, depth, lag = draw(st.integers(2, 50)), draw(st.integers(1, 63)), draw(ints(1))
     return RunConfig(
         alphabet_size=alphabet_size,
-        depth=draw(ints(1)),
-        lag=draw(ints(1)),
-        window_length=draw(st.integers(alphabet_size, 10**6)),
+        depth=depth,
+        lag=lag,
+        window_length=draw(st.integers(max(alphabet_size, depth + lag), 2 * 10**6)),
         stride=draw(ints(0)),
         threshold_quantile=draw(unit()),
         partition_method=draw(st.sampled_from(["mep", "up", "MEP", "Up"])),
@@ -65,6 +67,22 @@ def test_config_survives_run_json(cfg):
         assert getattr(loaded, f.name) == getattr(cfg, f.name), f.name
         assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
     assert loaded.fingerprint() == cfg.fingerprint()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(alphabet_size=st.integers(2, 50), depth=st.integers(1, 80) | st.integers(1, 10**9),
+       lag=st.integers(1, 80), window_length=st.integers(2, 200))
+def test_depth_and_window_limits(alphabet_size, depth, lag, window_length):
+    """depth <= 63 and window_length >= max(alphabet_size, depth + lag) hold
+    for every config that exists; depth is checked first, so its message
+    never prints a power of the alphabet size."""
+    keys = dict(alphabet_size=alphabet_size, depth=depth, lag=lag, window_length=window_length)
+    if depth <= 63 and window_length >= max(alphabet_size, depth + lag):
+        assert RunConfig(**keys).depth == depth
+    else:
+        with pytest.raises(UsageError) as info:
+            RunConfig(**keys)
+        assert ("depth must be <= 63" in str(info.value)) == (depth > 63)
 
 
 def test_every_config_key_is_read():

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import json
+import math
 import re
 import struct
 import tempfile
@@ -137,11 +138,41 @@ def test_model_whose_parts_disagree_names_the_file(tmp_path, rewrite_header, rec
 
 def test_save_refuses_a_config_that_disagrees_with_the_models(tmp_path):
     """The config is the only stored copy of the lag, so a bundle whose
-    config states another one would load as another model."""
-    bundle = dataclasses.replace(small_bundle(), config=dataclasses.replace(CONFIG, lag=2))
+    config states another one would load as another model: it cannot be
+    built, so there is nothing to save."""
     with pytest.raises(DataError, match="config has lag = 2, the models 1"):
-        save_bundle(bundle, tmp_path / "b")
+        save_bundle(dataclasses.replace(small_bundle(), config=dataclasses.replace(CONFIG, lag=2)),
+                    tmp_path / "b")
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("parts, message", [
+    (dict(rbm=RbmParams(np.zeros(3), np.zeros(2), np.zeros((3, 2)))),
+     "energy model width 3 != 4 patterns"),
+    (dict(mlp=MlpParams((np.zeros((3, 3)), np.zeros((3, 4))), (np.zeros(3), np.zeros(4)))),
+     "classifier input width 3 != 4 patterns"),
+    (dict(mlp=MlpParams((np.zeros((4, 3)), np.zeros((3, 5))), (np.zeros(3), np.zeros(5)))),
+     "classifier output width 5 != 4 patterns"),
+    (dict(energy_threshold=math.nan), "energy threshold nan is not finite"),
+    (dict(energy_threshold=math.inf), "energy threshold inf is not finite"),
+    (dict(energy_threshold=-math.inf), "energy threshold -inf is not finite"),
+    (dict(config=dataclasses.replace(CONFIG, rbm_hidden=3, alphabet_size=3)),
+     "config has alphabet_size = 3, the models 2, rbm_hidden = 3, the models 2"),
+], ids=["rbm width", "classifier input", "classifier output", "NaN threshold",
+        "infinite threshold", "negative infinite threshold", "config"])
+def test_bundle_whose_parts_disagree_cannot_be_built(tmp_path, monkeypatch, parts, message):
+    """Building such a bundle raises the message that loading the same
+    damage from a file gives after the file's path, so the toolkit never
+    writes a bundle that it then refuses."""
+    with pytest.raises(DataError) as built:
+        dataclasses.replace(small_bundle(), **parts)
+    assert str(built.value) == message
+    monkeypatch.setattr(TrainedBundle, "__post_init__", lambda self: None)  # the damage
+    save_bundle(dataclasses.replace(small_bundle(), **parts), tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(DataError) as loaded:
+        load_bundle(tmp_path)
+    assert str(loaded.value) == f"{tmp_path / BUNDLE_FILE}: {message}"
 
 
 def test_interrupted_save_keeps_the_previous_bundle(tmp_path, monkeypatch):
@@ -215,6 +246,8 @@ class TestContainerChecks:
             # list instead: the fourth record named twice, the fifth not at all
             {"arrays": (4, 3)},
             {"energy_threshold": None}, {"energy_threshold": float("nan")},
+            # JSON reads this as an int that no float holds
+            {"energy_threshold": 10**400},
         ],
     )
     def test_malformed_payload(self, tmp_path, rewrite_header, payload):
@@ -231,8 +264,13 @@ class TestContainerChecks:
                 doc["payload"] = payload
 
         rewrite_header(path, damage)
-        with pytest.raises(DataError, match="malformed bundle payload"):
+        with pytest.raises(DataError) as info:
             load_bundle(tmp_path)
+        threshold = payload["energy_threshold"] if "energy_threshold" in payload else None
+        if threshold != threshold:  # NaN parses as a float, which the bundle refuses
+            assert str(info.value) == f"{path}: energy threshold nan is not finite"
+        else:
+            assert str(info.value).startswith(f"{path}: malformed bundle payload")
 
     def test_rbm_without_threshold_rejected(self, tmp_path, rewrite_header):
         path = tmp_path / BUNDLE_FILE

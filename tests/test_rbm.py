@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stpnrca.errors import DataError
+from stpnrca.errors import DataError, NumericalError
 from stpnrca.persist import load_bundle, save_bundle
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, _sigmoid, calibrate_threshold, free_energy, train_rbm
@@ -179,6 +179,16 @@ class TestDetector:
         params = train_rbm(vectors, RunConfig(rbm_hidden=4, rbm_epochs=40, seed=2))
         threshold = calibrate_threshold(params, vectors, kappa=1e9)
         assert free_energy(params, np.zeros(6)) <= threshold
+
+    def test_threshold_past_the_float_range_is_numerical_error(self):
+        """kappa times a spread above 1.8 passes the largest float: refused,
+        naming the config key, not returned as inf."""
+        params = RbmParams(np.array([3.0, 0.0]), np.zeros(1), np.zeros((2, 1)))
+        vectors = np.array([[0.0, 0.0], [1.0, 0.0]])  # F = -log 2 and -3 - log 2: std 1.5
+        assert np.isfinite(calibrate_threshold(params, vectors, kappa=1e308))
+        with pytest.raises(NumericalError, match="not finite: .* detector_kappa 1e\\+308"):
+            calibrate_threshold(replace(params, visible_bias=np.array([4.0, 0.0])), vectors,
+                                kappa=1e308)
 
 
 class TestThresholdConstruction:
