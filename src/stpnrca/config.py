@@ -145,9 +145,11 @@ def _coerce(raw, annotation, key):
             if isinstance(raw, str):
                 return int(raw) if annotation == "int" else float(raw)
             if isinstance(raw, _NUMBER_TYPES[annotation]) and not isinstance(raw, bool):
-                return raw
+                # a JSON integer for a float key is stored as the float it
+                # names, so the config and its fingerprint equal a --set one
+                return raw if annotation == "int" else float(raw)
         elif isinstance(raw, str):
             return raw
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):  # float(10**400) overflows
         pass
     raise UsageError(f"config key {key!r}: cannot parse {raw!r}")

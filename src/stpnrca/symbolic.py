@@ -84,19 +84,24 @@ def learn_partition(
 
 
 def symbolize(ts: TimeSeries, scheme: PartitionScheme) -> np.ndarray:
-    """Map a (T, f) series to a (T, f) int matrix of symbols.
+    """Map a (T, f) series to a (T, f) int64 matrix of symbols.
 
     Symbol k is assigned to values inside bin k; a value exactly on an edge
-    goes to the higher bin.
+    goes to the higher bin. A symbol is the number of its channel's edges at
+    or below the value, counted in one branch-free comparison pass per edge:
+    for finite values and edges this equals ``searchsorted(side="right")``,
+    and it is faster than that binary search up to an alphabet of roughly
+    80-140 symbols, slower above.
     """
     if scheme.n_channels != ts.n_channels:
         raise DataError(
             f"partition has {scheme.n_channels} channels, series has {ts.n_channels}"
         )
-    out = np.empty((ts.n_samples, ts.n_channels), dtype=np.int64)
-    for i in range(ts.n_channels):
-        out[:, i] = np.searchsorted(scheme.edges[i], ts.channel(i), side="right")
-    return out
+    by_channel = np.ascontiguousarray(ts.values.T)
+    counts = np.zeros(by_channel.shape, dtype=np.min_scalar_type(scheme.alphabet_size - 1))
+    for edge in scheme.edges.T:
+        counts += by_channel >= edge[:, None]
+    return np.ascontiguousarray(counts.T, dtype=np.int64)
 
 
 def states_from_symbols(symbols: np.ndarray, n_symbols: int, depth: int) -> np.ndarray:
@@ -113,8 +118,8 @@ def states_from_symbols(symbols: np.ndarray, n_symbols: int, depth: int) -> np.n
         raise DataError(f"sequence of length {T} shorter than depth {depth}")
     if symbols.ndim == 1:
         symbols = symbols[:, None]
-    states = np.zeros((T - depth + 1, symbols.shape[1]), dtype=np.int64)
-    for j in range(depth):
+    states = symbols[: T - depth + 1].astype(np.int64)
+    for j in range(1, depth):
         states = states * n_symbols + symbols[j : T - depth + 1 + j]
     return states
 

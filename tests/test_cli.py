@@ -331,6 +331,20 @@ class TestDetect:
         assert f"{path}: bad config (" in err and "depth must be <= 63" in err
         assert "Traceback" not in err
 
+    def test_float_key_past_float_range_is_data_error(
+        self, workdir, tmp_path, capsys, rewrite_header
+    ):
+        """JSON reads 10**400 as an int that no float holds: the header
+        config is refused, not loaded with an integer kappa."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        path = bundle / BUNDLE_FILE
+        rewrite_header(path, lambda doc: doc["payload"]["config"].update(detector_kappa=10**400))
+        assert run("detect", "--model", bundle, "--data", workdir / "fresh.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: bad config (config key 'detector_kappa': cannot parse" in err
+        assert "Traceback" not in err
+
     def test_non_finite_partition_edge_is_data_error(
         self, workdir, tmp_path, capsys, rewrite_header
     ):

@@ -85,6 +85,27 @@ def test_depth_and_window_limits(alphabet_size, depth, lag, window_length):
         assert ("depth must be <= 63" in str(info.value)) == (depth > 63)
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("detector_kappa", 1), ("rbm_learning_rate", 2), ("a3_momentum", 0), ("threshold_quantile", 0),
+])
+def test_json_integer_for_a_float_key_reads_as_that_float(key, value):
+    """A bundle header may hold 1 where the trained config held 1.0; both
+    read as one config with one fingerprint."""
+    loaded = _config_from_values(json.loads(json.dumps({key: value})))
+    expected = RunConfig(**{key: float(value)})
+    assert loaded == expected and type(getattr(loaded, key)) is float
+    assert loaded.fingerprint() == expected.fingerprint()
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_integer_past_float_range_is_refused(key):
+    with pytest.raises(UsageError, match=f"config key {key!r}: cannot parse 1000"):
+        _config_from_values(json.loads(json.dumps({key: 10**400})))
+
+
 def test_every_config_key_is_read():
     """Each RunConfig field is read as an attribute outside config.py, so a
     key that no code reads cannot stay settable."""

@@ -137,6 +137,43 @@ class TestCountGrid:
         assert np.array_equal(narrow.counts, model.counts)
 
 
+def symbol_model(counts, depth, lag, length):
+    """A model over channels c0, c1, ... whose edges at k + 0.5 map the
+    value k to symbol k, so a series of symbols symbolizes to itself."""
+    f, n_symbols = counts.shape[0], counts.shape[3]
+    edges = np.arange(n_symbols - 1) + 0.5
+    return StpnModel(
+        names=tuple(f"c{i}" for i in range(f)),
+        partition=PartitionScheme(np.tile(edges, (f, 1))),
+        depth=depth,
+        lag=lag,
+        window_length=length,
+        counts=counts,
+        thresholds=np.zeros((f, f)),
+    )
+
+
+def per_pattern_reference(counts, symbols, depth, lag):
+    """The metric of one window, one (a, b) pattern at a time."""
+    f, _, n_states, n_symbols = counts.shape
+    states = states_from_symbols(symbols, n_symbols, depth)
+    return np.array(
+        [
+            [
+                log_inference_metric(
+                    counts[a, b],
+                    count_matrix(
+                        states[:, a], n_states, symbols[:, b], n_symbols,
+                        lag=lag, depth=depth,
+                    ),
+                )
+                for b in range(f)
+            ]
+            for a in range(f)
+        ]
+    )
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     f=st.integers(1, 6),
@@ -153,38 +190,45 @@ def test_window_metrics_equal_per_pattern_reference(
     """The vectorised kernel reproduces the per-pattern metric bit for bit."""
     rng = np.random.default_rng(seed)
     length = max(depth + lag, n_symbols) + extra
-    n_states = n_symbols**depth
-    counts = rng.integers(0, max_count + 1, size=(f, f, n_states, n_symbols))
-    # edges at k + 0.5 map the value k to symbol k
-    edges = np.arange(n_symbols - 1) + 0.5
-    model = StpnModel(
-        names=tuple(f"c{i}" for i in range(f)),
-        partition=PartitionScheme(np.tile(edges, (f, 1))),
-        depth=depth,
-        lag=lag,
-        window_length=length,
-        counts=counts,
-        thresholds=np.zeros((f, f)),
-    )
+    counts = rng.integers(0, max_count + 1, size=(f, f, n_symbols**depth, n_symbols))
+    model = symbol_model(counts, depth, lag, length)
     symbols = rng.integers(0, n_symbols, size=(length, f))
-    states = states_from_symbols(symbols, n_symbols, depth)
-    expected = np.array(
-        [
-            [
-                log_inference_metric(
-                    counts[a, b],
-                    count_matrix(
-                        states[:, a], n_states, symbols[:, b], n_symbols,
-                        lag=lag, depth=depth,
-                    ),
-                )
-                for b in range(f)
-            ]
-            for a in range(f)
-        ]
-    )
+    expected = per_pattern_reference(counts, symbols, depth, lag)
     got = scan_windows(model, TimeSeries(model.names, symbols.astype(float))).metrics[0]
     assert np.array_equal(got, expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    f=st.integers(1, 4),
+    n_symbols=st.integers(2, 4),
+    depth=st.integers(1, 2),
+    lag=st.integers(1, 2),
+    extra=st.integers(0, 20),
+    n_windows=st.integers(2, 4),
+    partial=st.integers(0, 30),
+    overlap=st.booleans(),
+    data=st.data(),
+)
+def test_every_window_of_a_scan_equals_per_pattern_reference(
+    f, n_symbols, depth, lag, extra, n_windows, partial, overlap, data
+):
+    """A series of several windows, scanned at stride 0 or at an overlapping
+    stride and ending in a partial window: every window's metrics equal the
+    per-pattern reference on its own slice, bit for bit."""
+    length = max(depth + lag, n_symbols) + extra
+    stride = data.draw(st.integers(1, length - 1)) if overlap else 0
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 1001, size=(f, f, n_symbols**depth, n_symbols))
+    model = symbol_model(counts, depth, lag, length)
+    trailing = 1 + partial % (length - 1)  # at stride 0, a partial window no start covers
+    symbols = rng.integers(0, n_symbols, size=(n_windows * length + trailing, f))
+    scan = scan_windows(model, TimeSeries(model.names, symbols.astype(float)), stride)
+    assert scan.starts.tolist() == list(range(0, len(symbols) - length + 1, stride or length))
+    assert len(scan.starts) >= n_windows
+    for start, got in zip(scan.starts, scan.metrics, strict=True):
+        expected = per_pattern_reference(counts, symbols[start : start + length], depth, lag)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestWindowMetrics:

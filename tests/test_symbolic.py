@@ -161,6 +161,79 @@ class TestSymbolize:
             symbolize(two, scheme)
 
 
+def searchsorted_reference(ts, scheme):
+    """Symbols one channel at a time, by binary search over its edges."""
+    out = np.empty((ts.n_samples, ts.n_channels), dtype=np.int64)
+    for i in range(ts.n_channels):
+        out[:, i] = np.searchsorted(scheme.edges[i], ts.channel(i), side="right")
+    return out
+
+
+# signed zeros, the smallest subnormal, a subnormal near the normal range and
+# the ends of float64's finite range
+SPECIAL_VALUES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, 1.0, -1.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    # 256 symbols still fit the count's uint8 accumulator, 257 need uint16
+    alphabet_size=st.integers(2, 300) | st.sampled_from([255, 256, 257, 258]),
+    n_channels=st.integers(1, 60),
+    n_samples=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbolize_equals_searchsorted_reference(alphabet_size, n_channels, n_samples, seed):
+    """Counting the edges at or below each sample gives the binary search's
+    symbols, with samples on the edges, next to them, at both signed zeros,
+    at subnormals and at +-1e308."""
+    rng = np.random.default_rng(seed)
+    edges = np.empty((n_channels, alphabet_size - 1))
+    values = np.empty((n_samples, n_channels))
+    for i in range(n_channels):
+        scale = 10.0 ** rng.integers(-300, 300)
+        pool = np.unique(np.concatenate([SPECIAL_VALUES, rng.standard_normal(alphabet_size) * scale]))
+        edges[i] = np.sort(rng.choice(pool, alphabet_size - 1, replace=False))
+        near = np.concatenate([edges[i], np.nextafter(edges[i], np.inf),
+                               np.nextafter(edges[i], -np.inf), SPECIAL_VALUES])
+        values[:, i] = rng.choice(near, n_samples)
+    ts = TimeSeries(tuple(f"c{i}" for i in range(n_channels)), values)
+    scheme = PartitionScheme(edges)
+    got = symbolize(ts, scheme)
+    assert got.dtype == np.int64 and got.shape == (n_samples, n_channels)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, searchsorted_reference(ts, scheme))
+
+
+def loop_reference_states(symbols, n_symbols, depth):
+    """States built up from a zero array, one symbol of history at a time."""
+    symbols = np.asarray(symbols)
+    if symbols.ndim == 1:
+        symbols = symbols[:, None]
+    T = symbols.shape[0]
+    states = np.zeros((T - depth + 1, symbols.shape[1]), dtype=np.int64)
+    for j in range(depth):
+        states = states * n_symbols + symbols[j : T - depth + 1 + j]
+    return states
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n_symbols=st.integers(2, 300),
+    depth=st.integers(1, 4),
+    n_channels=st.integers(1, 6) | st.none(),  # None: a 1-D sequence
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_states_equal_loop_reference(n_symbols, depth, n_channels, extra, seed):
+    shape = (depth + extra,) if n_channels is None else (depth + extra, n_channels)
+    symbols = np.random.default_rng(seed).integers(0, n_symbols, size=shape)
+    got = states_from_symbols(symbols, n_symbols, depth)
+    want = loop_reference_states(symbols, n_symbols, depth)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 class TestStates:
     def test_depth_one_identity(self):
         symbols = np.array([[0], [1], [0]])

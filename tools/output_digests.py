@@ -8,8 +8,9 @@ builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
 forced, var), two more ``train --a3`` runs (two hidden layers at dropout 0.3,
 and dropout 0), each followed by a forced a3 ``rca``, a ``train`` at alphabet
-size 2 (one edge per channel) and one at depth 2 and lag 2, each followed by
-a forced s3 ``rca``, and ``evaluate --out``; then ``simulate --nodes 12``, ``train`` and a forced s3
+size 2 (one edge per channel), one at depth 2 and lag 2 and one at alphabet
+size 257 (past an 8-bit symbol count), each followed by a forced s3 ``rca``,
+and ``evaluate --out``; then ``simulate --nodes 12``, ``train`` and a forced s3
 ``rca`` on that 12-channel series, whose searches are long (82–97 flips each). Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
 line per written file, with its sha256 and its path relative to the
@@ -72,6 +73,11 @@ FLOW = [
      "--set", "depth=2", "--set", "lag=2"],
     ["rca", "--model", "model_deep_lag", "--data", "data/case01.csv", "--force",
      "--out", "case01.s3_deep_lag.json"],
+    # 257 symbols: one more than symbolize's 8-bit edge count holds
+    ["train", "--nominal", *NOMINAL, "--out", "model_wide", *SMALL,
+     "--set", "alphabet_size=257", "--set", "window_length=400"],
+    ["rca", "--model", "model_wide", "--data", "data/case01.csv", "--force",
+     "--out", "case01.s3_wide.json"],
     ["rca", "--data", "data/fault.csv", "--method", "var", "--nominal",
      "data/fault_nominal.csv", "--out", "fault.var.json"],
     ["evaluate",
