@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError
+from .errors import DataError, UsageError
 from .rbm import _sigmoid
 
 
@@ -109,7 +109,11 @@ def _init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
     sizes = [n_inputs, *config.a3_hidden, n_outputs]
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        try:
+            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the layer
+            raise UsageError(f"config key 'a3_hidden': a {fan_in} x {fan_out} weight "
+                             "matrix does not fit in memory") from None
         biases.append(np.zeros(fan_out))
     return MlpParams(tuple(weights), tuple(biases))
 

@@ -9,6 +9,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 from dataclasses import dataclass
 
 from .errors import UsageError
@@ -152,4 +153,4 @@ def _coerce(raw, annotation, key):
             return raw
     except (OverflowError, TypeError, ValueError):  # float(10**400) overflows
         pass
-    raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
+    raise UsageError(f"config key {key!r}: cannot parse {reprlib.repr(raw)}")  # cut short if long

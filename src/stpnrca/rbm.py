@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, UsageError
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,11 @@ def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams
         raise DataError("training set must be a nonempty (n, n_v) matrix")
     n, n_v = vectors.shape
     rng = np.random.default_rng(config.seed)
-    w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
+    try:
+        w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
+    except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the matrix
+        raise UsageError(f"config key 'rbm_hidden': a {n_v} x {config.rbm_hidden} weight "
+                         "matrix does not fit in memory") from None
     a = np.zeros(n_v)
     b = np.zeros(config.rbm_hidden)
     lr = config.rbm_learning_rate

@@ -16,12 +16,12 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import _MAX_DEPTH, RunConfig
 from .errors import DataError, UsageError
 from .symbolic import (
     PartitionScheme,
+    _lgamma,
     learn_partition,
     states_from_symbols,
     symbolize,
@@ -79,16 +79,17 @@ class StpnModel:
     def _metric_tables(self):
         """Model-side terms of the log metric, built on first use.
 
-        Every gammaln argument in the metric is an integer no larger than
-        a model row sum plus the window length plus the alphabet size, so
-        one table ``gammaln(k)`` serves every window scored against this
-        model. Returns (table, table[counts + 1], row sums,
-        table[row sums + n_symbols]).
+        Every log-Gamma argument in the metric is a positive integer no
+        larger than a model row sum plus the window length plus the
+        alphabet size, so one table of ``math.lgamma(k)``, the values
+        ``log_inference_metric`` computes, serves every window scored
+        against this model. Index 0 is never read and holds +inf. Returns
+        (table, table[counts + 1], row sums, table[row sums + n_symbols]).
         """
         n_symbols = self.partition.alphabet_size
         rows = self.counts.sum(axis=3)
         top = int(rows.max(initial=0)) + self.window_length + n_symbols
-        table = gammaln(np.arange(top + 1, dtype=float))
+        table = np.concatenate(([np.inf], _lgamma(np.arange(1, top + 1))))
         return table, table[1:][self.counts], rows, table[rows + n_symbols]
 
 
@@ -229,7 +230,7 @@ def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
     """Log inference metric of every pattern for one window; shape (f, f).
 
     Bit-identical to ``log_inference_metric(model.counts[a, b], window
-    counts)`` per pattern: the same gammaln values, read from the model's
+    counts)`` per pattern: the same log-Gamma values, read from the model's
     table, are combined in the same order and summed row by row.
     """
     table, model_cells, model_rows, model_row_terms = model._metric_tables

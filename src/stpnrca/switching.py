@@ -39,9 +39,19 @@ M = 1 + n_h + sum|a| + sum|b| + 3 sum|W|. For any v it bounds |F|, each
 change of F, and sum_j |x_j| for every pre-activation x the search scores
 or bounds: b + vW plus at most two signed rows. With u = 2**-53, each
 scored energy, each per-flip bound, and each update of b + vW or of a bound
-is then exact to within (n_h + 10) u M. A bound collects at most one such
-error per step between two scorings, and there are at most n_v steps, so
-two bounds compared are off by at most 2 n_v (n_h + 10) u M. The slack,
+is then exact to within (n_h + 10) u M. A per-flip bound is two dot
+products of the row's entries d_j with sigmoids, which take n_h u M of that
+budget in any summation order; the sigmoids take a few u M of the rest.
+Each is computed in place as 1/(1 + exp(-x)) and lies within a few u of
+the sigmoid at the exact x: numpy's exp, the add and the reciprocal each
+round by about u relative, and as |x| sigmoid'(x) < 0.23, rounding x
+itself moves the value by under u/2. (Sampled, exp erred by at most 1.1 u,
+and the sigmoid over x in [-745, 745] by at most 1.5 u.) Each sigmoid
+multiplies one |d_j|, and sum_j |d_j| <= M. Below x = -709, exp(-x)
+overflows to inf and the sigmoid computes as 0, off by less than 1e-308.
+A bound collects at most one such error per step between two scorings,
+and there are at most n_v steps, so two bounds compared are off by at most
+2 n_v (n_h + 10) u M. The slack,
 SLACK_PER_ROUNDING * n_v * (n_h + 10) * M, is 32 times that: 1.4e-9 M at
 f = 52 with 64 hidden units, or 2.6e-5 on perfbench's plant-cli bundle.
 
@@ -65,7 +75,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
 from .rbm import RbmParams, _free_energy, free_energy
@@ -145,30 +154,46 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     selected: list[int] = []
     trace = [f0]
     n_candidates = cand.size
-    while cand.size:
-        best = int(f_cand.argmin())  # argmin takes the lowest index on ties
-        if f_cand[best] >= f_current - DESCENT_TOL:
-            break
-        idx = int(cand[best])
-        f_current = float(f_cand[best])
-        selected.append(idx)
-        trace.append(f_current)
-        if len(selected) == n_candidates:
-            break
-        lower[idx] = upper[idx] = np.inf
-        d = signed_w[idx]
-        # the least and the most any candidate's F can change by this flip
-        pos, neg = np.maximum(d, 0.0), np.minimum(d, 0.0)
-        s_lo, s_hi = expit(act + lo + neg), expit(act + hi + pos)
-        lower += -signed_a[idx] - (pos @ s_hi + neg @ s_lo)
-        upper += -signed_a[idx] - (pos @ s_lo + neg @ s_hi)
-        act += d
-        visible_term += signed_a[idx]
-        cand = (lower < upper.min() + slack).nonzero()[0]
-        rows = signed_w.take(cand, axis=0, out=block[: cand.size])
-        rows += act
-        f_cand = _free_energy(rows, visible_term + signed_a[cand])
-        lower[cand] = upper[cand] = f_cand
+    # per step, in place: a flipped row's parts min(d, 0) and max(d, 0), and
+    # the sigmoids at the least and the most pre-activations it can meet
+    split, sig = np.empty((2, act.size)), np.empty((2, act.size))
+    neg, pos = split
+    neg_bounds = np.negative([lo, hi])
+    # below x = -709, exp(-x) overflows to inf and the sigmoid is 0, as it should be
+    with np.errstate(over="ignore"):
+        while cand.size:
+            best = int(f_cand.argmin())  # argmin takes the lowest index on ties
+            if f_cand[best] >= f_current - DESCENT_TOL:
+                break
+            idx = int(cand[best])
+            f_current = float(f_cand[best])
+            selected.append(idx)
+            trace.append(f_current)
+            if len(selected) == n_candidates:
+                break
+            lower[idx] = upper[idx] = np.inf
+            d = signed_w[idx]
+            # the least and the most any candidate's F can change by this flip
+            np.minimum(d, 0.0, out=neg)
+            np.maximum(d, 0.0, out=pos)
+            # the sigmoid 1 / (1 + exp(-x)) at x = (act + lo) + neg and (act + hi) + pos;
+            # rounding is symmetric, so (-lo - act) - neg is exactly -x
+            np.subtract(neg_bounds, act, out=sig)
+            sig -= split
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
+            # the four dot products of the parts with the sigmoids, in one GEMM
+            (neg_lo, neg_hi), (pos_lo, pos_hi) = (split @ sig.T).tolist()
+            lower += -signed_a[idx] - (pos_hi + neg_lo)
+            upper += -signed_a[idx] - (pos_lo + neg_hi)
+            act += d
+            visible_term += signed_a[idx]
+            cand = (lower < upper.min() + slack).nonzero()[0]
+            rows = signed_w.take(cand, axis=0, out=block[: cand.size])
+            rows += act
+            f_cand = _free_energy(rows, visible_term + signed_a[cand])
+            lower[cand] = upper[cand] = f_cand
 
     scale = 1.0 if abs(f0) < 1e-12 else f0
     weights = [float((single[i] - f0) / scale) for i in selected]

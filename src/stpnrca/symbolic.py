@@ -10,10 +10,10 @@ root-cause step consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError, DegeneratePartitionError
 from .timeseries import TimeSeries
@@ -158,13 +158,20 @@ def count_matrix(
     return counts.reshape(n_states, n_symbols)
 
 
+def _lgamma(x) -> np.ndarray:
+    """``math.lgamma`` of every entry of `x`: a float array of its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def log_inference_metric(model: np.ndarray, window: np.ndarray) -> float:
     """Log of the pattern inference metric, up to an additive constant.
 
     `model` holds counts from the modeling phase, `window` the counts of a
     short subsequence. The normalizing constant is dropped, so only
     differences and orderings of returned values are meaningful. Evaluated
-    with log-Gamma throughout; an all-zero window returns exactly 0.
+    with ``math.lgamma`` on each entry, so the cost follows the number of
+    cells, not the size of the counts; an all-zero window returns exactly 0.
     """
     model = np.asarray(model, dtype=float)
     window = np.asarray(window, dtype=float)
@@ -176,11 +183,11 @@ def log_inference_metric(model: np.ndarray, window: np.ndarray) -> float:
     model_rows = model.sum(axis=1)
     window_rows = window.sum(axis=1)
     row_terms = (
-        gammaln(window_rows + 1.0)
-        + gammaln(model_rows + n_sym)
-        - gammaln(window_rows + model_rows + n_sym)
+        _lgamma(window_rows + 1.0)
+        + _lgamma(model_rows + n_sym)
+        - _lgamma(window_rows + model_rows + n_sym)
     )
     cell_terms = (
-        gammaln(window + model + 1.0) - gammaln(window + 1.0) - gammaln(model + 1.0)
+        _lgamma(window + model + 1.0) - _lgamma(window + 1.0) - _lgamma(model + 1.0)
     )
     return float(np.sum(row_terms) + np.sum(cell_terms))

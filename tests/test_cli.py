@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +346,10 @@ class TestDetect:
         err = capsys.readouterr().err
         assert f"{path}: bad config (config key 'detector_kappa': cannot parse" in err
         assert "Traceback" not in err
+        # the 401 digits are cut to a short prefix: the line stays readable
+        (line,) = err.splitlines()
+        assert len(line) <= len(f"data error: {path}: bad config (config key "
+                                "'detector_kappa': cannot parse )") + 40
 
     def test_non_finite_partition_edge_is_data_error(
         self, workdir, tmp_path, capsys, rewrite_header
@@ -727,6 +733,36 @@ class TestUsageErrors:
             assert f"alphabet_size 9 and depth {depth}" in err
             assert f"{16 * 9**21} cells" in err if depth == 20 else "2**64 states" in err
             assert "Traceback" not in err and not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("key", ["rbm_hidden", "a3_hidden"])
+    @pytest.mark.parametrize("width", [10**12, 10**20])
+    def test_network_too_wide_is_usage_error(self, tmp_path, toy_nominal, key, width, capsys):
+        """A width whose weight matrix no machine can allocate (10**12), or
+        that numpy cannot index (10**20), is refused in one line naming the
+        key, and no bundle is written."""
+        data = tmp_path / "n.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        argv = ["train", "--nominal", data, "--out", tmp_path / "b", "--a3",
+                "--set", "window_length=400", "--set", "rbm_epochs=1"]
+        assert run(*argv, "--set", f"{key}={width}") == 1
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]  # after the warning on 8 calibration windows
+        assert "Traceback" not in err
+        assert line.startswith(f"usage error: config key {key!r}: a 16 x {width} weight matrix")
+        assert line.endswith("does not fit in memory")
+        assert not (tmp_path / "b").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    """The command-line module imports no scipy module: the toolkit does
+    not depend on it, and importing it would double the start-up time."""
+    code = ("import sys, stpnrca.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestTepFormat:

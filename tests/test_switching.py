@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,4 +318,24 @@ def test_s3_scores_few_rows_per_step_on_a_saturated_machine(monkeypatch):
     steps = len(result.anomalous_patterns)
     assert steps >= 1000
     assert sum(rows) <= n_v + 4 * steps
+    assert result == sweep_reference_s3(params, v)
+
+
+def test_s3_bounds_past_exp_overflow_match_sweep_reference():
+    # two hidden units sit near -2000, so every pre-activation the bounds
+    # meet there is below -709 and exp(-x) overflows to inf; the search
+    # neither warns nor departs from the sweep
+    rng = np.random.default_rng(11)
+    n_v = 12
+    params = RbmParams(
+        rng.uniform(0.5, 2.0, n_v), np.array([-2000.0, -1500.0, 0.3]),
+        rng.normal(0.0, 1.0, (n_v, 3)),
+    )
+    v = np.zeros(n_v)
+    # b + vW plus two signed rows stays within 3 sum|W| of b
+    assert (params.hidden_bias[:2] + 3 * np.abs(params.weights).sum(axis=0)[:2] < -709).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = s3_search(params, v)
+    assert len(result.anomalous_patterns) >= 3
     assert result == sweep_reference_s3(params, v)
