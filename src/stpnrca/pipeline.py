@@ -28,9 +28,13 @@ def train_bundle(
     config: RunConfig = RunConfig(),
     with_a3: bool = False,
 ) -> TrainedBundle:
-    """Train the pattern network, the energy model, and optionally the classifier."""
-    model, scans = train_stpn(nominal, config)
-    vectors = np.vstack([scan.vectors for scan in scans]).astype(float)
+    """Train the pattern network, the energy model, and optionally the classifier.
+
+    The energy model trains on the pattern vectors of the network's
+    calibration windows, as :func:`train_stpn` returns them.
+    """
+    model, vectors = train_stpn(nominal, config)
+    vectors = vectors.astype(float)
     rbm = train_rbm(vectors, config)
     threshold = calibrate_threshold(rbm, vectors, kappa=config.detector_kappa)
     mlp = None

@@ -141,15 +141,17 @@ def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
 
 def train_stpn(
     nominal: TimeSeries | Sequence[TimeSeries], config: RunConfig = RunConfig()
-) -> tuple[StpnModel, list[WindowScan]]:
+) -> tuple[StpnModel, np.ndarray]:
     """Fit the pattern network from one or more nominal series.
 
     With several series (multiple nominal operating modes) the counts are
     pooled into a single grid; disambiguating the modes is the energy
     model's job, not the network's. Thresholds are set per pattern to the
-    configured quantile of the log metric over all nominal windows. Also
-    returns the binarized calibration scan of each series, so callers need
-    not score the training windows again.
+    configured quantile of the log metric over all nominal windows, those
+    :func:`scan_windows` yields on each series at the configured stride.
+    Also returns their binarized pattern vectors, stacked in series order
+    into one int8 (n_windows, f*f) matrix, so callers need not score the
+    training windows again.
     """
     series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
     if not series:
@@ -177,14 +179,12 @@ def train_stpn(
             f"alphabet_size {n_symbols} and depth {config.depth} need a count grid of "
             f"{f * f * n_states * n_symbols} cells for {f} channels, more than fit in memory"
         ) from None
-    per_series = []
     # Long series are counted in blocks of time steps, so the bincount index
     # stays about window-sized instead of growing to (n_samples, f).
     rows = max(1, _BLOCK_ELEMENTS // f)
     reach = config.depth - 1 + config.lag
     for ts in series:
         symbols, states = _symbols_and_states(ts, partition, config.depth)
-        per_series.append((symbols, states))
         for lo in range(0, states.shape[0] - config.lag, rows):
             block = _source_counts(
                 symbols[lo : lo + rows + reach],
@@ -196,6 +196,7 @@ def train_stpn(
             )
             for a, source in enumerate(block):
                 counts[a] += source
+    del symbols, states  # so calibration, too, holds one series' symbols at a time
 
     model = StpnModel(
         names=names,
@@ -206,24 +207,21 @@ def train_stpn(
         counts=counts,
         thresholds=np.zeros((f, f)),
     )
-
-    scored = [
-        _score_windows(model, symbols, states, config.stride)
-        for symbols, states in per_series
-    ]
-    n_windows = sum(len(starts) for starts, _ in scored)
-    if not n_windows:
-        raise DataError("nominal data yields no calibration windows")
-    if n_windows * config.threshold_quantile < 1.0:
+    # Every series holds 2 x window_length samples, so each yields a window.
+    metrics = np.concatenate([scan_windows(model, ts, config.stride).metrics for ts in series])
+    if len(metrics) * config.threshold_quantile < 1.0:
         warnings.warn(
             f"calibrating the {config.threshold_quantile} threshold quantile on "
-            f"only {n_windows} nominal windows; thresholds degenerate "
+            f"only {len(metrics)} nominal windows; thresholds degenerate "
             "to training minima, so provide more nominal data for stable bits"
         )
-    stacked = np.concatenate([metrics for _, metrics in scored])
-    thresholds = np.quantile(stacked, config.threshold_quantile, axis=0)
-    model = replace(model, thresholds=thresholds)
-    return model, [_window_scan(model, starts, metrics) for starts, metrics in scored]
+    calibrated = replace(
+        model, thresholds=np.quantile(metrics, config.threshold_quantile, axis=0)
+    )
+    # The metric tables depend on the counts, window length and alphabet, not
+    # on the thresholds, so the calibrated model reuses the ones just built.
+    object.__setattr__(calibrated, "_metric_tables", model._metric_tables)
+    return calibrated, _binarize(metrics, calibrated)
 
 
 def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
@@ -254,22 +252,6 @@ def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
     return out
 
 
-def _score_windows(model: StpnModel, symbols, states, stride: int):
-    """Metrics of the windows starting at 0, stride, ... of one symbolized
-    series: (starts, (n, f, f) metrics). Stride 0 means non-overlapping."""
-    length = model.window_length
-    n_state_rows = length - model.depth + 1
-    starts = range(0, symbols.shape[0] - length + 1, stride or length)
-    metrics = np.empty((len(starts), model.n_channels, model.n_channels))
-    for i, start in enumerate(starts):
-        metrics[i] = _metrics_from_symbols(
-            model,
-            symbols[start : start + length],
-            states[start : start + n_state_rows],
-        )
-    return starts, metrics
-
-
 def _binarize(metrics: np.ndarray, model: StpnModel) -> np.ndarray:
     """Threshold a metric grid into a flat 0/1 pattern vector of length f*f,
     or an (n, f, f) stack of grids into an (n, f*f) matrix of such vectors.
@@ -294,18 +276,12 @@ class WindowScan:
     vectors: np.ndarray  # (n, f*f) int8
 
 
-def _window_scan(model: StpnModel, starts, metrics: np.ndarray) -> WindowScan:
-    return WindowScan(
-        starts=np.array(starts, dtype=np.int64),
-        metrics=metrics,
-        vectors=_binarize(metrics, model),
-    )
-
-
 def scan_windows(model: StpnModel, ts: TimeSeries, stride: int = 0) -> WindowScan:
     """Slide the model's window over a series and binarize every position.
 
-    `stride` 0 means non-overlapping windows, as in :func:`train_stpn`.
+    The windows start at 0, stride, ...; `stride` 0 means non-overlapping
+    windows. This is the one windowing path: :func:`train_stpn` calibrates
+    its thresholds on the metrics of these windows over each training series.
     """
     if ts.names != model.names:
         raise DataError(
@@ -320,5 +296,18 @@ def scan_windows(model: StpnModel, ts: TimeSeries, stride: int = 0) -> WindowSca
             f"length {model.window_length}"
         )
     symbols, states = _symbols_and_states(ts, model.partition, model.depth)
-    starts, metrics = _score_windows(model, symbols, states, stride)
-    return _window_scan(model, starts, metrics)
+    length = model.window_length
+    n_state_rows = length - model.depth + 1
+    starts = range(0, ts.n_samples - length + 1, stride or length)
+    metrics = np.empty((len(starts), model.n_channels, model.n_channels))
+    for i, start in enumerate(starts):
+        metrics[i] = _metrics_from_symbols(
+            model,
+            symbols[start : start + length],
+            states[start : start + n_state_rows],
+        )
+    return WindowScan(
+        starts=np.array(starts, dtype=np.int64),
+        metrics=metrics,
+        vectors=_binarize(metrics, model),
+    )

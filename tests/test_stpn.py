@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpnrca import stpn
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
 from stpnrca.persist import TrainedBundle, load_bundle, save_bundle
@@ -87,6 +88,38 @@ class TestTrainStpn:
         m2 = train_stpn(nominal, small_config)[0]
         assert np.array_equal(m1.counts, m2.counts)
         assert np.array_equal(m1.thresholds, m2.thresholds)
+
+    @pytest.mark.parametrize("stride", [0, 150])
+    @pytest.mark.parametrize("lengths", [[1300], [1000, 870, 1200]])
+    def test_training_vectors_are_the_scans_of_the_training_series(
+        self, toy_graph, small_config, stride, lengths
+    ):
+        """The calibration windows are exactly those scan_windows yields on
+        each training series, in series order, at the configured stride."""
+        config = replace(small_config, stride=stride)
+        series = [simulate_var(toy_graph, n, seed=40 + i) for i, n in enumerate(lengths)]
+        with pytest.warns(UserWarning, match="nominal windows"):  # few windows, on purpose
+            model, vectors = train_stpn(series, config)
+        expected = np.vstack([scan_windows(model, ts, stride).vectors for ts in series])
+        assert vectors.dtype == np.int8
+        assert vectors.shape == (len(expected), model.n_patterns)
+        assert np.array_equal(vectors, expected)
+
+    def test_one_metric_table_per_trained_model(self, toy_graph, small_config, monkeypatch):
+        """The calibrated model keeps the table built for its calibration
+        scan, so scoring with it builds none."""
+        builds = []
+        lgamma = stpn._lgamma
+
+        def counted(k):
+            builds.append(len(k))
+            return lgamma(k)
+
+        monkeypatch.setattr(stpn, "_lgamma", counted)
+        nominal = simulate_var(toy_graph, 20 * 200, seed=3)
+        model = train_stpn(nominal, small_config)[0]
+        scan_windows(model, nominal.window(0, 400))
+        assert len(builds) == 1
 
     def test_threshold_calibration_bound(self, small_model, small_config):
         model, nominal = small_model

@@ -8,8 +8,9 @@ builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
 forced, var), two more ``train --a3`` runs (two hidden layers at dropout 0.3,
 and dropout 0), each followed by a forced a3 ``rca``, a ``train`` at alphabet
-size 2 (one edge per channel), one at depth 2 and lag 2 and one at alphabet
-size 257 (past an 8-bit symbol count), each followed by a forced s3 ``rca``,
+size 2 (one edge per channel), one at depth 2 and lag 2, one at alphabet
+size 257 (past an 8-bit symbol count) and one at stride 150 (overlapping
+windows), each followed by a forced s3 ``rca``,
 and ``evaluate --out``; then ``simulate --nodes 12``, ``train`` and a forced s3
 ``rca`` on that 12-channel series, whose searches are long (82–97 flips each). Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
@@ -78,6 +79,11 @@ FLOW = [
      "--set", "alphabet_size=257", "--set", "window_length=400"],
     ["rca", "--model", "model_wide", "--data", "data/case01.csv", "--force",
      "--out", "case01.s3_wide.json"],
+    # overlapping calibration windows, across all six nominal series
+    ["train", "--nominal", *NOMINAL, "--out", "model_stride", *SMALL,
+     "--set", "stride=150"],
+    ["rca", "--model", "model_stride", "--data", "data/case01.csv", "--force",
+     "--out", "case01.s3_stride.json"],
     ["rca", "--data", "data/fault.csv", "--method", "var", "--nominal",
      "data/fault_nominal.csv", "--out", "fault.var.json"],
     ["evaluate",
