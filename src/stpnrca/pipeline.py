@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .association import generate_artificial_anomalies, infer_a3, train_a3
+from .association import _init_mlp, generate_artificial_anomalies, infer_a3, train_a3
 from .config import RunConfig
 from .errors import DataError, UsageError
 from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
@@ -31,9 +31,14 @@ def train_bundle(
     """Train the pattern network, the energy model, and optionally the classifier.
 
     The energy model trains on the pattern vectors of the network's
-    calibration windows, as :func:`train_stpn` returns them.
+    calibration windows, as :func:`train_stpn` returns them. An a3 width
+    whose weights cannot be allocated is refused before any training.
     """
-    model, vectors = train_stpn(nominal, config)
+    series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
+    if with_a3 and series:
+        n_patterns = series[0].n_channels ** 2
+        _init_mlp(n_patterns, n_patterns, config)
+    model, vectors = train_stpn(series, config)
     vectors = vectors.astype(float)
     rbm = train_rbm(vectors, config)
     threshold = calibrate_threshold(rbm, vectors, kappa=config.detector_kappa)

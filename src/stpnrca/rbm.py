@@ -33,7 +33,7 @@ from .errors import DataError, NumericalError, UsageError
 
 @dataclass(frozen=True, eq=False)
 class RbmParams:
-    """Visible biases, hidden biases, and the weight matrix."""
+    """Visible biases, hidden biases, and the weight matrix, all read-only."""
 
     visible_bias: np.ndarray = field(repr=False)  # (n_v,)
     hidden_bias: np.ndarray = field(repr=False)  # (n_h,)
@@ -48,6 +48,7 @@ class RbmParams:
         for arr in (a, b, w):
             if not np.all(np.isfinite(arr)):
                 raise DataError("parameters must be finite")
+            arr.setflags(write=False)
         object.__setattr__(self, "visible_bias", a)
         object.__setattr__(self, "hidden_bias", b)
         object.__setattr__(self, "weights", w)

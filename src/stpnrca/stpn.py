@@ -165,11 +165,7 @@ def train_stpn(
                 f"nominal series of {ts.n_samples} samples shorter than "
                 f"2 x window_length = {2 * config.window_length}"
             )
-    partition = learn_partition(
-        TimeSeries(names, np.vstack([ts.values for ts in series])),
-        config.alphabet_size,
-        config.partition_method,
-    )
+    partition = learn_partition(series, config.alphabet_size, config.partition_method)
     n_symbols, f = config.alphabet_size, len(names)
     n_states = n_symbols**config.depth
     try:

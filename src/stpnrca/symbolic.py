@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -50,36 +51,43 @@ class PartitionScheme:
 
 
 def learn_partition(
-    ts: TimeSeries, alphabet_size: int, method: str = "mep"
+    ts: TimeSeries | Sequence[TimeSeries], alphabet_size: int, method: str = "mep"
 ) -> PartitionScheme:
-    """Learn per-channel bin edges from training data.
+    """Learn per-channel bin edges from training data: one series, or
+    several with the same channels, whose samples are pooled per channel.
 
     ``mep`` places edges at empirical quantiles (equal-frequency bins,
     maximizing symbol entropy); ``up`` uses equal-width bins over the
     observed range. Constant channels are rejected: their partition is
     undefined and the caller must exclude or dither them.
     """
-    if ts.n_samples < alphabet_size:
+    series = [ts] if isinstance(ts, TimeSeries) else list(ts)
+    if not series or any(s.names != series[0].names for s in series):
+        raise DataError("need one or more series, all with the same channel names")
+    names = series[0].names
+    if sum(s.n_samples for s in series) < alphabet_size:
         raise DataError(
             f"need at least {alphabet_size} samples to fit {alphabet_size} bins"
         )
     method = method.lower()
     if method not in ("mep", "up"):
         raise DataError(f"unknown partition method {method!r} (use 'mep' or 'up')")
-    lo, hi = ts.values.min(axis=0), ts.values.max(axis=0)
+    lo = np.min([s.values.min(axis=0) for s in series], axis=0)
+    hi = np.max([s.values.max(axis=0) for s in series], axis=0)
     if np.any(lo == hi):
-        name = ts.names[np.argmax(lo == hi)]
+        name = names[np.argmax(lo == hi)]
         raise DegeneratePartitionError(f"channel {name!r} is constant; partition undefined")
     k = np.arange(1, alphabet_size)
-    if method == "mep":  # per channel: np.quantile copies all it is given
-        edges = [np.quantile(ts.channel(i), k / alphabet_size) for i in range(ts.n_channels)]
+    if method == "mep":  # one pooled channel at a time: np.quantile copies all it is given
+        edges = [np.quantile(np.concatenate([s.channel(i) for s in series]), k / alphabet_size)
+                 for i in range(len(names))]
     else:
         edges = lo[:, None] + (hi - lo)[:, None] * k / alphabet_size
     try:
         return PartitionScheme(edges)
     except DegeneratePartitionError as exc:  # finite samples: tied, or past float64's range
         raise DegeneratePartitionError(
-            f"channel {ts.names[exc.channel]!r}: duplicated or non-finite bin edges (too "
+            f"channel {names[exc.channel]!r}: duplicated or non-finite bin edges (too "
             "many tied samples for equal-frequency binning)", exc.channel) from None
 
 

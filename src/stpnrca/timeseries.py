@@ -79,42 +79,34 @@ def read_csv(path: str | os.PathLike) -> TimeSeries:
 
     A first row of names is the header. A first row of numbers means the
     file has no header: it must then hold the 52 standard process variables,
-    which get the ``xmeas_01..41``, ``xmv_01..11`` names.
+    which get the ``xmeas_01..41``, ``xmv_01..11`` names. Every other line
+    that holds more than whitespace is one sample row; only the comma layout
+    has csv quoting. The rows are parsed in one ``np.loadtxt`` pass; only
+    when that pass fails are they read again one by one, to name the first
+    bad line.
     """
     path = os.fspath(path)
     if not os.path.isfile(path):
         raise DataError(f"no such file: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            rows = _rows(fh)
-            first = next(rows, None)
-            if first is None:
-                raise DataError(f"{path}: empty file")
-            try:
-                [float(x) for x in first[1]]
+            split, names, skip = _header(fh, path)
+            linenos = []
+            lines = _data_lines(fh, skip, linenos)
+            first = next(lines, None)
+            plain = split is str.split
+            try:  # loadtxt warns on a file without rows
+                values = np.empty((0, len(names))) if first is None else np.loadtxt(
+                    itertools.chain([first], lines), dtype=float, comments=None, ndmin=2,
+                    delimiter=None if plain else ",", quotechar=None if plain else '"')
             except ValueError:
-                names = [n.strip() for n in first[1]]
-            else:
-                if len(first[1]) != len(_PROCESS_VARIABLES):
-                    raise DataError(f"{path}: a file without a header row must hold the 52 "
-                                    f"standard process variables, got {len(first[1])} columns")
-                names, rows = _PROCESS_VARIABLES, itertools.chain([first], rows)
-            values, linenos = [], []
-            for lineno, row in rows:
-                if len(row) != len(names):
-                    raise DataError(
-                        f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
-                    )
-                try:
-                    values.append(np.fromiter(map(float, row), dtype=float, count=len(row)))
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-                linenos.append(lineno)
+                values = None
+            if values is None or values.shape != (len(linenos), len(names)):
+                _raise_first_bad_line(path, fh, skip, split, len(names))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a text CSV file ({exc})") from None
     if len(values) < 2:
         raise DataError(f"{path}: need at least 2 sample rows, got {len(values)}")
-    values = np.array(values, dtype=float)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
@@ -124,26 +116,72 @@ def read_csv(path: str | os.PathLike) -> TimeSeries:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _rows(fh):
-    """Yield (line number, fields) for each nonblank row of the open file `fh`.
+def _number(field: str) -> float:
+    """A field's value by the rule ``np.loadtxt`` applies: Python's float
+    syntax (decimal or exponent notation, ``inf``, ``nan``, in any case,
+    with surrounding whitespace) in ASCII, and without the ``1_000`` digit
+    grouping that ``float`` also takes. ValueError for anything else."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
 
-    Rows are split on commas, with csv quoting, unless the first two rows
-    hold no comma or quote and the second holds several whitespace-separated
-    fields; then every row is split on whitespace.
-    """
-    head = list(itertools.islice(filter(str.strip, fh), 2))
+
+def _csv_fields(line: str) -> list[str]:
+    return next(csv.reader([line]))
+
+
+def _data_lines(fh, skip: int, linenos: list):
+    """Yield each line of the open file `fh` after its first `skip` lines
+    that holds more than whitespace, appending its line number to `linenos`."""
     fh.seek(0)
-    plain = head and not any("," in line or '"' in line for line in head)
-    if plain and len(head[-1].split()) > 1:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if fields:
-                yield lineno, fields
-    else:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):
-                yield reader.line_num, row
+    for lineno, line in enumerate(itertools.islice(fh, skip, None), start=skip + 1):
+        if not line.isspace():
+            linenos.append(lineno)
+            yield line
+
+
+def _header(fh, path):
+    """(field splitter, channel names, number of lines before the sample rows).
+
+    Rows are split on commas, with csv quoting, unless the first two
+    nonblank lines hold no comma or quote and the second holds several
+    whitespace-separated fields; then every row is split on whitespace.
+    """
+    linenos = []
+    head = list(itertools.islice(_data_lines(fh, 0, linenos), 2))
+    if not head:
+        raise DataError(f"{path}: empty file")
+    if not any("," in line or '"' in line for line in head) and len(head[-1].split()) > 1:
+        split, fields, end = str.split, head[0].split(), linenos[0]
+    else:  # csv reads the header, whose quoted names may span lines
+        split = _csv_fields
+        fh.seek(0)
+        reader = csv.reader(itertools.islice(fh, linenos[0] - 1, None))
+        fields = next(reader)
+        end = linenos[0] - 1 + reader.line_num
+    try:
+        [_number(x) for x in fields]
+    except ValueError:
+        return split, [n.strip() for n in fields], end
+    if len(fields) != len(_PROCESS_VARIABLES):
+        raise DataError(f"{path}: a file without a header row must hold the 52 "
+                        f"standard process variables, got {len(fields)} columns")
+    return split, _PROCESS_VARIABLES, 0
+
+
+def _raise_first_bad_line(path, fh, skip, split, n_fields):
+    """Raise the DataError naming the first sample row of `fh` that does not
+    split into `n_fields` fields, each a :func:`_number`."""
+    linenos = []
+    for line in _data_lines(fh, skip, linenos):
+        fields = split(line)
+        if len(fields) != n_fields:
+            raise DataError(f"{path}:{linenos[-1]}: expected {n_fields} fields, got {len(fields)}")
+        try:
+            [_number(x) for x in fields]
+        except ValueError as exc:
+            raise DataError(f"{path}:{linenos[-1]}: non-numeric value ({exc})") from None
+    raise DataError(f"{path}: np.loadtxt cannot read the sample rows as a table")
 
 
 @contextmanager

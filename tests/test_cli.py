@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpnrca import bench, cli
+from stpnrca import bench, cli, pipeline
 from stpnrca.cli import main
 from stpnrca.persist import BUNDLE_FILE, load_bundle, save_bundle
 from stpnrca.timeseries import TimeSeries, read_csv, write_csv
@@ -736,17 +736,25 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("key", ["rbm_hidden", "a3_hidden"])
     @pytest.mark.parametrize("width", [10**12, 10**20])
-    def test_network_too_wide_is_usage_error(self, tmp_path, toy_nominal, key, width, capsys):
+    def test_network_too_wide_is_usage_error(self, tmp_path, toy_nominal, key, width, capsys,
+                                             monkeypatch):
         """A width whose weight matrix no machine can allocate (10**12), or
         that numpy cannot index (10**20), is refused in one line naming the
-        key, and no bundle is written."""
+        key, and no bundle is written. An a3 width is refused before any
+        training starts."""
+        if key == "a3_hidden":
+            def no_training(*args, **kwargs):
+                raise AssertionError("training started")
+
+            monkeypatch.setattr(pipeline, "train_stpn", no_training)
+            monkeypatch.setattr(pipeline, "train_rbm", no_training)
         data = tmp_path / "n.csv"
         write_csv(toy_nominal.window(0, 8 * 400), data)
         argv = ["train", "--nominal", data, "--out", tmp_path / "b", "--a3",
                 "--set", "window_length=400", "--set", "rbm_epochs=1"]
         assert run(*argv, "--set", f"{key}={width}") == 1
         err = capsys.readouterr().err
-        line = err.splitlines()[-1]  # after the warning on 8 calibration windows
+        line = err.splitlines()[-1]  # after any warning on 8 calibration windows
         assert "Traceback" not in err
         assert line.startswith(f"usage error: config key {key!r}: a 16 x {width} weight matrix")
         assert line.endswith("does not fit in memory")

@@ -131,6 +131,19 @@ class TestSigmoid:
         assert got[1] == want[1] == 0.5
 
 
+class TestParams:
+    def test_arrays_are_read_only(self):
+        """A machine's energies cannot go stale: its arrays refuse in-place
+        writes, whether it was trained or built from arrays."""
+        vectors = (np.random.default_rng(3).random((10, 4)) < 0.5).astype(float)
+        for params in (zero_params(), train_rbm(vectors, RunConfig(rbm_hidden=3, rbm_epochs=2))):
+            for arr in (params.visible_bias, params.hidden_bias, params.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                params.weights *= 2.0
+
+
 class TestTraining:
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)

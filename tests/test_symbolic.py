@@ -63,6 +63,24 @@ class TestLearnPartition:
         with pytest.raises(DegeneratePartitionError):
             learn_partition(ts, 4, "mep")
 
+    @pytest.mark.parametrize("method", ["mep", "up"])
+    @pytest.mark.parametrize("lengths", [(7,), (3, 40), (5, 2, 30, 2)])
+    def test_several_series_pool_their_samples(self, method, lengths):
+        """Edges learned from several series equal, bit for bit, those
+        learned from one series that stacks their samples."""
+        rng = np.random.default_rng(sum(lengths))
+        parts = [rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 3) for n in lengths]
+        names = ("a", "b", "c")
+        got = learn_partition([TimeSeries(names, p) for p in parts], 5, method)
+        want = learn_partition(TimeSeries(names, np.vstack(parts)), 5, method)
+        assert got.edges.tobytes() == want.edges.tobytes()
+
+    def test_several_series_must_share_names(self):
+        with pytest.raises(DataError, match="same channel names"):
+            learn_partition([series([1, 2, 3]), TimeSeries(("x",), np.arange(3.0)[:, None])], 2)
+        with pytest.raises(DataError, match="one or more series"):
+            learn_partition([], 2)
+
 
 def loop_reference_partition(ts, alphabet_size, method):
     """Edges one channel at a time, or None where a channel is constant or

@@ -1,8 +1,12 @@
+import csv
+import itertools
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpnrca.errors import DataError
 from stpnrca.timeseries import TimeSeries, atomic_open, read_csv, write_csv
@@ -10,6 +14,57 @@ from stpnrca.timeseries import TimeSeries, atomic_open, read_csv, write_csv
 PROCESS_VARIABLES = [f"xmeas_{i:02d}" for i in range(1, 42)] + [
     f"xmv_{i:02d}" for i in range(1, 12)
 ]
+
+
+def loop_reference_read_csv(path):
+    """The row-at-a-time reader that read_csv replaced: csv.reader or
+    str.split per row, then float() per field; (names, values) or DataError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = _reference_rows(fh)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        try:
+            [float(x) for x in first[1]]
+        except ValueError:
+            names = [n.strip() for n in first[1]]
+        else:
+            if len(first[1]) != len(PROCESS_VARIABLES):
+                raise DataError(f"{path}: a file without a header row must hold the 52 "
+                                f"standard process variables, got {len(first[1])} columns")
+            names, rows = PROCESS_VARIABLES, itertools.chain([first], rows)
+        values, linenos = [], []
+        for lineno, row in rows:
+            if len(row) != len(names):
+                raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
+            try:
+                values.append(np.fromiter(map(float, row), dtype=float, count=len(row)))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
+            linenos.append(lineno)
+    if len(values) < 2:
+        raise DataError(f"{path}: need at least 2 sample rows, got {len(values)}")
+    values = np.array(values, dtype=float)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[np.argmin(finite)]}: non-finite value")
+    return tuple(names), values
+
+
+def _reference_rows(fh):
+    head = list(itertools.islice(filter(str.strip, fh), 2))
+    fh.seek(0)
+    plain = head and not any("," in line or '"' in line for line in head)
+    if plain and len(head[-1].split()) > 1:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if fields:
+                yield lineno, fields
+    else:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                yield reader.line_num, row
 
 
 class TestAtomicOpen:
@@ -128,3 +183,125 @@ class TestReadCsv:
         with pytest.raises(DataError, match=re.escape(message)) as info:
             read_csv(path)
         assert str(info.value).startswith(str(path))
+
+
+# Fields both readers take as numbers, or both refuse: no digit-group
+# underscores, no non-ASCII digits, no line break inside quotes.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.6e}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0", "-0.0", "+.5", "1.", "1E5", " 2.5 ", "\t7", "\xa03"]),
+)
+BAD_FIELDS = st.one_of(st.sampled_from(["x", "", "1e", "--1", "0x10", "4#5"]),
+                       st.sampled_from(["nan", "-Inf", "1e999"]))  # non-finite
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV in any layout read_csv accepts, perhaps damaged in one
+    field or one row's length."""
+    header = draw(st.booleans())
+    n = draw(st.integers(1, 4)) if header else 52
+    plain = n > 1 and draw(st.booleans())
+    sep = draw(st.sampled_from([" ", "\t", "  \t"] if plain else [",", ", "]))
+    quote = not plain and draw(st.booleans())
+    rows = draw(st.lists(st.lists(NUMBERS, min_size=n, max_size=n), min_size=2, max_size=6))
+    damage = draw(st.sampled_from(["none", "field", "short", "long"]))
+    r, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+    if damage == "field":
+        rows[r][c] = draw(BAD_FIELDS)
+    elif damage == "short" and n > 1:
+        del rows[r][c]
+    elif damage == "long":
+        rows[r].append(draw(NUMBERS))
+    if plain:  # whitespace splits what a quote or an empty field would join
+        rows = [[x.strip() or "x" for x in row] for row in rows]
+    lines = [sep.join(f"v{i}" for i in range(n))] * header + [
+        sep.join(f'"{x}"' if quote else x for x in row) for row in rows
+    ]
+    blanks = draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=len(lines)))
+    for blank, at in zip(blanks, draw(st.permutations(range(len(lines) + 1)))):
+        lines.insert(at, blank)
+    ending = draw(ENDINGS)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + ending.join(lines) + ending
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=csv_files())
+def test_read_csv_equals_loop_reference(tmp_path_factory, text):
+    """Both readers take the same files to the same names and float64
+    values, bit for bit, and refuse the same files with the same message."""
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_bytes(text.encode())
+    try:
+        want = loop_reference_read_csv(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            read_csv(path)
+        assert str(info.value) == str(exc)
+        return
+    ts = read_csv(path)
+    assert ts.names == want[0]
+    assert ts.values.dtype == want[1].dtype == np.float64
+    assert ts.values.shape == want[1].shape
+    assert ts.values.tobytes() == want[1].tobytes()
+
+
+class TestReadCsvErrorLines:
+    """A bad row is named by its line in the file, blank lines counted."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n\n  \n1,2\n\t\n3\n", "bad.csv:6: expected 2 fields, got 1"),
+            ("a,b\n\n  \n1,2\n\t\n3,y\n", "bad.csv:6: non-numeric value"),
+            ("a,b\r\n1,2\r\n\r\n3,x\r\n", "bad.csv:4: non-numeric value"),
+            ("a,b\r\n1,2\r\n \r\n3\r\n", "bad.csv:4: expected 2 fields, got 1"),
+            ("\ufeffa,b\n1,2\n3\n", "bad.csv:3: expected 2 fields, got 1"),
+            ('a,b\n"1","2"\n"3","x"\n', "bad.csv:3: non-numeric value"),
+            ('a,b\n"1","2"\n"3"\n', "bad.csv:3: expected 2 fields, got 1"),
+            ("a b c\n1 2 3\n\n4 5\n", "bad.csv:4: expected 3 fields, got 2"),
+            (",".join(["1"] * 52) + "\n\n" + ",".join(["1"] * 51) + "\n",
+             "bad.csv:3: expected 52 fields, got 51"),
+            # a data row is one line: csv quoting does not join lines
+            ('a,b\n1,2\n"3\n",4\n', "bad.csv:3: expected 2 fields, got 1"),
+        ],
+    )
+    def test_bad_row_named_by_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError, match=re.escape(message)) as info:
+            read_csv(path)
+        assert str(info.value).startswith(str(path))
+
+    def test_quoted_numbers_read(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('"a","b"\n"1.5",2\n3," -4e1 "\n')
+        assert read_csv(path).values.tolist() == [[1.5, 2.0], [3.0, -40.0]]
+
+
+class TestNumberSyntax:
+    """A field is a number by np.loadtxt's rule: Python's float syntax, in
+    ASCII, without digit-group underscores."""
+
+    @pytest.mark.parametrize("field", ["1_0", "1_000.5", "\u0661", "\uff11", "0x10"])
+    def test_refused(self, tmp_path, field):
+        path = tmp_path / "n.csv"
+        path.write_text(f"a,b\n1,2\n{field},3\n")
+        with pytest.raises(DataError, match=re.escape(f"n.csv:3: non-numeric value")):
+            read_csv(path)
+
+    @pytest.mark.parametrize("field, value", [("1e3", 1000.0), ("-.5", -0.5), ("+2.", 2.0),
+                                              ("\xa07 ", 7.0), ("\t8\t", 8.0)])
+    def test_accepted(self, tmp_path, field, value):
+        path = tmp_path / "n.csv"
+        path.write_text(f"a,b\n1,2\n{field},3\n")
+        assert read_csv(path).values[1, 0] == value
+
+    def test_underscored_first_row_is_a_header(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("1_0,2_0\n1,2\n3,4\n")
+        assert read_csv(path).names == ("1_0", "2_0")

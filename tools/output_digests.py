@@ -12,7 +12,9 @@ size 2 (one edge per channel), one at depth 2 and lag 2, one at alphabet
 size 257 (past an 8-bit symbol count) and one at stride 150 (overlapping
 windows), each followed by a forced s3 ``rca``,
 and ``evaluate --out``; then ``simulate --nodes 12``, ``train`` and a forced s3
-``rca`` on that 12-channel series, whose searches are long (82–97 flips each). Prints one
+``rca`` on that 12-channel series, whose searches are long (82–97 flips each); last, a
+``detect`` on a copy of ``case01.csv`` split on whitespace, behind a byte-order mark,
+with CRLF line endings and blank rows, whose stdout must equal the comma file's. Prints one
 line per command, with its exit code and the sha256 of its stdout, then one
 line per written file, with its sha256 and its path relative to the
 temporary directory. Then it loads the bundle of each ``train --out`` of
@@ -22,13 +24,15 @@ name, such as ``model:rbm.weights``; the names do not depend on how a
 bundle lays out its files. Run it once per source tree: two trees that
 print the same lines wrote the same bytes; two that differ only in
 model-file lines but print the same array lines stored the same models in
-different file formats. Exits 1 when a command exits non-zero.
+different file formats. Exits 1 when a command exits non-zero, or when the
+two ``detect`` runs on ``case01`` print different lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -44,11 +48,14 @@ SMALL = [
     "--set", "detector_kappa=0",  # so the gated rca run analyses a window of fault.csv
 ]
 NOMINAL = [f"data/nominal_mode{i}.csv" for i in range(1, 7)]
+DETECT = ["detect", "--model", "model", "--data", "data/case01.csv"]
+# the same data as data/case01.csv in another layout the reader accepts
+RESTYLED = "data/case01_restyled.txt"
 FLOW = [
     ["simulate", "--out", "data", "--modes", "builtin", "--cases", "2",
      "--fault", "node-delay:1:5", "--samples", "4000"],
     ["train", "--nominal", *NOMINAL, "--out", "model", "--a3", *SMALL],
-    ["detect", "--model", "model", "--data", "data/case01.csv"],
+    DETECT,
     ["rca", "--model", "model", "--data", "data/case01.csv", "--force",
      "--out", "case01.s3.json"],
     ["rca", "--model", "model", "--data", "data/fault.csv", "--out", "fault.s3.json"],
@@ -98,7 +105,21 @@ FLOW = [
      "--set", "window_length=400", "--set", "threshold_quantile=0.1"],
     ["rca", "--model", "plant_model", "--data", "plant/fault.csv", "--force",
      "--out", "plant.s3.json"],
+    [*DETECT[:-1], RESTYLED],
 ]
+
+
+def _restyle(src: str, dst: str) -> None:
+    """Write the rows of the CSV `src` to `dst` split on tabs and spaces,
+    behind a byte-order mark, with CRLF line endings and a blank or
+    whitespace-only line after the header and after every 97th row."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8-sig") as out:
+        for i, row in enumerate(rows):
+            out.write(" \t".join(row) + "\r\n")
+            if i % 97 == 0:
+                out.write(" \t \r\n" if i % 2 else "\r\n")
 
 
 def _sha256(data: bytes) -> str:
@@ -135,16 +156,21 @@ def main(argv=None) -> int:
     from stpnrca.pipeline import load_bundle
 
     failed = False
+    printed = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for command in FLOW:
+                if RESTYLED in command:
+                    _restyle(DETECT[-1], RESTYLED)
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = cli_main(command)
                 failed |= code != 0
-                print(f"{command[0]}: exit {code}, stdout {_sha256(stdout.getvalue().encode())}")
+                printed[tuple(command)] = digest = _sha256(stdout.getvalue().encode())
+                print(f"{command[0]}: exit {code}, stdout {digest}")
+            failed |= printed[tuple(DETECT)] != printed[(*DETECT[:-1], RESTYLED)]
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file():
                     print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
