@@ -20,22 +20,62 @@ from .rbm import _sigmoid
 
 @dataclass(frozen=True, eq=False)
 class A3Dataset:
-    """Input pattern vectors with per-position indicator labels (1=nominal)."""
+    """Flipped copies of nominal pattern vectors, stored as the flips.
 
-    inputs: np.ndarray = field(repr=False)  # (n, L)
-    labels: np.ndarray = field(repr=False)  # (n, L)
+    Example i is nominal row `rows[i]` with the columns `flips[i]` flipped
+    (x -> 1 - x); its labels are 1 (nominal) except 0 at those columns.
+    `flips` is padded with -1, so an unflipped example has no column >= 0.
+    An example holds no dense row: `inputs` and `labels` build the dense
+    float64 matrices on each access, and training builds one batch at a time.
+    """
+
+    nominal: np.ndarray = field(repr=False)  # (n_nominal, L) float64
+    rows: np.ndarray = field(repr=False)  # (n,) index into nominal
+    flips: np.ndarray = field(repr=False)  # (n, max order) columns, -1 padded
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if inputs.shape != labels.shape or inputs.ndim != 2:
-            raise DataError("inputs and labels must be matching (n, L) matrices")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        nominal = np.asarray(self.nominal, dtype=float)
+        rows, flips = np.asarray(self.rows), np.asarray(self.flips)
+        if nominal.ndim != 2 or rows.ndim != 1 or flips.ndim != 2:
+            raise DataError("need an (n_nominal, L) matrix, (n,) rows and (n, k) flips")
+        if flips.shape[0] != rows.size:
+            raise DataError(f"{rows.size} rows but {flips.shape[0]} flip lists")
+        n_nominal, L = nominal.shape
+        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n_nominal):
+            raise DataError(f"rows must be integers in 0..{n_nominal - 1}")
+        if flips.size and (flips.dtype.kind not in "iu" or flips.min() < -1 or flips.max() >= L):
+            raise DataError(f"flips must be columns in 0..{L - 1}, or -1 for none")
+        cols = np.sort(flips, axis=1)
+        if ((cols[:, 1:] == cols[:, :-1]) & (cols[:, 1:] >= 0)).any():
+            raise DataError("an example flips the same column twice")
+        object.__setattr__(self, "nominal", nominal)
+        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+        object.__setattr__(self, "flips", flips.astype(np.intp, copy=False))
 
     @property
     def n_examples(self) -> int:
-        return self.inputs.shape[0]
+        return self.rows.size
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """Dense (n, L) input matrix."""
+        return self._examples(slice(None))[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Dense (n, L) label matrix."""
+        return self._examples(slice(None))[1]
+
+    def _examples(self, ids):
+        """Dense float64 inputs and labels of the examples `ids`, in order."""
+        x = self.nominal[self.rows[ids]]
+        y = np.ones_like(x)
+        flips = self.flips[ids]
+        i, j = np.nonzero(flips >= 0)
+        cols = flips[i, j]
+        x[i, cols] = 1.0 - x[i, cols]
+        y[i, cols] = 0.0
+        return x, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +115,9 @@ def generate_artificial_anomalies(
 
     Every nominal vector contributes its unflipped self (labels all ones)
     plus, per flip order k, perturbed copies with k distinct bits flipped
-    and labels zeroed exactly there. Every entry must be 0 or 1.
+    and labels zeroed exactly there. Every entry must be 0 or 1. The set
+    keeps the nominal matrix and each example's flipped columns, not dense
+    rows (see :class:`A3Dataset`).
     """
     nominal = np.asarray(nominal_vectors, dtype=float)
     if nominal.ndim != 2 or nominal.shape[0] == 0:
@@ -87,20 +129,13 @@ def generate_artificial_anomalies(
     if any(k < 1 or k > L for k in orders):
         raise DataError(f"flip orders must lie in 1..{L}")
     rng = np.random.default_rng(seed)
-    inputs, labels = [], []
-    for v in nominal:
-        inputs.append(v.copy())
-        labels.append(np.ones(L))
-        for k in orders:
-            for _ in range(samples_per_order):
-                idx = rng.choice(L, size=k, replace=False)
-                x = v.copy()
-                x[idx] = 1.0 - x[idx]
-                y = np.ones(L)
-                y[idx] = 0.0
-                inputs.append(x)
-                labels.append(y)
-    return A3Dataset(np.stack(inputs), np.stack(labels))
+    sizes = [k for k in orders for _ in range(samples_per_order)]
+    flips = np.full((nominal.shape[0], 1 + len(sizes), max(orders, default=0)), -1, np.intp)
+    for block in flips:  # row 0 of each block is the unflipped vector
+        for cols, k in zip(block[1:], sizes):
+            cols[:k] = rng.choice(L, size=k, replace=False)
+    rows = np.repeat(np.arange(nominal.shape[0]), flips.shape[1])
+    return A3Dataset(nominal, rows, flips.reshape(rows.size, -1))
 
 
 def _init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
@@ -147,8 +182,17 @@ def _forward(weights, biases, x, dropout=0.0, rng=None):
 
 def _loss(logits, y) -> float:
     """Per-label logistic loss on the logits, summed over labels and
-    averaged over examples: max(z, 0) - z*y + log1p(exp(-|z|))."""
-    per_cell = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
+    averaged over examples: max(z, 0) - z*y + log1p(exp(-|z|)). The terms
+    are evaluated in that order in two buffers, so every cell is the float
+    the expression gives with a fresh array per operation."""
+    per_cell = np.maximum(logits, 0.0)
+    term = np.multiply(logits, y)
+    per_cell -= term
+    np.abs(logits, out=term)
+    np.negative(term, out=term)
+    np.exp(term, out=term)
+    np.log1p(term, out=term)
+    per_cell += term
     return float(per_cell.sum() / logits.shape[0])
 
 
@@ -186,10 +230,12 @@ def _gradients(weights, biases, x, y, dropout=0.0, rng=None):
 def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     """Train with mini-batch gradient descent plus momentum and early stopping.
 
-    The dataset is shuffled (by seed) and split into equal training and
+    The examples are shuffled (by seed) and split into equal training and
     validation halves; training stops when validation loss has not improved
     for `patience` epochs and the best-validation-epoch parameters are
-    returned, not the last ones.
+    returned, not the last ones. The split is of example ids: each batch's
+    dense rows are built from the compact set just before its step, and are
+    the bytes a dense training matrix would hold.
 
     Validation runs forward over the distinct validation inputs only, found
     once by their bytes, and gathers the logits back to every validation
@@ -205,20 +251,21 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(data.n_examples)
     half = data.n_examples // 2
-    tr_x, tr_y = data.inputs[order[:half]], data.labels[order[:half]]
-    va_x, va_y = data.inputs[order[half:]], data.labels[order[half:]]
+    train_ids = order[:half]
 
-    init = _init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
-    weights = [w.copy() for w in init.weights]
-    biases = [b.copy() for b in init.biases]
+    L = data.nominal.shape[1]
+    init = _init_mlp(L, L, config)  # fresh arrays, trained in place
+    weights, biases = list(init.weights), list(init.biases)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
 
     # rows share a logit only when their bytes are equal
+    va_x, va_y = data._examples(order[half:])
     _, first, inverse = np.unique(
         va_x.view(np.uint64), axis=0, return_index=True, return_inverse=True
     )
     va_distinct, inverse = va_x[first], inverse.reshape(-1)
+    del va_x
 
     def val_loss():
         return _loss(_forward(weights, biases, va_distinct)[2][inverse], va_y)
@@ -229,12 +276,10 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     stale = 0
     momentum, lr = config.a3_momentum, config.a3_learning_rate
     for _ in range(config.a3_epochs):
-        idx = rng.permutation(tr_x.shape[0])
-        for lo in range(0, tr_x.shape[0], config.a3_batch_size):
-            batch = idx[lo : lo + config.a3_batch_size]
-            gw, gb = _gradients(
-                weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
-            )
+        idx = rng.permutation(half)
+        for lo in range(0, half, config.a3_batch_size):
+            x, y = data._examples(train_ids[idx[lo : lo + config.a3_batch_size]])
+            gw, gb = _gradients(weights, biases, x, y, config.a3_dropout, rng)
             for vel, g, p in zip(vel_w + vel_b, gw + gb, weights + biases):
                 vel *= momentum
                 g *= lr

@@ -16,7 +16,7 @@ from .errors import DataError, UsageError
 from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
 from .nodes import infer_nodes
 from .persist import TrainedBundle, load_bundle, save_bundle  # noqa: F401 (pipeline API)
-from .rbm import calibrate_threshold, free_energy, train_rbm
+from .rbm import _check_width, calibrate_threshold, free_energy, train_rbm
 from .stpn import index_pattern, scan_windows, train_stpn
 from .switching import s3_search
 from .synth import var_fit, var_rca_baseline
@@ -31,13 +31,16 @@ def train_bundle(
     """Train the pattern network, the energy model, and optionally the classifier.
 
     The energy model trains on the pattern vectors of the network's
-    calibration windows, as :func:`train_stpn` returns them. An a3 width
-    whose weights cannot be allocated is refused before any training.
+    calibration windows, as :func:`train_stpn` returns them. An energy
+    model or a3 width whose weights cannot be allocated is refused before
+    any training.
     """
     series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
-    if with_a3 and series:
+    if series:
         n_patterns = series[0].n_channels ** 2
-        _init_mlp(n_patterns, n_patterns, config)
+        _check_width(n_patterns, config)
+        if with_a3:
+            _init_mlp(n_patterns, n_patterns, config)
     model, vectors = train_stpn(series, config)
     vectors = vectors.astype(float)
     rbm = train_rbm(vectors, config)

@@ -67,18 +67,25 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _check_width(n_visible: int, config: RunConfig) -> None:
+    """Refuse, as a UsageError, an rbm_hidden width whose weight matrix numpy
+    cannot index or cannot allocate. Allocating it untouched costs no pages."""
+    try:
+        np.empty((n_visible, config.rbm_hidden))
+    except (ValueError, MemoryError):
+        raise UsageError(f"config key 'rbm_hidden': a {n_visible} x {config.rbm_hidden} weight "
+                         "matrix does not fit in memory") from None
+
+
 def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams:
     """Fit the machine to binary vectors with CD-1; deterministic per seed."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise DataError("training set must be a nonempty (n, n_v) matrix")
     n, n_v = vectors.shape
+    _check_width(n_v, config)
     rng = np.random.default_rng(config.seed)
-    try:
-        w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
-    except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the matrix
-        raise UsageError(f"config key 'rbm_hidden': a {n_v} x {config.rbm_hidden} weight "
-                         "matrix does not fit in memory") from None
+    w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
     a = np.zeros(n_v)
     b = np.zeros(config.rbm_hidden)
     lr = config.rbm_learning_rate

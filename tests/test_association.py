@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,32 @@ class TestGeneration:
         b = generate_artificial_anomalies(nominal, samples_per_order=4, seed=9)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
+
+
+class TestDataset:
+    def test_dense_views_flip_the_listed_columns(self):
+        nominal = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        data = A3Dataset(nominal, np.array([1, 0, 1]), np.array([[-1, -1], [2, 0], [-1, 1]]))
+        assert data.n_examples == 3
+        assert np.array_equal(data.inputs, [[0, 0, 1], [0, 0, 0], [0, 1, 1]])
+        assert np.array_equal(data.labels, [[1, 1, 1], [0, 1, 0], [1, 0, 1]])
+
+    @pytest.mark.parametrize(
+        "rows, flips, message",
+        [
+            ([0, 1], [[0]], "2 rows but 1 flip lists"),
+            ([2], [[0]], "rows must be integers in 0..1"),
+            ([-1], [[0]], "rows must be integers in 0..1"),
+            ([0.0], [[0]], "rows must be integers"),
+            ([0], [[3]], "flips must be columns in 0..2"),
+            ([0], [[-2]], "flips must be columns in 0..2"),
+            ([0], [[1, -1, 1]], "same column twice"),
+            ([0], [0], r"\(n, k\) flips"),
+        ],
+    )
+    def test_constructor_refuses(self, rows, flips, message):
+        with pytest.raises(DataError, match=message):
+            A3Dataset(np.ones((2, 3)), np.array(rows), np.array(flips))
 
 
 class TestLoss:
@@ -189,7 +216,7 @@ class TestTraining:
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            train_a3(A3Dataset(np.ones((1, 4)), np.ones((1, 4))))
+            train_a3(A3Dataset(np.ones((1, 4)), np.zeros(1, int), np.full((1, 0), -1)))
 
 
 class TestInference:
@@ -328,17 +355,19 @@ INPUT_VALUES = [0.0, 1.0, -0.0, 0.5, float(np.nextafter(0.5, 1.0)), 0.004, 3.0]
 
 @st.composite
 def a3_training_cases(draw):
-    """A small dataset of heavily repeated rows and a config that stops early."""
+    """A small compact set over heavily repeated nominal rows, and a config
+    that stops early. Flipping 0.5 gives 0.5 again, so examples with other
+    flips can have equal bytes, as examples of equal nominal rows can."""
     n = draw(st.integers(2, 40))
     width = draw(st.integers(1, 5))
-    n_distinct = draw(st.integers(1, min(n, 5)))
+    n_nominal = draw(st.integers(1, min(n, 5)))
     row = st.lists(st.sampled_from(INPUT_VALUES), min_size=width, max_size=width)
-    pool = draw(st.lists(row, min_size=n_distinct, max_size=n_distinct))
-    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=n, max_size=n))
-    labels = draw(
-        st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=width, max_size=width),
-                 min_size=n, max_size=n)
-    )
+    nominal = draw(st.lists(row, min_size=n_nominal, max_size=n_nominal))
+    rows = draw(st.lists(st.integers(0, n_nominal - 1), min_size=n, max_size=n))
+    # up to k distinct columns per example, with -1 padding in any place
+    k = draw(st.integers(0, width))
+    flips = draw(st.lists(st.permutations([*range(width), *[-1] * k]).map(lambda p: p[:k]),
+                          min_size=n, max_size=n))
     half = n // 2
     config = RunConfig(
         a3_hidden=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))),
@@ -351,7 +380,8 @@ def a3_training_cases(draw):
         a3_patience=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**16)),
     )
-    return A3Dataset(np.array(pool)[picks], np.array(labels)), config
+    data = A3Dataset(np.array(nominal), np.array(rows), np.array(flips, dtype=int).reshape(n, k))
+    return data, config
 
 
 def _recording(log, loss=_loss):
@@ -384,3 +414,109 @@ def test_train_a3_equals_loop_reference(case):
     for got, want in zip(params.weights + params.biases, reference.weights + reference.biases):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_train_a3_equals_loop_reference_at_52_channels():
+    """The shape of a 52-channel model: 2,704 pattern bits, every flip order."""
+    rng = np.random.default_rng(52)
+    nominal = (rng.random((3, 52 * 52)) > 0.02).astype(float)
+    data = generate_artificial_anomalies(nominal, samples_per_order=3, seed=5)
+    config = RunConfig(a3_hidden=(16, 8), a3_batch_size=7, a3_epochs=3, a3_patience=2, seed=8)
+    params = train_a3(data, config)
+    reference = loop_reference_train_a3(data, config)
+    for got, want in zip(params.weights + params.biases, reference.weights + reference.biases):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_a3_training_memory_at_52_channels():
+    """Generating and training on 10 nominal vectors of 2,704 bits (810
+    examples, one epoch at the default widths) peaked at 87.2 MiB of
+    tracemalloc'd memory; the dense set, with its split copies, took 164 MiB.
+    The bound leaves 15% for numpy and Python versions."""
+    rng = np.random.default_rng(52)
+    nominal = (rng.random((10, 52 * 52)) > 0.02).astype(float)
+    tracemalloc.start()
+    try:
+        train_a3(generate_artificial_anomalies(nominal, seed=3), RunConfig(a3_epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * 87.2 * 2**20
+
+
+def loop_reference_generate_artificial_anomalies(
+    nominal_vectors, flip_orders=(1, 2, 3, 4), samples_per_order=20, seed=0
+):
+    """The dense generator: one float64 input row and one label row per
+    example, each a flipped copy of its nominal vector."""
+    nominal = np.asarray(nominal_vectors, dtype=float)
+    L = nominal.shape[1]
+    orders = sorted(set(int(k) for k in flip_orders))
+    rng = np.random.default_rng(seed)
+    inputs, labels = [], []
+    for v in nominal:
+        inputs.append(v.copy())
+        labels.append(np.ones(L))
+        for k in orders:
+            for _ in range(samples_per_order):
+                idx = rng.choice(L, size=k, replace=False)
+                x = v.copy()
+                x[idx] = 1.0 - x[idx]
+                y = np.ones(L)
+                y[idx] = 0.0
+                inputs.append(x)
+                labels.append(y)
+    return np.stack(inputs), np.stack(labels)
+
+
+@st.composite
+def generator_cases(draw):
+    """Binary nominal matrices (-0.0 included) and orders that may be empty,
+    repeated, unsorted or non-contiguous."""
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 9))
+    nominal = draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, -0.0]), min_size=width,
+                                     max_size=width), min_size=n, max_size=n))
+    orders = draw(st.lists(st.integers(1, width), max_size=4))
+    samples = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.array(nominal), orders, samples, seed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=generator_cases())
+def test_generator_equals_loop_reference(case):
+    data = generate_artificial_anomalies(*case)
+    inputs, labels = loop_reference_generate_artificial_anomalies(*case)
+    for got, want in ((data.inputs, inputs), (data.labels, labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _one_line_loss(logits, y):
+    per_cell = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
+    return float(per_cell.sum() / logits.shape[0])
+
+
+LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 36.8, -36.8, 745.2, -745.2, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+def test_loss_equals_one_line_expression(shape, data):
+    size = shape[0] * shape[1]
+    logits = np.array(data.draw(st.lists(LOGITS, min_size=size, max_size=size))).reshape(shape)
+    if data.draw(st.booleans()):  # confident and right: every cell is tiny, so the order shows
+        y = (logits > 0.0).astype(float)
+    else:
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -0.0]), min_size=size,
+                                        max_size=size))).reshape(shape)
+    kept = logits.copy()
+    with np.errstate(over="ignore"):  # sums of cells near 1e308 overflow to inf on both sides
+        got, want = _loss(logits, y), _one_line_loss(logits, y)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert logits.tobytes() == kept.tobytes()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stpnrca.errors import DataError, NumericalError
+from stpnrca.errors import DataError, NumericalError, UsageError
 from stpnrca.persist import load_bundle, save_bundle
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, _sigmoid, calibrate_threshold, free_energy, train_rbm
@@ -168,6 +168,11 @@ class TestTraining:
         with pytest.raises(DataError):
             train_rbm(np.zeros((0, 4)))
 
+
+    @pytest.mark.parametrize("width", [10**12, 10**20])
+    def test_width_that_cannot_be_allocated_is_usage_error(self, width):
+        with pytest.raises(UsageError, match=f"'rbm_hidden': a 3 x {width} weight matrix"):
+            train_rbm(np.ones((2, 3)), RunConfig(rbm_hidden=width))
 
 class TestDetector:
     def test_training_vectors_nominal_by_construction(self):

@@ -6,8 +6,9 @@ Imports ``stpnrca`` from SRC (default: this repository's ``src``) and runs,
 through ``stpnrca.cli.main`` in a temporary directory: ``simulate`` (the
 builtin modes, two pattern-fault cases and a node delay), ``train --a3``
 with a small config, ``detect``, ``rca`` four ways (s3 forced, s3 gated, a3
-forced, var), two more ``train --a3`` runs (two hidden layers at dropout 0.3,
-and dropout 0), each followed by a forced a3 ``rca``, a ``train`` at alphabet
+forced, var), three more ``train --a3`` runs (two hidden layers at dropout
+0.3; dropout 0; flip orders 1 and 3 with a short last batch), each followed
+by a forced a3 ``rca``, a ``train`` at alphabet
 size 2 (one edge per channel), one at depth 2 and lag 2, one at alphabet
 size 257 (past an 8-bit symbol count) and one at stride 150 (overlapping
 windows), each followed by a forced s3 ``rca``,
@@ -71,6 +72,12 @@ FLOW = [
      "--set", "a3_dropout=0"],
     ["rca", "--model", "model_nodrop", "--data", "data/case02.csv", "--method", "a3",
      "--force", "--out", "case02.a3_nodrop.json"],
+    # flip orders 1 and 3 only: examples padded past their flips; 300
+    # training examples in batches of 32 end in a short batch of 12
+    ["train", "--nominal", *NOMINAL, "--out", "model_orders", "--a3", *SMALL,
+     "--set", "a3_flip_orders=1,3", "--set", "a3_batch_size=32"],
+    ["rca", "--model", "model_orders", "--data", "data/case02.csv", "--method", "a3",
+     "--force", "--out", "case02.a3_orders.json"],
     # one interior edge per channel
     ["train", "--nominal", *NOMINAL, "--out", "model_binary", *SMALL,
      "--set", "alphabet_size=2"],
