@@ -310,13 +310,10 @@ def infer_a3(
     if not 0.0 < cutoff < 1.0:
         raise DataError("cutoff must lie in (0, 1)")
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    rows = v[None, :] if single else v
-    if rows.shape[1] != params.n_inputs:
-        raise DataError(f"input length {rows.shape[1]} != {params.n_inputs}")
-    _, _, logits = _forward(params.weights, params.biases, rows)
-    probs = _sigmoid(logits)
-    indicator = (probs >= cutoff).astype(np.int8)
-    if single:
-        return indicator[0], probs[0]
-    return indicator, probs
+    if v.ndim != 1:
+        raise DataError(f"a3 input must be one vector, got shape {v.shape}")
+    if v.shape[0] != params.n_inputs:
+        raise DataError(f"input length {v.shape[0]} != {params.n_inputs}")
+    _, _, logits = _forward(params.weights, params.biases, v[None, :])
+    probs = _sigmoid(logits)[0]
+    return (probs >= cutoff).astype(np.int8), probs

@@ -259,7 +259,7 @@ def evaluate_case(report: dict, labels: dict) -> dict:
 
     out["n_predicted"] = len(agg_patterns)
     out["n_incorrect"] = sum(1 for i in agg_patterns if not incident(i))
-    out["error_ratio"] = error_ratio(sorted(agg_patterns), incident)
+    out["error_ratio"] = out["n_incorrect"] / out["n_predicted"] if agg_patterns else None
     selected = {n["node"] for n in report["aggregate"]["nodes"]}
     out["predicted_nodes"] = sorted(selected)
     out["true_nodes"] = sorted(true_nodes)

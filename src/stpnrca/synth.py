@@ -315,13 +315,16 @@ def var_rca_baseline(
     """Failed patterns from coefficient differences between two fits.
 
     A pattern j->i fails when its coefficient change exceeds `eta` times the
-    largest change (max over lags when p > 1). All-zero differences yield an
-    empty list with a warning.
+    largest change (max over lags when p > 1). Both fits must be (p, f, f)
+    tensors of one shape, as `var_fit` returns them. All-zero differences
+    yield an empty list with a warning.
     """
-    a_nom = np.atleast_3d(np.asarray(a_nom, dtype=float))
-    a_ano = np.atleast_3d(np.asarray(a_ano, dtype=float))
+    a_nom = np.asarray(a_nom, dtype=float)
+    a_ano = np.asarray(a_ano, dtype=float)
     if a_nom.shape != a_ano.shape:
-        raise DataError("coefficient tensors must share a shape")
+        raise DataError(f"coefficient tensors must share a shape: {a_nom.shape} != {a_ano.shape}")
+    if a_nom.ndim != 3 or a_nom.shape[1] != a_nom.shape[2] or 0 in a_nom.shape:
+        raise DataError(f"coefficient tensors must be (p, f, f), got {a_nom.shape}")
     delta = np.max(np.abs(a_ano - a_nom), axis=0)
     peak = float(delta.max())
     if peak == 0.0:

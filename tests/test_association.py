@@ -254,6 +254,11 @@ class TestInference:
         with pytest.raises(DataError):
             infer_a3(params, np.ones(5))
 
+    def test_matrix_refused(self, trained):
+        params, _ = trained
+        with pytest.raises(DataError, match="one vector"):
+            infer_a3(params, np.ones((2, 12)))
+
 
 # Plain reference for train_a3: validation over every row, float dropout
 # masks and fresh arrays in each step. train_a3 must return the same bits.

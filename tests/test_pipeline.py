@@ -282,6 +282,24 @@ class TestEvaluateCase:
         assert out["predicted_nodes"] == [0]
         assert out["diagnosis_cost"] == 3  # rank 1 x 3 analyzed windows
 
+    def test_node_fault_case_with_nothing_predicted(self):
+        report = {
+            "method": "s3",
+            "channels": ["a", "b"],
+            "n_analyzed": 2,
+            "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
+            "windows": [],
+        }
+        labels = {
+            "channels": ["a", "b"],
+            "fault": {"kind": "node_delay", "node": 1, "delay": 5},
+            "failed_patterns": [],
+            "failed_nodes": [1],
+        }
+        out = evaluate_case(report, labels)
+        assert (out["n_predicted"], out["n_incorrect"]) == (0, 0)
+        assert out["error_ratio"] is None
+
     def test_false_alarm_case(self):
         report = {
             "method": "a3",

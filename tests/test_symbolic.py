@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -406,3 +407,34 @@ def test_metric_invariants_against_exact_oracle(case):
         (np.vstack([model, zero]), np.vstack([window, zero])),
     ):
         assert log_inference_metric(m, w) == pytest.approx(got, rel=1e-12, abs=1e-12)
+
+
+def factorial_reference_exact_log_metric(model, window) -> float:
+    """The metric's numerator and denominator as products of factorials,
+    uncancelled, with their logs taken at 60 significant digits."""
+    model = np.asarray(model, dtype=np.int64)
+    window = np.asarray(window, dtype=np.int64)
+    n_sym = model.shape[1]
+    num, den = 1, 1
+    for m in range(model.shape[0]):
+        wrow = int(window[m].sum())
+        mrow = int(model[m].sum())
+        num *= math.factorial(wrow) * math.factorial(mrow + n_sym - 1)
+        den *= math.factorial(wrow + mrow + n_sym - 1)
+        for n in range(n_sym):
+            w, c = int(window[m, n]), int(model[m, n])
+            num *= math.factorial(w + c)
+            den *= math.factorial(w) * math.factorial(c)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        return float(decimal.Decimal(num).ln() - decimal.Decimal(den).ln())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=count_pairs())
+def test_exact_oracle_equals_factorial_reference(case):
+    """Cancelling the factorials into binomial coefficients changes no bit of
+    the oracle's answer, the sign of a zero included."""
+    model, window, _, _ = case
+    want = factorial_reference_exact_log_metric(model, window)
+    assert exact_log_metric(model, window).hex() == want.hex()

@@ -284,6 +284,21 @@ class TestVarBaseline:
         with pytest.raises(DataError):
             var_rca_baseline(np.zeros((1, 3, 3)), np.zeros((1, 4, 4)))
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (3,), (1, 3, 2), (1, 2, 3), (0, 3, 3)],
+        ids=["matrix", "vector", "1x3x2", "1x2x3", "no-lags"],
+    )
+    def test_only_square_coefficient_tensors(self, shape):
+        """Two fits of one shape that is not (p, f, f) are refused, not read
+        along the wrong axes; the last coefficient differs, so a silent
+        answer would have a change to report."""
+        a = np.zeros(shape)
+        b = a.copy()
+        if b.size:
+            b.flat[-1] = 1.0
+        with pytest.raises(DataError, match=r"\(p, f, f\)"):
+            var_rca_baseline(a, b)
+
 
 class TestRandomGraph:
     def test_heterogeneous_noise_range(self):
