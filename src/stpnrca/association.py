@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import DataError, UsageError
-from .rbm import _sigmoid
+from .errors import DataError
+from .rbm import _check_width, _sigmoid
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +138,21 @@ def generate_artificial_anomalies(
     return A3Dataset(nominal, rows, flips.reshape(rows.size, -1))
 
 
+def _checked_layers(n_inputs: int, n_outputs: int, config: RunConfig) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) per layer; a UsageError if one cannot be allocated."""
+    sizes = [n_inputs, *config.a3_hidden, n_outputs]
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    for fan_in, fan_out in layers:
+        _check_width("a3_hidden", fan_in, fan_out)
+    return layers
+
+
 def _init_mlp(n_inputs: int, n_outputs: int, config: RunConfig) -> MlpParams:
     """Scaled random initialization (deterministic per seed)."""
     rng = np.random.default_rng(config.seed)
-    sizes = [n_inputs, *config.a3_hidden, n_outputs]
     weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        try:
-            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        except (ValueError, MemoryError):  # numpy cannot index, or cannot allocate, the layer
-            raise UsageError(f"config key 'a3_hidden': a {fan_in} x {fan_out} weight "
-                             "matrix does not fit in memory") from None
+    for fan_in, fan_out in _checked_layers(n_inputs, n_outputs, config):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
     return MlpParams(tuple(weights), tuple(biases))
 

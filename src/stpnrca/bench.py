@@ -32,6 +32,7 @@ from .errors import DataError
 from .metrics import diagnosis_cost, prf_counts
 from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
 from .rbm import free_energy, train_rbm
+from .stpn import train_stpn
 from .switching import exhaustive_switch_oracle, s3_search
 from .symbolic import log_inference_metric
 from .synth import (
@@ -43,7 +44,7 @@ from .synth import (
     simulate_var,
     var_fit,
 )
-from .timeseries import read_csv
+from .timeseries import TimeSeries, read_csv
 
 
 @dataclass(frozen=True)
@@ -242,13 +243,15 @@ DESK_CONFIG = RunConfig(
 DESK_TRAIN_WINDOWS = 80
 
 
+def desk_nominal() -> list[TimeSeries]:
+    """The desk training series: one nominal series per builtin mode."""
+    n_samples = DESK_TRAIN_WINDOWS * DESK_CONFIG.window_length
+    return [simulate_var(m, n_samples, seed=100 + i) for i, m in enumerate(builtin_modes())]
+
+
 def build_desk_context(with_a3: bool = True) -> TrainedBundle:
     """The six-mode desk bundle shared by the desk suites."""
-    nominal = [
-        simulate_var(m, DESK_TRAIN_WINDOWS * DESK_CONFIG.window_length, seed=100 + i)
-        for i, m in enumerate(builtin_modes())
-    ]
-    return train_bundle(nominal, DESK_CONFIG, with_a3=with_a3)
+    return train_bundle(desk_nominal(), DESK_CONFIG, with_a3=with_a3)
 
 
 def _pooled(rows: list[dict], key: str) -> float:
@@ -262,21 +265,20 @@ def _total(rows: list[dict], key: str) -> int:
     return sum(r[key] for r in rows)
 
 
-def _energy_gap(lines: list[str], bundle: TrainedBundle | None = None) -> None:
-    """Nominal vectors sit at lower mean free energy than 1-flip perturbations."""
-    bundle = bundle or build_desk_context(with_a3=False)
-    vectors = bundle.training_vectors
+def _energy_gap(lines: list[str], vectors: np.ndarray | None = None) -> None:
+    """Nominal vectors sit at lower mean free energy than 1-flip perturbations;
+    `vectors` default to train_stpn's vectors of the desk training series."""
+    if vectors is None:
+        vectors = train_stpn(desk_nominal(), DESK_CONFIG)[1]
+    vectors = np.asarray(vectors, dtype=float)
+    rows = np.arange(vectors.shape[0])
     for seed in ENERGY_GAP_SEEDS:
-        rbm = train_rbm(vectors, replace(bundle.config, seed=seed))
+        rbm = train_rbm(vectors, replace(DESK_CONFIG, seed=seed))
         rng = np.random.default_rng(9000 + seed)
         flipped = vectors.copy()
         idx = rng.integers(0, vectors.shape[1], size=vectors.shape[0])
-        flipped[np.arange(vectors.shape[0]), idx] = 1.0 - flipped[
-            np.arange(vectors.shape[0]), idx
-        ]
-        margin = float(
-            np.mean(free_energy(rbm, flipped)) - np.mean(free_energy(rbm, vectors))
-        )
+        flipped[rows, idx] = 1.0 - flipped[rows, idx]
+        margin = float(np.mean(free_energy(rbm, flipped)) - np.mean(free_energy(rbm, vectors)))
         _check(lines, margin > 0, f"seed {seed}: energy gap {margin:.3f} > 0")
 
 
@@ -418,8 +420,9 @@ def _tep_pipeline(lines: list[str], csv_path: str) -> None:
 
 
 # The suites `stpn-rca bench` runs, by name. Each body appends its report
-# lines, checks through `_check`; the desk suites take an optional prebuilt
-# bundle, and tep the path of the process CSV it reads.
+# lines, checks through `_check`; dataset1-desk and false-alarm take an
+# optional prebuilt desk bundle, energy-gap the optional pattern vectors of
+# the desk training series, and tep the path of the process CSV it reads.
 SUITES = {
     "prop1": _prop1,
     "metric-oracle": _metric_oracle,

@@ -23,8 +23,10 @@ class RunConfig:
     """Every tunable of the pipeline, with reference-experiment defaults.
 
     Readable from a ``key = value`` text file (unknown keys are rejected)
-    with command-line overrides applied on top. Out-of-range values raise
-    UsageError.
+    with command-line overrides applied on top. One rule types every field,
+    whatever built the config: text is parsed, an integer for a float key
+    becomes that float, a numpy integer an int, a sequence a tuple. A bool,
+    a float for an int key, or an out-of-range value raises UsageError.
     """
 
     alphabet_size: int = 9
@@ -54,6 +56,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _coerce(getattr(self, f.name), f.type, f.name))
         at_least = {
             "alphabet_size": 2, "depth": 1, "lag": 1, "stride": 0,
             "rbm_hidden": 1, "rbm_epochs": 0, "rbm_batch_size": 1,
@@ -72,6 +76,8 @@ class RunConfig:
             raise UsageError("config key 'threshold_quantile' must lie in [0, 1)")
         if min(self.a3_hidden, default=1) < 1 or min(self.a3_flip_orders, default=1) < 1:
             raise UsageError("a3_hidden widths and a3_flip_orders must be >= 1")
+        if not self.a3_flip_orders:  # a classifier trained on no flips flags nothing
+            raise UsageError("config key 'a3_flip_orders' must hold at least one order")
         if not 0.0 <= self.a3_dropout < 1.0:
             raise UsageError("config key 'a3_dropout' must lie in [0, 1)")
         if not 0.0 < self.a3_cutoff < 1.0:
@@ -88,7 +94,7 @@ class RunConfig:
                 raise UsageError(f"config key {key!r} must lie in [0, 1)")
 
     def fingerprint(self) -> str:
-        doc = json.dumps(dataclasses.asdict(self), sort_keys=True, default=list)
+        doc = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
     @classmethod
@@ -108,13 +114,11 @@ class RunConfig:
 def _config_from_values(values: dict) -> RunConfig:
     """RunConfig from text values (config file, --set) or JSON ones (a bundle header);
     unknown keys and values of the wrong type are a UsageError."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    parsed = {}
-    for key, raw in values.items():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for key in values:
         if key not in fields:
             raise UsageError(f"unknown config key {key!r}")
-        parsed[key] = _coerce(raw, fields[key].type, key)
-    return RunConfig(**parsed)
+    return RunConfig(**values)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -136,19 +140,16 @@ def _parse_config_file(path: str) -> dict:
 _NUMBER_TYPES = {"int": numbers.Integral, "float": numbers.Real}
 
 
-def _coerce(raw, annotation, key):
-    annotation = str(annotation)
+def _coerce(raw, annotation: str, key: str):
     try:
         if annotation.startswith("tuple"):
             items = raw.replace(",", " ").split() if isinstance(raw, str) else list(raw)
             return tuple(_coerce(x, "int", key) for x in items)
         if annotation in _NUMBER_TYPES:
-            if isinstance(raw, str):
+            if isinstance(raw, (str, _NUMBER_TYPES[annotation])) and not isinstance(raw, bool):
+                # text is parsed; an integer for a float key becomes the float
+                # it names, so the config and its fingerprint equal a --set one
                 return int(raw) if annotation == "int" else float(raw)
-            if isinstance(raw, _NUMBER_TYPES[annotation]) and not isinstance(raw, bool):
-                # a JSON integer for a float key is stored as the float it
-                # names, so the config and its fingerprint equal a --set one
-                return raw if annotation == "int" else float(raw)
         elif isinstance(raw, str):
             return raw
     except (OverflowError, TypeError, ValueError):  # float(10**400) overflows

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class TrainedBundle:
     energy_threshold: float
     config: RunConfig
     mlp: MlpParams | None = None
-    training_vectors: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         stpn, rbm, mlp, config = self.stpn, self.rbm, self.mlp, self.config

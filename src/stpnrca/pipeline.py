@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .association import _init_mlp, generate_artificial_anomalies, infer_a3, train_a3
+from .association import _checked_layers, generate_artificial_anomalies, infer_a3, train_a3
 from .config import RunConfig
 from .errors import DataError, UsageError
 from .metrics import diagnosis_cost, error_ratio, false_alarm_pattern_fraction, prf_counts
@@ -32,15 +32,18 @@ def train_bundle(
 
     The energy model trains on the pattern vectors of the network's
     calibration windows, as :func:`train_stpn` returns them. An energy
-    model or a3 width whose weights cannot be allocated is refused before
-    any training.
+    model or a3 width whose weights cannot be allocated, or an a3 flip order
+    above the f*f pattern count, is refused before any training.
     """
     series = [nominal] if isinstance(nominal, TimeSeries) else list(nominal)
     if series:
         n_patterns = series[0].n_channels ** 2
-        _check_width(n_patterns, config)
+        _check_width("rbm_hidden", n_patterns, config.rbm_hidden)
         if with_a3:
-            _init_mlp(n_patterns, n_patterns, config)
+            _checked_layers(n_patterns, n_patterns, config)
+            if max(config.a3_flip_orders) > n_patterns:
+                raise UsageError(f"config key 'a3_flip_orders': flip orders must lie in "
+                                 f"1..{n_patterns} for {series[0].n_channels} channels")
     model, vectors = train_stpn(series, config)
     vectors = vectors.astype(float)
     rbm = train_rbm(vectors, config)
@@ -48,20 +51,10 @@ def train_bundle(
     mlp = None
     if with_a3:
         data = generate_artificial_anomalies(
-            vectors,
-            flip_orders=config.a3_flip_orders,
-            samples_per_order=config.a3_samples_per_order,
-            seed=config.seed,
+            vectors, config.a3_flip_orders, config.a3_samples_per_order, config.seed
         )
         mlp = train_a3(data, config)
-    return TrainedBundle(
-        stpn=model,
-        rbm=rbm,
-        energy_threshold=threshold,
-        config=config,
-        mlp=mlp,
-        training_vectors=vectors,
-    )
+    return TrainedBundle(stpn=model, rbm=rbm, energy_threshold=threshold, config=config, mlp=mlp)
 
 
 def _window_analyser(bundle: TrainedBundle, method: str):

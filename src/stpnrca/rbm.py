@@ -67,13 +67,13 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_width(n_visible: int, config: RunConfig) -> None:
-    """Refuse, as a UsageError, an rbm_hidden width whose weight matrix numpy
+def _check_width(key: str, fan_in: int, fan_out: int) -> None:
+    """Refuse, as a UsageError naming config key `key`, a weight matrix numpy
     cannot index or cannot allocate. Allocating it untouched costs no pages."""
     try:
-        np.empty((n_visible, config.rbm_hidden))
+        np.empty((fan_in, fan_out))
     except (ValueError, MemoryError):
-        raise UsageError(f"config key 'rbm_hidden': a {n_visible} x {config.rbm_hidden} weight "
+        raise UsageError(f"config key {key!r}: a {fan_in} x {fan_out} weight "
                          "matrix does not fit in memory") from None
 
 
@@ -83,7 +83,7 @@ def train_rbm(vectors: np.ndarray, config: RunConfig = RunConfig()) -> RbmParams
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise DataError("training set must be a nonempty (n, n_v) matrix")
     n, n_v = vectors.shape
-    _check_width(n_v, config)
+    _check_width("rbm_hidden", n_v, config.rbm_hidden)
     rng = np.random.default_rng(config.seed)
     w = rng.normal(0.0, 0.01, size=(n_v, config.rbm_hidden))
     a = np.zeros(n_v)

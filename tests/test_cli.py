@@ -16,6 +16,7 @@ import pytest
 
 from stpnrca import bench, cli, pipeline
 from stpnrca.cli import main
+from stpnrca.config import RunConfig
 from stpnrca.persist import BUNDLE_FILE, load_bundle, save_bundle
 from stpnrca.timeseries import TimeSeries, read_csv, write_csv
 
@@ -758,6 +759,37 @@ class TestUsageErrors:
         assert line.startswith(f"usage error: config key {key!r}: a 16 x {width} weight matrix")
         assert line.endswith("does not fit in memory")
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("orders, line", [
+        ("17", "config key 'a3_flip_orders': flip orders must lie in 1..16 for 4 channels"),
+        ("1,30", "config key 'a3_flip_orders': flip orders must lie in 1..16 for 4 channels"),
+        ("", "config key 'a3_flip_orders' must hold at least one order"),
+    ], ids=["17", "1,30", "none"])
+    def test_flip_orders_out_of_range_are_usage_error(self, tmp_path, toy_nominal, orders, line,
+                                                      capsys, monkeypatch):
+        """A flip order above the f*f pattern count, or no flip order at all,
+        is refused in one line naming the key before any training starts."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(pipeline, "train_stpn", no_training)
+        monkeypatch.setattr(pipeline, "train_rbm", no_training)
+        data = tmp_path / "n.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        argv = ["train", "--nominal", data, "--out", tmp_path / "b", "--a3",
+                "--set", "window_length=400", "--set", f"a3_flip_orders={orders}"]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {line}"]
+        assert not (tmp_path / "b").exists()
+
+    def test_flip_order_of_every_pattern_starts_training(self, toy_nominal, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(pipeline, "train_stpn", no_training)
+        config = RunConfig(window_length=400, a3_flip_orders=(16,))
+        with pytest.raises(AssertionError, match="training started"):
+            pipeline.train_bundle(toy_nominal, config, with_a3=True)
 
 
 def test_cli_import_loads_no_scipy():

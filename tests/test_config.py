@@ -3,6 +3,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,7 +49,7 @@ def valid_configs(draw):
         a3_batch_size=draw(ints(1)),
         a3_epochs=draw(ints(0)),
         a3_patience=draw(ints(1)),
-        a3_flip_orders=tuple(draw(st.lists(ints(1), max_size=6))),
+        a3_flip_orders=tuple(draw(st.lists(ints(1), min_size=1, max_size=6))),
         a3_samples_per_order=draw(ints(1)),
         a3_cutoff=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         var_lag=draw(ints(1)),
@@ -57,16 +58,47 @@ def valid_configs(draw):
     )
 
 
+INT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+TUPLE_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type.startswith("tuple")]
+
+
+@st.composite
+def mixed_values(draw, cfg):
+    """The fields of `cfg`, each given as a library caller might: an integer
+    for an integral float, numpy integers, text for a number, and a list, an
+    array or text for a tuple."""
+    def integers(n):
+        return [n, *(t(n) for t, top in ((np.uint64, 2**64), (np.int32, 2**31)) if n < top)]
+
+    values = dataclasses.asdict(cfg)
+    for key in INT_KEYS:
+        values[key] = draw(st.sampled_from([*integers(values[key]), str(values[key])]))
+    for key in FLOAT_KEYS:
+        x = values[key]
+        values[key] = draw(st.sampled_from([x, *integers(int(x))] if x.is_integer() else [x]))
+    for key in TUPLE_KEYS:
+        items = values[key]
+        values[key] = draw(st.sampled_from([
+            items, list(items), np.array(items, dtype=np.int64), " ".join(map(str, items))]))
+    return values
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(cfg=valid_configs())
-def test_config_survives_run_json(cfg):
-    """A valid config written the way a bundle header stores it reads back equal."""
-    doc = json.loads(json.dumps(dataclasses.asdict(cfg), default=list))
-    loaded = _config_from_values(doc)
-    for f in dataclasses.fields(RunConfig):
-        assert getattr(loaded, f.name) == getattr(cfg, f.name), f.name
-        assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
-    assert loaded.fingerprint() == cfg.fingerprint()
+@given(cfg=valid_configs(), data=st.data())
+def test_config_survives_run_json(cfg, data):
+    """A valid config written the way a bundle header stores it reads back
+    equal. So does one built from keyword values of mixed types, directly or
+    through a header holding them: each field of the same type, with the
+    same fingerprint."""
+    values = data.draw(mixed_values(cfg))
+    for loaded in (_config_from_values(json.loads(json.dumps(dataclasses.asdict(cfg)))),
+                   RunConfig(**values),
+                   _config_from_values(json.loads(json.dumps(values, default=lambda x: x.tolist())))):
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(loaded, f.name) == getattr(cfg, f.name), f.name
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
+        assert loaded.fingerprint() == cfg.fingerprint()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -85,19 +117,33 @@ def test_depth_and_window_limits(alphabet_size, depth, lag, window_length):
         assert ("depth must be <= 63" in str(info.value)) == (depth > 63)
 
 
-FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
-
-
 @pytest.mark.parametrize("key, value", [
     ("detector_kappa", 1), ("rbm_learning_rate", 2), ("a3_momentum", 0), ("threshold_quantile", 0),
 ])
 def test_json_integer_for_a_float_key_reads_as_that_float(key, value):
-    """A bundle header may hold 1 where the trained config held 1.0; both
-    read as one config with one fingerprint."""
-    loaded = _config_from_values(json.loads(json.dumps({key: value})))
+    """A bundle header may hold 1 where the trained config held 1.0, and a
+    library caller may pass 1; all read as one config with one fingerprint."""
     expected = RunConfig(**{key: float(value)})
-    assert loaded == expected and type(getattr(loaded, key)) is float
-    assert loaded.fingerprint() == expected.fingerprint()
+    for loaded in (_config_from_values(json.loads(json.dumps({key: value}))),
+                   RunConfig(**{key: value}), RunConfig(**{key: np.int64(value)})):
+        assert loaded == expected and type(getattr(loaded, key)) is float
+        assert loaded.fingerprint() == expected.fingerprint()
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, bad) for key in INT_KEYS for bad in (True, False, 200.0)),
+    *((key, True) for key in FLOAT_KEYS),
+    ("a3_hidden", [8.0]), ("a3_flip_orders", [True]), ("a3_hidden", 8),
+    ("partition_method", 1),
+])
+def test_wrong_type_is_refused_from_either_path(key, value):
+    """A bool, or a float for an int key, is refused with the same line
+    whether it comes as a keyword or from a bundle header."""
+    message = f"config key {key!r}: cannot parse "
+    with pytest.raises(UsageError, match=message):
+        RunConfig(**{key: value})
+    with pytest.raises(UsageError, match=message):
+        _config_from_values(json.loads(json.dumps({key: value})))
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)

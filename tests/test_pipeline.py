@@ -80,7 +80,7 @@ class TestRunConfig:
             ("a3_learning_rate", "nan"), ("a3_momentum", "1"), ("a3_momentum", "-0.1"),
             ("a3_patience", "0"), ("a3_patience", "-3"), ("detector_kappa", "-1e9"),
             ("detector_kappa", "inf"), ("detector_kappa", "nan"), ("var_eta", "1"),
-            ("var_eta", "-0.1"), ("var_eta", "nan"), ("seed", "-1"),
+            ("var_eta", "-0.1"), ("var_eta", "nan"), ("seed", "-1"), ("a3_flip_orders", ""),
         ],
     )
     def test_out_of_range_rejected(self, key, value, monkeypatch):
@@ -124,6 +124,31 @@ class TestBundleRoundtrip:
         for name in os.listdir(d1):
             with open(d1 / name, "rb") as fh1, open(d2 / name, "rb") as fh2:
                 assert fh1.read() == fh2.read()
+
+    @pytest.mark.parametrize("values", [
+        dict(detector_kappa=1, a3_momentum=0, var_eta=0),  # ints for float keys
+        dict(a3_hidden=[8], a3_flip_orders=[1, 2]),
+        dict(seed=np.int64(3), rbm_hidden=np.int32(12), window_length=np.uint16(400),
+             a3_hidden=np.array([8])),
+    ], ids=["int-for-float", "lists", "numpy-integers"])
+    def test_trained_bundle_is_its_saved_copy(self, toy_nominal, toy_fault_ts, tmp_path, values):
+        """A bundle trained from a library config of any value types detects
+        and diagnoses as its saved and loaded copy does, which saves to the
+        same bytes."""
+        config = RunConfig(**{"alphabet_size": 6, "window_length": 400, "rbm_hidden": 12,
+                              "rbm_epochs": 20, "a3_hidden": (8,), "a3_epochs": 3,
+                              "a3_samples_per_order": 2, **values})
+        trained = pipeline.train_bundle(toy_nominal.window(0, 20 * 400), config, with_a3=True)
+        save_bundle(trained, tmp_path / "b1")
+        loaded = load_bundle(tmp_path / "b1")
+        for got, want in zip(run_detect(loaded, toy_fault_ts), run_detect(trained, toy_fault_ts)):
+            assert np.array_equal(got, want)
+        for method in ("s3", "a3"):
+            assert (run_rca(loaded, toy_fault_ts, method, force=True)
+                    == run_rca(trained, toy_fault_ts, method, force=True))
+        save_bundle(loaded, tmp_path / "b2")
+        assert (tmp_path / "b2" / BUNDLE_FILE).read_bytes() == (
+            tmp_path / "b1" / BUNDLE_FILE).read_bytes()
 
     def test_missing_bundle(self, tmp_path):
         with pytest.raises(DataError):

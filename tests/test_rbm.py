@@ -8,6 +8,7 @@ from stpnrca.errors import DataError, NumericalError, UsageError
 from stpnrca.persist import load_bundle, save_bundle
 from stpnrca.config import RunConfig
 from stpnrca.rbm import RbmParams, _sigmoid, calibrate_threshold, free_energy, train_rbm
+from stpnrca.stpn import scan_windows
 from stpnrca.switching import s3_search
 
 
@@ -210,8 +211,8 @@ class TestDetector:
 
 
 class TestThresholdConstruction:
-    def test_no_training_vector_exceeds_threshold(self, toy_bundle):
-        vectors = toy_bundle.training_vectors
+    def test_no_training_vector_exceeds_threshold(self, toy_bundle, toy_nominal, toy_config):
+        vectors = scan_windows(toy_bundle.stpn, toy_nominal, toy_config.stride).vectors
         f = free_energy(toy_bundle.rbm, vectors)
         assert f.max() <= toy_bundle.energy_threshold
         assert f.mean() < toy_bundle.energy_threshold

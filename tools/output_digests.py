@@ -27,6 +27,13 @@ print the same lines wrote the same bytes; two that differ only in
 model-file lines but print the same array lines stored the same models in
 different file formats. Exits 1 when a command exits non-zero, or when the
 two ``detect`` runs on ``case01`` print different lines.
+
+    python tools/output_digests.py --pin tests/data/output_digests.txt
+
+also writes the lines to that file, behind one ``#`` line naming the Python,
+numpy and BLAS versions they were made with (see :func:`environment`);
+``tests/test_output_digests.py`` compares every run with that file. A change
+that moves an output regenerates it this way; a failed run writes no file.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import csv
 import hashlib
 import io
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -153,17 +161,27 @@ def _model_arrays(bundle):
         yield "mlp", f"b{i}", b
 
 
+def environment() -> str:
+    """The Python, numpy and BLAS builds, on which float digests depend."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"BLAS {blas['name']} {blas.get('version', '?')}, {platform.machine()}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the stpnrca package to run")
-    src = parser.parse_args(argv).src.resolve()
+    parser.add_argument("--pin", type=Path, help="also write the lines to this file")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
     sys.path.insert(0, str(src))
     from stpnrca.cli import main as cli_main
     from stpnrca.pipeline import load_bundle
 
     failed = False
     printed = {}
+    lines = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -176,16 +194,19 @@ def main(argv=None) -> int:
                     code = cli_main(command)
                 failed |= code != 0
                 printed[tuple(command)] = digest = _sha256(stdout.getvalue().encode())
-                print(f"{command[0]}: exit {code}, stdout {digest}")
+                lines.append(f"{command[0]}: exit {code}, stdout {digest}")
             failed |= printed[tuple(DETECT)] != printed[(*DETECT[:-1], RESTYLED)]
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file():
-                    print(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
+                    lines.append(f"{_sha256(path.read_bytes())}  {path.as_posix()}")
             for out in sorted(c[c.index("--out") + 1] for c in FLOW if c[0] == "train"):
                 for part, name, a in _model_arrays(load_bundle(out)):
-                    print(f"{_array_digest(a)}  {out}:{part}.{name}")
+                    lines.append(f"{_array_digest(a)}  {out}:{part}.{name}")
         finally:
             os.chdir(cwd)
+    print(*lines, sep="\n")
+    if args.pin and not failed:
+        args.pin.write_text("".join(f"{line}\n" for line in [f"# {environment()}", *lines]))
     return 1 if failed else 0
 
 
