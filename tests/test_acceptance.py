@@ -4,10 +4,16 @@ Each test prints its pass/fail line(s); run with `pytest -v -s
 tests/test_acceptance.py` to see them. The desk-scale suites share one
 trained six-mode bundle; its build time is charged to every suite that
 uses it when checking the runtime budgets.
+
+Every suite but tep must also print exactly the lines pinned in
+tests/data/suite_lines.txt. A change that moves a suite line regenerates
+that file with ``python tools/suite_lines.py --pin tests/data/suite_lines.txt``.
 """
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,16 @@ from stpnrca.rbm import free_energy
 from stpnrca.stpn import scan_windows
 
 DESK = {}
+
+REPO = Path(__file__).resolve().parent.parent
+PINNED = REPO / "tests" / "data" / "suite_lines.txt"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +59,21 @@ def finish(result, budget, extra_time=0.0):
     total = result.elapsed + extra_time
     assert result.passed, result.report()
     assert total < budget, f"{result.name} took {total:.1f}s, budget {budget}s"
+    # float figures depend on the Python, numpy and BLAS builds, so a
+    # mismatch names the environment the file was pinned under and this one
+    pinned_environment, pinned = _tool("suite_lines").pinned_lines(PINNED)
+    want = pinned[result.name]
+    moved = [f"  {w}\n  -> {g}" for w, g in zip(want, result.lines) if w != g]
+    assert result.lines == want, (
+        f"{result.name}: {len(moved)} lines moved, and it printed {len(result.lines)} lines "
+        f"where {PINNED.name} pins {len(want)}; pinned under [{pinned_environment}], run "
+        f"under [{_tool('output_digests').environment()}]:\n" + "\n".join(moved)
+    )
+
+
+def test_pin_holds_every_suite_but_tep():
+    _, pinned = _tool("suite_lines").pinned_lines(PINNED)
+    assert list(pinned) == [name for name in bench.SUITES if name != "tep"]
 
 
 class TestCriterion1Prop1:
