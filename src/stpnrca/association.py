@@ -5,6 +5,10 @@ random bit subsets; the label vector is all ones except at flipped positions.
 A feedforward net with rectifier hidden layers and logistic outputs then
 solves one binary sub-problem per pattern, so a single forward pass tags
 every pattern of a test vector at once.
+
+Training runs each mini-batch step in float32 over float64 master weights,
+and keeps validation, early stopping and the stored model in float64; see
+`train_a3`.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ class A3Dataset:
     (x -> 1 - x); its labels are 1 (nominal) except 0 at those columns.
     `flips` is padded with -1, so an unflipped example has no column >= 0.
     An example holds no dense row: `inputs` and `labels` build the dense
-    float64 matrices on each access, and training builds one batch at a time.
+    float64 matrices on each access, and training builds one float32 batch
+    at a time.
     """
 
     nominal: np.ndarray = field(repr=False)  # (n_nominal, L) float64
@@ -66,16 +71,17 @@ class A3Dataset:
         """Dense (n, L) label matrix."""
         return self._examples(slice(None))[1]
 
-    def _examples(self, ids):
-        """Dense float64 inputs and labels of the examples `ids`, in order."""
+    def _examples(self, ids, dtype=np.float64):
+        """Dense inputs and labels of the examples `ids`, in order, as `dtype`:
+        each input is flipped in float64, then cast."""
         x = self.nominal[self.rows[ids]]
-        y = np.ones_like(x)
+        y = np.ones(x.shape, dtype)
         flips = self.flips[ids]
         i, j = np.nonzero(flips >= 0)
         cols = flips[i, j]
         x[i, cols] = 1.0 - x[i, cols]
         y[i, cols] = 0.0
-        return x, y
+        return x.astype(dtype, copy=False), y
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +253,22 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     A GEMM over fewer rows may still round a logit differently when BLAS
     picks another kernel for the smaller row count (numpy takes gemv for
     one row); the 1e-12 margin of the stopping rule absorbs such last-bit
-    differences. Each step updates the momentum buffers and parameters in
-    place, with the same arithmetic as fresh arrays.
+    differences.
+
+    Each step runs in float32: its batch is built as float32, float32
+    copies of the weights and biases are refreshed in place from the
+    float64 masters, and `_forward` and `_gradients` follow that dtype.
+    The gradients are widened to float64 before the momentum update
+    `vel = momentum * vel - lr * g; p += vel`, which runs in place on
+    float64 masters and buffers. Two parts deliberately stay float64:
+    - the masters and momentum buffers: in float32, a dead unit's velocity
+      decays by the momentum each step into subnormals, which made a desk
+      run slower than all-float64 (most of a 256x256 buffer was subnormal
+      by epoch 24);
+    - the dropout draws: float32 draws were no faster and would change the
+      random stream.
+    Validation, the loss and the stopping rule see float64 weights and
+    inputs, and the returned arrays are float64.
     """
     if data.n_examples < 2:
         raise DataError("need at least 2 examples to split train/validation")
@@ -262,6 +282,8 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     weights, biases = list(init.weights), list(init.biases)
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
+    step_w = [w.astype(np.float32) for w in weights]  # what each step runs on
+    step_b = [b.astype(np.float32) for b in biases]
 
     # rows share a logit only when their bytes are equal
     va_x, va_y = data._examples(order[half:])
@@ -274,21 +296,26 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     def val_loss():
         return _loss(_forward(weights, biases, va_distinct)[2][inverse], va_y)
 
+    momentum, lr = config.a3_momentum, config.a3_learning_rate
+
+    def step(ids):  # one momentum step on the examples `ids`
+        x, y = data._examples(ids, np.float32)
+        for p32, p in zip(step_w + step_b, weights + biases):
+            np.copyto(p32, p)
+        gw, gb = _gradients(step_w, step_b, x, y, config.a3_dropout, rng)
+        for vel, g, p in zip(vel_w + vel_b, gw + gb, weights + biases):
+            vel *= momentum
+            vel -= np.multiply(g, lr, dtype=np.float64)  # lr * g, rounded in float64
+            p += vel
+
     best = val_loss()
     best_w = [w.copy() for w in weights]
     best_b = [b.copy() for b in biases]
     stale = 0
-    momentum, lr = config.a3_momentum, config.a3_learning_rate
     for _ in range(config.a3_epochs):
         idx = rng.permutation(half)
         for lo in range(0, half, config.a3_batch_size):
-            x, y = data._examples(train_ids[idx[lo : lo + config.a3_batch_size]])
-            gw, gb = _gradients(weights, biases, x, y, config.a3_dropout, rng)
-            for vel, g, p in zip(vel_w + vel_b, gw + gb, weights + biases):
-                vel *= momentum
-                g *= lr
-                vel -= g
-                p += vel
+            step(train_ids[idx[lo : lo + config.a3_batch_size]])
         current = val_loss()
         if current < best - 1e-12:
             best = current

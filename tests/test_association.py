@@ -214,6 +214,17 @@ class TestTraining:
         for w1, w2 in zip(p1.weights, p2.weights):
             assert np.array_equal(w1, w2)
 
+    def test_no_float32_rounding_reaches_the_stored_weights(self, flip_dataset, trained):
+        """Steps run in float32, but with no epoch train_a3 returns the
+        initial float64 arrays bit for bit, and a trained model is float64."""
+        config = RunConfig(a3_hidden=(8, 8), a3_epochs=0, seed=4)
+        params, init = train_a3(flip_dataset, config), _init_mlp(12, 12, config)
+        for got, want in zip(params.weights + params.biases, init.weights + init.biases):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        params, _ = trained
+        assert all(a.dtype == np.float64 for a in params.weights + params.biases)
+
     def test_empty_dataset(self):
         with pytest.raises(DataError):
             train_a3(A3Dataset(np.ones((1, 4)), np.zeros(1, int), np.full((1, 0), -1)))
@@ -261,7 +272,9 @@ class TestInference:
 
 
 # Plain reference for train_a3: validation over every row, float dropout
-# masks and fresh arrays in each step. train_a3 must return the same bits.
+# masks and fresh arrays in each step. Like train_a3, it runs each step in
+# float32 on float32 copies of the float64 weights, and updates those in
+# float64. train_a3 must return the same bits.
 
 
 def _reference_forward(weights, biases, x, dropout=0.0, rng=None):
@@ -271,7 +284,7 @@ def _reference_forward(weights, biases, x, dropout=0.0, rng=None):
     for w, b in zip(weights[:-1], biases[:-1]):
         h = np.maximum(h @ w + b, 0.0)
         if dropout > 0.0 and rng is not None:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+            mask = ((rng.random(h.shape) >= dropout) / (1.0 - dropout)).astype(h.dtype)
             h = h * mask
             masks.append(mask)
         else:
@@ -311,7 +324,8 @@ def loop_reference_train_a3(data: A3Dataset, config: RunConfig = RunConfig()) ->
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(data.n_examples)
     half = data.n_examples // 2
-    tr_x, tr_y = data.inputs[order[:half]], data.labels[order[:half]]
+    tr_x = data.inputs[order[:half]].astype(np.float32)
+    tr_y = data.labels[order[:half]].astype(np.float32)
     va_x, va_y = data.inputs[order[half:]], data.labels[order[half:]]
 
     init = _init_mlp(data.inputs.shape[1], data.labels.shape[1], config)
@@ -333,11 +347,13 @@ def loop_reference_train_a3(data: A3Dataset, config: RunConfig = RunConfig()) ->
         for lo in range(0, tr_x.shape[0], config.a3_batch_size):
             batch = idx[lo : lo + config.a3_batch_size]
             gw, gb = _reference_gradients(
-                weights, biases, tr_x[batch], tr_y[batch], config.a3_dropout, rng
+                [w.astype(np.float32) for w in weights],
+                [b.astype(np.float32) for b in biases],
+                tr_x[batch], tr_y[batch], config.a3_dropout, rng,
             )
             for layer in range(len(weights)):
-                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
+                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer].astype(float)
+                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer].astype(float)
                 weights[layer] += vel_w[layer]
                 biases[layer] += vel_b[layer]
         current = val_loss()

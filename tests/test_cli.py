@@ -163,6 +163,26 @@ class TestTrainDeterminism:
             b2 = (tmp_path / "b2" / name).read_bytes()
             assert b1 == b2, name
 
+    def test_a3_bundle_bytes_do_not_depend_on_blas_threads(self, tmp_path, toy_nominal):
+        """a3 steps run float32 GEMMs, which OpenBLAS may split across threads
+        otherwise than float64 ones; at the default widths a 128-row step's
+        middle product is large enough to be split. The bundle must be the
+        same bytes at 1 and at 2 threads."""
+        data = tmp_path / "nom.csv"
+        write_csv(toy_nominal.window(0, 8 * 400), data)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "stpnrca.cli", "train", "--nominal", str(data),
+                 "--out", str(tmp_path / f"b{threads}"), "--a3", "--set", "window_length=400",
+                 "--set", "rbm_epochs=5", "--set", "rbm_hidden=8", "--set", "a3_epochs=3"],
+                env=env, capture_output=True, check=True,
+            )
+        assert (tmp_path / "b1" / BUNDLE_FILE).read_bytes() == (
+            tmp_path / "b2" / BUNDLE_FILE).read_bytes()
+
     def test_headerless_file_of_another_width_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         rows = np.random.default_rng(0).normal(size=(900, 3))
