@@ -23,6 +23,7 @@ input CSV; reports carry the channel names alongside.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import json
@@ -59,8 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_json(doc: dict, path: str) -> None:
-    with atomic_open(path) as fh:
+def _write_json(doc: dict, path: str | None) -> None:
+    """Write `doc` as indented JSON with sorted keys to `path`, or to stdout
+    when `path` is None."""
+    with (atomic_open(path) if path else contextlib.nullcontext(sys.stdout)) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -243,12 +246,9 @@ def cmd_rca(args) -> int:
         if report["n_analyzed"] == 0:
             print("no window flagged anomalous; re-run with --force to analyze anyway",
                   file=sys.stderr)
+    _write_json(report, args.out)
     if args.out:
-        _write_json(report, args.out)
         print(f"report written to {args.out}")
-    else:
-        json.dump(report, sys.stdout, indent=1, sort_keys=True)
-        print()
     return 0
 
 

@@ -463,6 +463,13 @@ class TestRca:
         assert json.loads(captured.out)["n_analyzed"] == 0
         assert "--force" in captured.err
 
+    def test_stdout_report_is_the_out_file(self, workdir, tmp_path, capsys):
+        args = ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv", "--force"]
+        assert run(*args) == 0
+        printed = capsys.readouterr().out
+        assert run(*args, "--out", tmp_path / "report.json") == 0
+        assert printed == (tmp_path / "report.json").read_text()
+
     def test_var_method(self, workdir, tmp_path):
         out = tmp_path / "var.json"
         code = run(
