@@ -262,9 +262,9 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     `vel = momentum * vel - lr * g; p += vel`, which runs in place on
     float64 masters and buffers. Two parts deliberately stay float64:
     - the masters and momentum buffers: in float32, a dead unit's velocity
-      decays by the momentum each step into subnormals, which made a desk
-      run slower than all-float64 (most of a 256x256 buffer was subnormal
-      by epoch 24);
+      decays by the momentum each step into subnormals, which made desk
+      epochs slower than these mixed ones (most of a 256x256 buffer was
+      subnormal when training stopped);
     - the dropout draws: float32 draws were no faster and would change the
       random stream.
     Validation, the loss and the stopping rule see float64 weights and

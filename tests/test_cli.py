@@ -174,12 +174,13 @@ class TestTrainDeterminism:
         for threads in (1, 2):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                    "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            subprocess.run(
+            out = subprocess.run(
                 [sys.executable, "-m", "stpnrca.cli", "train", "--nominal", str(data),
                  "--out", str(tmp_path / f"b{threads}"), "--a3", "--set", "window_length=400",
                  "--set", "rbm_epochs=5", "--set", "rbm_hidden=8", "--set", "a3_epochs=3"],
-                env=env, capture_output=True, check=True,
+                env=env, capture_output=True, text=True,
             )
+            assert out.returncode == 0, out.stderr
         assert (tmp_path / "b1" / BUNDLE_FILE).read_bytes() == (
             tmp_path / "b2" / BUNDLE_FILE).read_bytes()
 
