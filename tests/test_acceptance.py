@@ -37,6 +37,9 @@ def _tool(name):
     return module
 
 
+suite_lines, output_digests = _tool("suite_lines"), _tool("output_digests")
+
+
 @pytest.fixture(scope="module")
 def desk_bundle():
     """The desk bundle; DESK["vectors"] holds the pattern vectors of the
@@ -61,18 +64,18 @@ def finish(result, budget, extra_time=0.0):
     assert total < budget, f"{result.name} took {total:.1f}s, budget {budget}s"
     # float figures depend on the Python, numpy and BLAS builds, so a
     # mismatch names the environment the file was pinned under and this one
-    pinned_environment, pinned = _tool("suite_lines").pinned_lines(PINNED)
+    pinned_environment, pinned = suite_lines.pinned_lines(PINNED)
     want = pinned[result.name]
     moved = [f"  {w}\n  -> {g}" for w, g in zip(want, result.lines) if w != g]
     assert result.lines == want, (
         f"{result.name}: {len(moved)} lines moved, and it printed {len(result.lines)} lines "
         f"where {PINNED.name} pins {len(want)}; pinned under [{pinned_environment}], run "
-        f"under [{_tool('output_digests').environment()}]:\n" + "\n".join(moved)
+        f"under [{output_digests.environment()}]:\n" + "\n".join(moved)
     )
 
 
 def test_pin_holds_every_suite_but_tep():
-    _, pinned = _tool("suite_lines").pinned_lines(PINNED)
+    _, pinned = suite_lines.pinned_lines(PINNED)
     assert list(pinned) == [name for name in bench.SUITES if name != "tep"]
 
 
