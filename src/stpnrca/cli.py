@@ -61,11 +61,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(doc: dict, path: str | None) -> None:
-    """Write `doc` as indented JSON with sorted keys to `path`, or to stdout
-    when `path` is None."""
+    """Write `doc` to `path`, or to stdout when `path` is None, as one line
+    of compact JSON with sorted keys, like the bundle header. json.dumps
+    runs the C encoder only without indent, and json.dump never does."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with (atomic_open(path) if path else contextlib.nullcontext(sys.stdout)) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _read_json(path: str):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stpnrca import bench, cli, pipeline
+from stpnrca import bench, cli, pipeline, synth
 from stpnrca.cli import main
 from stpnrca.config import RunConfig
 from stpnrca.persist import BUNDLE_FILE, load_bundle, save_bundle
@@ -630,6 +630,89 @@ class TestEvaluate:
             "evaluate", "--reports", report_path, report_path, "--labels", labels_path
         )
         assert code == 2
+
+
+def _same_exactly(a, b) -> bool:
+    """Equal values of equal JSON kinds, each float to the last bit; a tuple
+    counts as the list JSON writes for it."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same_exactly(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and all(
+            map(_same_exactly, a, b))
+    if isinstance(a, float):
+        return type(b) is float and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+@pytest.fixture(scope="module")
+def plant(tmp_path_factory):
+    """A 12-channel node delay, its sidecar, the bundle trained on its
+    nominal companion, and the forced s3 report of the faulty series."""
+    root = tmp_path_factory.mktemp("plant")
+    data, model, report = root / "data", root / "model", root / "fault.s3.json"
+    assert run("simulate", "--out", data, "--nodes", "12", "--fault", "node-delay:3:5",
+               "--samples", "4000") == 0
+    assert run("train", "--nominal", data / "fault_nominal.csv", "--out", model,
+               "--set", "window_length=400", "--set", "threshold_quantile=0.1") == 0
+    assert run("rca", "--model", model, "--data", data / "fault.csv", "--force",
+               "--out", report) == 0
+    return data, model, report
+
+
+class TestJsonOutput:
+    """Reports and label sidecars are one line of compact JSON, written by
+    the C encoder, that reads back to the very values computed."""
+
+    def test_no_write_falls_back_to_the_python_encoder(self, workdir, tmp_path, monkeypatch,
+                                                       capsys):
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        rca = ["rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv", "--force"]
+        assert run(*rca, "--out", tmp_path / "report.json") == 0
+        assert run(*rca) == 0
+        assert run("simulate", "--out", tmp_path / "sim", "--nodes", "6",
+                   "--fault", "node-delay:3:5", "--samples", "500") == 0
+        capsys.readouterr()
+        labels = json.loads((tmp_path / "sim" / "fault.labels.json").read_text())
+        assert labels["failed_nodes"] == [3]
+
+    def test_report_reads_back_to_the_computed_report(self, plant):
+        data, model, report = plant
+        text = report.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        computed = pipeline.run_rca(load_bundle(str(model)), read_csv(str(data / "fault.csv")),
+                                    method="s3", force=True, data_path=str(data / "fault.csv"))
+        assert computed["n_analyzed"] > 0
+        assert all(w["trace"] for w in computed["windows"])  # forced: every window searched
+        assert _same_exactly(computed, json.loads(text))
+
+    def test_sidecar_reads_back_to_the_simulated_labels(self, plant):
+        data, _, _ = plant
+        text = (data / "fault.labels.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        config = RunConfig()
+        graph = synth.random_graph(12, seed=config.seed)
+        spec = synth.FaultSpec(kind="node_delay", node=3, delay=5)
+        _, labels = synth.simulate_case(graph, spec, 4000, config.seed + 777, "fault", 0)
+        assert _same_exactly(labels, json.loads(text))
+
+    def test_indented_reports_of_earlier_builds_score_the_same(self, plant, tmp_path, capsys):
+        data, _, report = plant
+        indented = tmp_path / "fault.indented.json"
+        indented.write_text(json.dumps(json.loads(report.read_text()), indent=1,
+                                       sort_keys=True) + "\n")
+        runs = []
+        for path in (report, indented):
+            table = tmp_path / f"{path.stem}.csv"
+            assert run("evaluate", "--reports", path, "--labels", data / "fault.labels.json",
+                       "--out", table) == 0
+            runs.append((capsys.readouterr().out.replace(str(table), "TABLE"),
+                         table.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestBench:
