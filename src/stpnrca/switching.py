@@ -10,6 +10,8 @@ by one weight row per flip. The signed rows +-W_i and +-a_i are built once
 per search. The first step takes the lone-flip energies of every bit, scored
 in one (n_v, n_h) block; later steps score only the candidates that can
 still win, gathered in index order into the leading rows of that block.
+After each such step a chain of speculated flips may commit a run of
+further steps at once (Chains, below).
 
 Bounds. Flipping bit k, with signed row d = +-W_k and signed bias +-a_k,
 changes a remaining candidate c's F by
@@ -54,6 +56,41 @@ and there are at most n_v steps, so two bounds compared are off by at most
 2 n_v (n_h + 10) u M. The slack,
 SLACK_PER_ROUNDING * n_v * (n_h + 10) * M, is 32 times that: 1.4e-9 M at
 f = 52 with 64 hidden units, or 2.6e-5 on perfbench's plant-cli bundle.
+A chain computes its flips' bounds with the dot products summed in another
+order, which the n_h u M share covers, since it holds in any summation
+order. It sums the bounds of its flips first and adds the sum to each bound
+once. Each flip's bound is at most |a_k| + sum_j |W_kj| in size, and the
+flips are of distinct bits, so every partial sum is at most M in size and
+rounds by at most u M: one rounding per flip, in place of the one the
+ordinary update makes. The single add to each bound, and the add of the
+shift in the chain's test, each round once more per chain. So a bound
+still collects less than (n_h + 10) u M per step.
+
+Chains. After each ordinary step, with at least CHAIN_LENGTH candidates
+left, the search speculates a chain: the CHAIN_LENGTH candidates of least
+upper bound, in ascending order (ties by index), flipped one after another.
+One np.cumsum over [b + vW, d_1, d_2, ...] gives b + vW before each chain
+flip and after the last, and one over [v.a, +-a_1, ...] the visible terms.
+np.cumsum adds in sequence, so these are the floats that the sweep's adds
+`act + d`, one flip at a time, make. One `_free_energy` block scores each
+member p_j at the state before its flip: the energy F_j that the sweep
+scores for p_j at that step, if it picked p_1 ... p_j-1 before. The bounds
+of every chain flip come in a few array operations, each at the state
+before that flip, and their running sums give the shift of every other
+candidate's bounds. The search commits the longest prefix in which each
+member p_j
+  (a) passes the sweep's descent test, F_j < F_j-1 - DESCENT_TOL, with F_0
+      the current energy, and
+  (b) beats every rival: the least lower bound among the candidates outside
+      the chain and the members after p_j, plus the summed lower bounds of
+      the flips before p_j, is at least F_j + slack.
+By (b), F_j lies strictly below every other remaining candidate's energy,
+so the sweep picks p_j at that step; a tie fails (b) and is left to the
+ordinary step. So every committed selection, trace entry, b + vW and v.a
+is the float the sweep computes. The bounds then shift once by the sums
+over the committed flips, and the ordinary step resumes. A search with
+fewer than CHAIN_LENGTH candidates left never speculates: at f = 5 a
+pattern vector has 25 bits, so there s3 runs the ordinary steps alone.
 
 Saturation. At f = 52 the bounds are nearly exact. On perfbench's
 plant-cli bundles (seeds 911 and 5, 64 hidden units) every hidden unit is
@@ -61,12 +98,17 @@ saturated on every upset window: b + vW starts between 12.8 and 41.8 and
 only grows as bits flip, to 108. So 1 - sigmoid stays below 3e-6 over every
 flip's range, and F is nearly linear in v. One flip's bound width was at
 most 7e-9, and the median gap between the best and the runner-up 6.6e-4.
-Each of the eight upset windows of the two seeds took 1,662-1,912 steps and
-scored about one row per step beyond the 2,704 lone flips, where a sweep
-scores about 1.6 million rows. On a 2-core x86-64 box, s3 took 71-102 ms
-per window, against 750-1,000 ms for the sweep. On these windows s3 flipped
-every candidate, in the order of its lone-flip energy: the RBM sets the
-order and the weights, not the selected set.
+On these windows s3 flipped every candidate, in the order of its lone-flip
+energy: the RBM sets the order and the weights, not the selected set. That
+order is the order of the upper bounds, so most chains commit. On the eight
+upset windows of perfbench's plant-cli seeds 7001 and 7002 (1,765-1,969
+steps each), chains committed 93.5-95.5% of the steps: 76-94 chains and
+84-125 ordinary steps per window, and 171-221 `_free_energy` calls instead
+of one per step. Every chain that stopped short (38-60 per window) stopped
+at the member the sweep picked next: a rival's lower bound lay within the
+slack of its energy, so (b) could not prove the pick. On a 2-core x86-64
+box s3 took 13-17 ms per window (best of 5), against 39-45 ms with one
+ordinary step per flip and, on earlier windows, 750-1,000 ms for the sweep.
 """
 
 from __future__ import annotations
@@ -84,6 +126,8 @@ DESCENT_TOL = 1e-9
 # Slack on the pruning bounds per rounding a bound can collect, relative to
 # the magnitude M of the module docstring: 64 units of 2**-53.
 SLACK_PER_ROUNDING = 64 * 2.0**-53
+# Flips speculated per chain after each ordinary step (module docstring).
+CHAIN_LENGTH = 32
 
 
 @dataclass(frozen=True)
@@ -121,8 +165,10 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
 
     Each step after the first scores only the candidates whose lower bound
     (module docstring) is below the smallest upper bound plus a slack; every
-    other candidate is strictly worse than the best, so the selections,
-    trace and weights equal those of a sweep over every candidate.
+    other candidate is strictly worse than the best. After each such step,
+    a chain of CHAIN_LENGTH speculated flips commits the run of them that
+    the bounds prove the sweep would make. So the selections, trace and
+    weights equal those of a sweep over every candidate.
     """
     v = _binary_vector(params, v)
     w, a = params.weights, params.visible_bias
@@ -189,6 +235,52 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
             upper += -signed_a[idx] - (pos_lo + neg_hi)
             act += d
             visible_term += signed_a[idx]
+            if n_candidates - len(selected) >= CHAIN_LENGTH:
+                # speculate the next CHAIN_LENGTH flips: the candidates of least upper
+                # bound, in ascending order (ties by index). A tie at the cut may
+                # go either way; the checks below hold for any chain.
+                chain = np.argpartition(upper, CHAIN_LENGTH - 1)[:CHAIN_LENGTH]
+                chain = chain[np.lexsort((chain, upper[chain]))]
+                d, chain_a = signed_w[chain], signed_a[chain]
+                # the state before each chain flip and after the last: cumsum makes
+                # the sweep's sequential adds, act + d_1, (act + d_1) + d_2, ...
+                acts = np.cumsum(np.vstack([act, d]), axis=0)
+                terms = np.cumsum(np.concatenate([[visible_term], chain_a]))
+                f_chain = _free_energy(d + acts[:-1], terms[:-1] + chain_a)
+                # each flip's least and most change of every other candidate's F, at
+                # the state before it as in the ordinary step, summed along the chain
+                chain_split = np.stack([np.minimum(d, 0.0), np.maximum(d, 0.0)], axis=1)
+                chain_sig = neg_bounds - acts[:-1, None, :]
+                chain_sig -= chain_split
+                np.exp(chain_sig, out=chain_sig)
+                chain_sig += 1.0
+                np.reciprocal(chain_sig, out=chain_sig)
+                low_shift = np.cumsum(-chain_a - (chain_split * chain_sig).sum(axis=(1, 2)))
+                up_shift = np.cumsum(-chain_a - (chain_split * chain_sig[:, ::-1]).sum(axis=(1, 2)))
+                # each member's rivals at its step are the candidates outside the
+                # chain and the members after it: their least lower bound
+                chain_lower = lower[chain]
+                lower[chain] = np.inf
+                rivals = np.concatenate([[lower.min()], chain_lower[:0:-1]])
+                rivals = np.minimum.accumulate(rivals)[::-1]
+                lower[chain] = chain_lower
+                # commit the longest prefix in which each member passes the descent
+                # test and beats its rivals' lower bounds, shifted by the flips
+                # before it, by the slack
+                descends = f_chain < np.concatenate([[f_current], f_chain[:-1]]) - DESCENT_TOL
+                wins = rivals + np.concatenate([[0.0], low_shift[:-1]]) >= f_chain + slack
+                run = int(np.logical_and.accumulate(descends & wins).sum())
+                if run:
+                    committed = chain[:run]
+                    selected += committed.tolist()
+                    trace += f_chain[:run].tolist()
+                    f_current = trace[-1]
+                    act, visible_term = acts[run], terms[run]
+                    lower[committed] = upper[committed] = np.inf
+                    lower += low_shift[run - 1]
+                    upper += up_shift[run - 1]
+                    if len(selected) == n_candidates:
+                        break
             cand = (lower < upper.min() + slack).nonzero()[0]
             rows = signed_w.take(cand, axis=0, out=block[: cand.size])
             rows += act
@@ -196,7 +288,7 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
             lower[cand] = upper[cand] = f_cand
 
     scale = 1.0 if abs(f0) < 1e-12 else f0
-    weights = [float((single[i] - f0) / scale) for i in selected]
+    weights = ((single[selected] - f0) / scale).tolist()
     return S3Result(
         anomalous_patterns=tuple(selected),
         weights=tuple(weights),

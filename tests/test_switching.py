@@ -339,3 +339,97 @@ def test_s3_bounds_past_exp_overflow_match_sweep_reference():
         result = s3_search(params, v)
     assert len(result.anomalous_patterns) >= 3
     assert result == sweep_reference_s3(params, v)
+
+
+def saturated_machine(seed, n_v, n_h, weight_scale, copies, gated):
+    """A machine saturated as at f = 52, and a vector: hidden biases 10-40 and
+    small weights keep b + vW high, so F is nearly linear in v and flips come
+    in the order of their bounds. Visible biases of 0.5-1.5 make most zero
+    bits candidates. `copies` bits copy another bit's bias, row and value, so
+    that their flips tie.
+
+    `gated` adds an unsaturated gate unit. Half the bits raise its
+    pre-activation by 2 when flipped and the other half lower it by 2; it
+    starts near 0. Its curvature makes the bounds wide at first, so the order
+    of the upper bounds is not the greedy order. Once a few raising flips are
+    in, each lowering flip costs about 2 more than its bias gains, so the
+    search ends on the descent test with lowering candidates left."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 1.5, n_v)
+    b = rng.uniform(10.0, 40.0, n_h)
+    w = rng.normal(0.0, weight_scale, (n_v, n_h))
+    v = (rng.random(n_v) < 0.2).astype(float)
+    if gated:  # signed gate rows (1 - 2v) w of +-2
+        w = np.column_stack([w, 2.0 * rng.choice([-1.0, 1.0], n_v) * (1.0 - 2.0 * v)])
+    for src, dst in rng.integers(0, n_v, (copies, 2)):
+        a[dst], w[dst], v[dst] = a[src], w[src], v[src]
+    if gated:
+        b = np.append(b, rng.uniform(-2.0, 2.0) - v @ w[:, -1])
+    return RbmParams(a, b, w), v
+
+
+@st.composite
+def saturated_s3_machine(draw):
+    return saturated_machine(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_v=draw(st.integers(40, 300)),
+        n_h=draw(st.integers(1, 12)),
+        weight_scale=draw(st.sampled_from([0.01, 0.05, 0.3])),
+        copies=draw(st.integers(0, 20)),
+        gated=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=saturated_s3_machine())
+def test_s3_chains_equal_sweep_reference_on_saturated_machines(case):
+    # wide enough for the chains of switching.CHAIN_LENGTH flips: each committed
+    # run must hold the sweep's selections and floats, ties and curvature included
+    params, v = case
+    assert s3_search(params, v) == sweep_reference_s3(params, v)
+
+
+def test_s3_descent_tolerance_ends_the_search_inside_a_chain(monkeypatch):
+    # the gated machine stops on the descent test with candidates left; the last
+    # chain scored the final committed flip and, after it, the flip that failed
+    params, v = saturated_machine(3, 200, 8, 0.05, 10, gated=True)
+    scored = []
+
+    def recording(act, visible_term):
+        f = _free_energy(act, visible_term)
+        scored.append(f)
+        return f
+
+    monkeypatch.setattr(switching, "_free_energy", recording)
+    result = s3_search(params, v)
+    lone = scored[1]
+    f0 = free_energy(params, v)
+    assert len(result.anomalous_patterns) < int((lone < f0 - DESCENT_TOL).sum())
+    chain = [f for f in scored if f.size == switching.CHAIN_LENGTH][-1].tolist()
+    last = chain.index(result.final_energy)  # the final flip was committed by the chain
+    assert last + 1 < len(chain)
+    assert chain[last + 1] >= result.final_energy - DESCENT_TOL
+    assert result == sweep_reference_s3(params, v)
+
+
+def test_s3_commits_chains_of_flips_on_a_saturated_machine(monkeypatch):
+    # the machine of the row-count test above: flips come in the order of their
+    # bounds, so most steps are committed in chains, not by a candidate pass each
+    rng = np.random.default_rng(7)
+    n_v, n_h = 1500, 16
+    params = RbmParams(
+        rng.uniform(0.5, 1.5, n_v), rng.uniform(20.0, 30.0, n_h), rng.normal(0.0, 0.05, (n_v, n_h))
+    )
+    v = (rng.random(n_v) < 0.1).astype(float)
+    calls = []
+
+    def counting(act, visible_term):
+        calls.append(act.shape[0])
+        return _free_energy(act, visible_term)
+
+    monkeypatch.setattr(switching, "_free_energy", counting)
+    result = s3_search(params, v)
+    steps = len(result.anomalous_patterns)
+    assert steps >= 1000
+    assert len(calls) <= steps / 8
+    assert result == sweep_reference_s3(params, v)
