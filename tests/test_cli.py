@@ -84,6 +84,31 @@ class TestSimulate:
         assert labels["failed_nodes"] == [3]
         assert (out / "delayed_nominal.csv").exists()
 
+    def test_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """simulate_var scans with GEMMs, which OpenBLAS may split across
+        threads and then round otherwise; at 52 channels a carry product of
+        2.6 million multiply-adds did. The files must be the same bytes at 1
+        and at 2 threads."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        runs = {"builtin": ["--modes", "builtin", "--cases", "1"],
+                "nodes": ["--nodes", "52", "--fault", "node-delay:3:5"]}
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            for name, args in runs.items():
+                out = subprocess.run(
+                    [sys.executable, "-m", "stpnrca.cli", "simulate",
+                     "--out", str(tmp_path / f"{name}{threads}"), "--samples", "3000", *args],
+                    env=env, capture_output=True, text=True,
+                )
+                assert out.returncode == 0, out.stderr
+        for name in runs:
+            files = sorted(os.listdir(tmp_path / f"{name}1"))
+            assert files == sorted(os.listdir(tmp_path / f"{name}2"))
+            for file in files:
+                assert (tmp_path / f"{name}1" / file).read_bytes() == (
+                    tmp_path / f"{name}2" / file).read_bytes(), file
+
     def test_invalid_fault_spec_no_partial_files(self, tmp_path):
         out = tmp_path / "sim"
         code = run("simulate", "--out", out, "--fault", "node-delay:bogus")
