@@ -8,7 +8,9 @@ every pattern of a test vector at once.
 
 Training runs each mini-batch step in float32 over float64 master weights,
 and keeps validation, early stopping and the stored model in float64; see
-`train_a3`.
+`train_a3`. Every evaluation pass (validation, `a3_loss`, `infer_a3`) runs
+through `_logits`, which takes the rows a block at a time, so no hidden
+layer is held at full height.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .config import RunConfig
 from .errors import DataError
 from .rbm import _check_width, _sigmoid
 
+# Most rows an evaluation pass runs through the net at once (see `_logits`).
+_EVAL_ROWS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class A3Dataset:
@@ -31,7 +36,7 @@ class A3Dataset:
     `flips` is padded with -1, so an unflipped example has no column >= 0.
     An example holds no dense row: `inputs` and `labels` build the dense
     float64 matrices on each access, and training builds one float32 batch
-    at a time.
+    (and one block of validation rows) at a time.
     """
 
     nominal: np.ndarray = field(repr=False)  # (n_nominal, L) float64
@@ -69,19 +74,39 @@ class A3Dataset:
     @property
     def labels(self) -> np.ndarray:
         """Dense (n, L) label matrix."""
-        return self._examples(slice(None))[1]
+        return self._examples(slice(None))[1].astype(np.float64)
 
     def _examples(self, ids, dtype=np.float64):
-        """Dense inputs and labels of the examples `ids`, in order, as `dtype`:
-        each input is flipped in float64, then cast."""
+        """Dense inputs of the examples `ids`, in order, as `dtype` (each is
+        flipped in float64, then cast), and their labels as bool: an
+        arithmetic operand True or False is the float 1.0 or 0.0."""
         x = self.nominal[self.rows[ids]]
-        y = np.ones(x.shape, dtype)
+        y = np.ones(x.shape, bool)
         flips = self.flips[ids]
         i, j = np.nonzero(flips >= 0)
         cols = flips[i, j]
         x[i, cols] = 1.0 - x[i, cols]
-        y[i, cols] = 0.0
+        y[i, cols] = False
         return x.astype(dtype, copy=False), y
+
+    def _distinct_inputs(self, ids):
+        """The distinct dense inputs of the examples `ids`, each example's row
+        among them, and the examples' bool labels.
+
+        Two inputs are one row only when their float64 bytes are equal. The
+        dense rows are built and looked up one block at a time, so no dense
+        (len(ids), L) input matrix is ever held.
+        """
+        L = self.nominal.shape[1]
+        index, inverse = {}, np.empty(len(ids), np.intp)
+        labels = np.empty((len(ids), L), bool)
+        for lo in range(0, len(ids), _EVAL_ROWS):
+            x, y = self._examples(ids[lo : lo + _EVAL_ROWS])
+            labels[lo : lo + len(y)] = y
+            for i, row in enumerate(x, lo):
+                inverse[i] = index.setdefault(row.tobytes(), len(index))
+        distinct = np.frombuffer(b"".join(index), np.float64).reshape(len(index), L)
+        return distinct, inverse, labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +215,33 @@ def _forward(weights, biases, x, dropout=0.0, rng=None):
     return hiddens, masks, logits
 
 
+def _logits(weights, biases, x):
+    """Output logits of the rows of `x`, dropout off, a block of rows at a time.
+
+    The rows are split into near-equal blocks of at most `_EVAL_ROWS`, and
+    `_forward` runs on each block, so the hidden layers are held for one
+    block only. No block has a single row unless `x` has: numpy runs a
+    one-row product as gemv, which can round differently from a GEMM. Each
+    logit is the float one `_forward` pass over all rows gives as long as
+    BLAS takes the same kernel for a block as for the whole; OpenBLAS's
+    small-matrix dgemm kernel takes products of at most 1e6 multiply-adds,
+    and blocks of 257 rows or more keep a 25->256->256->25 net above that.
+    """
+    n = x.shape[0]
+    logits = np.empty((n, weights[-1].shape[1]))
+    blocks = max(1, -(-n // _EVAL_ROWS))
+    edges = [n * k // blocks for k in range(blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        logits[lo:hi] = _forward(weights, biases, x[lo:hi])[2]
+    return logits
+
+
 def _loss(logits, y) -> float:
     """Per-label logistic loss on the logits, summed over labels and
     averaged over examples: max(z, 0) - z*y + log1p(exp(-|z|)). The terms
     are evaluated in that order in two buffers, so every cell is the float
-    the expression gives with a fresh array per operation."""
+    the expression gives with a fresh array per operation. Labels may be
+    bool: z * True is the float z * 1.0."""
     per_cell = np.maximum(logits, 0.0)
     term = np.multiply(logits, y)
     per_cell -= term
@@ -208,10 +255,19 @@ def _loss(logits, y) -> float:
 
 def a3_loss(params: MlpParams, inputs, labels) -> float:
     """Mean over examples of the per-label logistic loss (dropout off),
-    summed over the f*f sub-problems."""
+    summed over the f*f sub-problems. Inputs must be a nonempty
+    (n, n_inputs) matrix and labels an (n, n_outputs) one."""
     x = np.asarray(inputs, dtype=float)
-    _, _, logits = _forward(params.weights, params.biases, x)
-    return _loss(logits, np.asarray(labels, dtype=float))
+    y = np.asarray(labels, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.n_inputs:
+        raise DataError(
+            f"a3 inputs must be a nonempty (n, {params.n_inputs}) matrix, got shape {x.shape}"
+        )
+    if y.shape != (x.shape[0], params.n_outputs):
+        raise DataError(
+            f"a3 labels must be a ({x.shape[0]}, {params.n_outputs}) matrix, got shape {y.shape}"
+        )
+    return _loss(_logits(params.weights, params.biases, x), y)
 
 
 def _gradients(weights, biases, x, y, dropout=0.0, rng=None):
@@ -247,16 +303,18 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     dense rows are built from the compact set just before its step, and are
     the bytes a dense training matrix would hold.
 
-    Validation runs forward over the distinct validation inputs only, found
-    once by their bytes, and gathers the logits back to every validation
-    row, so the loss sums the same cells in the same order as a full pass.
-    A GEMM over fewer rows may still round a logit differently when BLAS
-    picks another kernel for the smaller row count (numpy takes gemv for
-    one row); the 1e-12 margin of the stopping rule absorbs such last-bit
-    differences.
+    Validation runs forward over the distinct validation inputs only, and
+    gathers the logits back to every validation row, so the loss sums the
+    same cells in the same order as a full pass. The distinct inputs are
+    found once, one block of dense rows at a time, by their bytes; the
+    labels are kept as bool. Each pass runs through `_logits`, a block of
+    rows at a time. A GEMM over fewer rows may still round a logit
+    differently when BLAS picks another kernel for the smaller row count
+    (numpy takes gemv for one row); the 1e-12 margin of the stopping rule
+    absorbs such last-bit differences.
 
-    Each step runs in float32: its batch is built as float32, float32
-    copies of the weights and biases are refreshed in place from the
+    Each step runs in float32: its batch inputs are built as float32 (its
+    labels as bool), float32 copies of the weights and biases are refreshed in place from the
     float64 masters, and `_forward` and `_gradients` follow that dtype.
     The gradients are widened to float64 before the momentum update
     `vel = momentum * vel - lr * g; p += vel`, which runs in place on
@@ -285,16 +343,10 @@ def train_a3(data: A3Dataset, config: RunConfig = RunConfig()) -> MlpParams:
     step_w = [w.astype(np.float32) for w in weights]  # what each step runs on
     step_b = [b.astype(np.float32) for b in biases]
 
-    # rows share a logit only when their bytes are equal
-    va_x, va_y = data._examples(order[half:])
-    _, first, inverse = np.unique(
-        va_x.view(np.uint64), axis=0, return_index=True, return_inverse=True
-    )
-    va_distinct, inverse = va_x[first], inverse.reshape(-1)
-    del va_x
+    va_distinct, inverse, va_y = data._distinct_inputs(order[half:])
 
     def val_loss():
-        return _loss(_forward(weights, biases, va_distinct)[2][inverse], va_y)
+        return _loss(_logits(weights, biases, va_distinct)[inverse], va_y)
 
     momentum, lr = config.a3_momentum, config.a3_learning_rate
 
@@ -345,6 +397,5 @@ def infer_a3(
         raise DataError(f"a3 input must be one vector, got shape {v.shape}")
     if v.shape[0] != params.n_inputs:
         raise DataError(f"input length {v.shape[0]} != {params.n_inputs}")
-    _, _, logits = _forward(params.weights, params.biases, v[None, :])
-    probs = _sigmoid(logits)[0]
+    probs = _sigmoid(_logits(params.weights, params.biases, v[None, :]))[0]
     return (probs >= cutoff).astype(np.int8), probs

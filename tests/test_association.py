@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,11 @@ from stpnrca import association
 from stpnrca.association import (
     A3Dataset,
     MlpParams,
+    _EVAL_ROWS,
+    _forward,
     _gradients,
     _init_mlp,
+    _logits,
     _loss,
     a3_loss,
     generate_artificial_anomalies,
@@ -111,7 +115,81 @@ class TestDataset:
             A3Dataset(np.ones((2, 3)), np.array(rows), np.array(flips))
 
 
+class TestDistinctInputs:
+    def test_rows_are_byte_distinct_and_gather_back(self):
+        """Over several blocks, with 0.0 and -0.0 kept apart and repeats
+        in different blocks merged."""
+        rng = np.random.default_rng(4)
+        nominal = rng.choice([0.0, -0.0, 1.0], size=(6, 5))
+        n = 2 * _EVAL_ROWS + 3
+        flips = np.where(rng.random((n, 2)) < 0.5, rng.integers(0, 5, (n, 2)), -1)
+        flips[:, 1] = np.where(flips[:, 1] == flips[:, 0], -1, flips[:, 1])
+        data = A3Dataset(nominal, rng.integers(0, 6, n), flips)
+        ids = rng.permutation(n)
+        distinct, inverse, labels = data._distinct_inputs(ids)
+        keys = [row.tobytes() for row in distinct]
+        assert distinct.dtype == np.float64 and len(set(keys)) == len(keys) < n
+        assert distinct[inverse].tobytes() == data.inputs[ids].tobytes()
+        assert labels.dtype == bool and np.array_equal(labels, data.labels[ids])
+
+
+NET_SHAPES = {"desk": (25, (256, 256)), "plant": (2704, (256, 256))}
+
+
+@pytest.fixture(scope="module", params=sorted(NET_SHAPES))
+def eval_net(request):
+    width, hidden = NET_SHAPES[request.param]
+    params = _init_mlp(width, width, RunConfig(a3_hidden=hidden, seed=6))
+    rows = (np.random.default_rng(7).random((2 * _EVAL_ROWS + 1, width)) > 0.05).astype(float)
+    return params, rows
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("n", [1, 2, _EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1,
+                                   2 * _EVAL_ROWS + 1])
+    def test_logits_equal_one_unblocked_forward(self, eval_net, n):
+        params, rows = eval_net
+        got = _logits(params.weights, params.biases, rows[:n])
+        want = _forward(params.weights, params.biases, rows[:n])[2]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a3_loss_equals_the_loss_of_one_unblocked_forward(self, eval_net):
+        params, rows = eval_net
+        labels = np.random.default_rng(8).random(rows.shape) > 0.02
+        want = _loss(_forward(params.weights, params.biases, rows)[2], labels.astype(float))
+        got = a3_loss(params, rows, labels)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_blocks_are_near_equal_and_never_one_row(self):
+        sizes = []
+        with mock.patch.object(association, "_forward",
+                               lambda w, b, x: sizes.append(len(x)) or _forward(w, b, x)):
+            for n in (1, 2, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 1, 5 * _EVAL_ROWS):
+                sizes.clear()
+                _logits((np.ones((1, 1)),), (np.zeros(1),), np.ones((n, 1)))
+                assert sum(sizes) == n and max(sizes) <= _EVAL_ROWS
+                assert max(sizes) - min(sizes) <= 1 and (min(sizes) > 1 or n == 1)
+
+
 class TestLoss:
+    @pytest.mark.parametrize(
+        "inputs, labels, message",
+        [
+            (np.ones((4, 12)), np.ones((4, 1)), r"labels must be a \(4, 12\) matrix"),
+            (np.ones((4, 12)), np.ones(12), r"labels must be a \(4, 12\) matrix"),
+            (np.ones((4, 12)), np.ones((12, 4)), r"labels must be a \(4, 12\) matrix"),
+            (np.ones((4, 11)), np.ones((4, 12)), r"nonempty \(n, 12\) matrix"),
+            (np.ones(12), np.ones(12), r"nonempty \(n, 12\) matrix"),
+            (np.ones((0, 12)), np.ones((0, 12)), r"nonempty \(n, 12\) matrix"),
+        ],
+    )
+    def test_refuses_shapes_that_do_not_match_the_net(self, inputs, labels, message):
+        params = _init_mlp(12, 12, RunConfig(a3_hidden=(8,), seed=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                a3_loss(params, inputs, labels)
+
     def test_decomposes_into_per_position_terms(self, flip_dataset):
         cfg = RunConfig(a3_hidden=(16,), seed=5)
         params = _init_mlp(12, 12, cfg)
@@ -450,20 +528,34 @@ def test_train_a3_equals_loop_reference_at_52_channels():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_a3_training_memory_at_52_channels():
-    """Generating and training on 10 nominal vectors of 2,704 bits (810
-    examples, one epoch at the default widths) peaked at 87.2 MiB of
-    tracemalloc'd memory; the dense set, with its split copies, took 164 MiB.
-    The bound leaves 15% for numpy and Python versions."""
+def _a3_training_peak(n_nominal):
+    """tracemalloc peak of generating and training one epoch, at the default
+    widths, on `n_nominal` nominal vectors of 2,704 bits (81 examples each)."""
     rng = np.random.default_rng(52)
-    nominal = (rng.random((10, 52 * 52)) > 0.02).astype(float)
+    nominal = (rng.random((n_nominal, 52 * 52)) > 0.02).astype(float)
     tracemalloc.start()
     try:
         train_a3(generate_artificial_anomalies(nominal, seed=3), RunConfig(a3_epochs=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.15 * 87.2 * 2**20
+
+
+def test_a3_training_memory_at_52_channels():
+    """10 nominal vectors (810 examples) peaked at 73.4 MiB with block-wise
+    evaluation and a compact validation set, against 80.7 MiB with
+    full-height evaluation and 164 MiB for the dense set with its split
+    copies. The bound leaves 15% for numpy and Python versions."""
+    assert _a3_training_peak(10) < 1.15 * 73.4 * 2**20
+
+
+def test_a3_training_memory_at_52_channels_with_40_vectors():
+    """40 nominal vectors (3,240 examples) peaked at 176.9 MiB, against
+    228.9 MiB with dense float64 validation inputs and labels and
+    full-height evaluation. The peak is the validation pass: the distinct
+    rows' logits, their gather to every row and the loss's two buffers.
+    The bound leaves 5%."""
+    assert _a3_training_peak(40) < 1.05 * 176.9 * 2**20
 
 
 def loop_reference_generate_artificial_anomalies(
