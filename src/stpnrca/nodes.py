@@ -40,35 +40,47 @@ def infer_nodes(failed, f: int) -> NodeInferenceResult:
     indices accumulate weight. An empty input yields an empty cover. Ties
     in the score go to the lowest channel index.
     """
-    pool: dict[int, float] = {}
-    for idx, weight in failed:
-        idx = int(idx)
-        if not 0 <= idx < f * f:
+    pairs = [(int(idx), float(weight)) for idx, weight in failed]
+    # as floats, which order ints as the ints do: a bad index stays out of range
+    try:
+        index, weight = np.array(list(zip(*pairs)) or [(), ()], dtype=float)
+    except OverflowError:  # an index past the float range: clipped, it stays out of range
+        index, weight = np.array([(min(max(i, -1), f * f), w) for i, w in pairs]).T
+    bad_index = (index < 0) | (index >= f * f)
+    bad = bad_index | ~np.isfinite(weight)
+    if bad.any():
+        first = int(bad.argmax())
+        idx = pairs[first][0]
+        if bad_index[first]:
             raise DataError(f"pattern index {idx} out of range for f={f}")
-        if not np.isfinite(weight):
-            raise DataError(f"non-finite weight for pattern {idx}")
-        pool[idx] = pool.get(idx, 0.0) + float(weight)
+        raise DataError(f"non-finite weight for pattern {idx}")
 
-    ends = np.array([divmod(i, f) for i in pool], dtype=np.intp).reshape(-1, 2)
-    weights = np.repeat(list(pool.values()), 2).reshape(-1, 2)
-    keep = np.ones(ends.shape, bool)  # endpoint entries of the remaining patterns
-    keep[:, 1] = ends[:, 0] != ends[:, 1]  # a self-pattern counts once
+    # the pool: each distinct index in first-occurrence order, its weights
+    # summed in input order (np.add.at adds one at a time), as a dict would
+    keys, seen, inverse = np.unique(index.astype(np.intp), return_index=True, return_inverse=True)
+    pooled = np.zeros(keys.size)
+    np.add.at(pooled, inverse, weight)
+    order = np.argsort(seen)
+    source, target = np.divmod(keys[order], f)
+    # a self-pattern counts once: its second endpoint goes to an extra bin f
+    ends = np.stack([source, np.where(source == target, f, target)], axis=1)
+    weights = np.repeat(pooled[order], 2).reshape(-1, 2)
 
     # bincount adds the weights in pool order, as a loop over the pool would,
     # so the sums match that loop bit for bit; on no input it returns ints
-    live = ends[keep]
-    initial = node_scores = np.bincount(live, weights[keep], minlength=f).astype(float)
+    initial = np.bincount(ends.ravel(), weights.ravel(), minlength=f + 1)[:f].astype(float)
+    node_scores = initial
     cover, scores = [], []
-    while live.size:
+    while ends.size:
         # Only a channel that touches a remaining pattern clears one, even
         # when weights of zero or below leave an untouched channel on top.
-        touching = np.flatnonzero(np.bincount(live, minlength=f))
+        touching = np.flatnonzero(np.bincount(ends.ravel(), minlength=f + 1)[:f])
         best = int(touching[np.argmax(node_scores[touching])])  # ties -> lowest index
-        keep[(ends == best).any(axis=1)] = False
         cover.append(best)
         scores.append(float(node_scores[best]))
-        live = ends[keep]
-        node_scores = np.bincount(live, weights[keep], minlength=f)
+        left = np.flatnonzero((ends[:, 0] != best) & (ends[:, 1] != best))
+        ends, weights = ends.take(left, axis=0), weights.take(left, axis=0)
+        node_scores = np.bincount(ends.ravel(), weights.ravel(), minlength=f + 1)[:f]
 
     rest = [n for n in np.argsort(-initial, kind="stable").tolist() if n not in cover]
     return NodeInferenceResult(

@@ -24,6 +24,7 @@ every other candidate's F by nearly the same amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,13 @@ class RbmParams:
     @property
     def n_hidden(self) -> int:
         return self.hidden_bias.size
+
+    @cached_property
+    def _s3_magnitude(self) -> float:
+        """M = 1 + n_h + sum|a| + sum|b| + 3 sum|W|, the magnitude that sizes
+        `switching.s3_search`'s slack; the arrays are read-only, so once."""
+        a, b = np.abs(self.visible_bias).sum(), np.abs(self.hidden_bias).sum()
+        return 1.0 + self.n_hidden + a + b + 3.0 * np.abs(self.weights).sum()
 
 
 def _sigmoid(x):

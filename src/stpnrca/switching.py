@@ -49,36 +49,47 @@ the sigmoid at the exact x: numpy's exp, the add and the reciprocal each
 round by about u relative, and as |x| sigmoid'(x) < 0.23, rounding x
 itself moves the value by under u/2. (Sampled, exp erred by at most 1.1 u,
 and the sigmoid over x in [-745, 745] by at most 1.5 u.) Each sigmoid
-multiplies one |d_j|, and sum_j |d_j| <= M. Below x = -709, exp(-x)
-overflows to inf and the sigmoid computes as 0, off by less than 1e-308.
-A bound collects at most one such error per step between two scorings,
-and there are at most n_v steps, so two bounds compared are off by at most
-2 n_v (n_h + 10) u M. The slack,
-SLACK_PER_ROUNDING * n_v * (n_h + 10) * M, is 32 times that: 1.4e-9 M at
-f = 52 with 64 hidden units, or 2.6e-5 on perfbench's plant-cli bundle.
+multiplies one |d_j|, and sum_j |d_j| <= M, so the sigmoids take at most
+4 u M. Below x = -709, exp(-x) overflows to inf and the sigmoid computes
+as 0, off by less than 1e-308. The ordinary step then adds the two dot
+products, subtracts the sum from the bias term and adds the result to the
+bound: three roundings of at most u M each. So an ordinary step costs a
+bound at most (n_h + 7) u M. A bound collects one such error per step
+between two scorings, and there are at most n_v steps, so two bounds
+compared are off by at most 2 n_v (n_h + 10) u M. The slack,
+SLACK_PER_ROUNDING * n_v * (n_h + 10) * M, is twice that: 8.9e-11 M at
+f = 52 with 64 hidden units, or 1.6e-6 on perfbench's plant-cli bundle.
+The other half covers the one rounding of each comparison, by at most
+u M: the add of the slack, and in a chain also the add of the shift.
 A chain computes its flips' bounds with the dot products summed in another
 order, which the n_h u M share covers, since it holds in any summation
-order. It sums the bounds of its flips first and adds the sum to each bound
-once. Each flip's bound is at most |a_k| + sum_j |W_kj| in size, and the
-flips are of distinct bits, so every partial sum is at most M in size and
-rounds by at most u M: one rounding per flip, in place of the one the
-ordinary update makes. The single add to each bound, and the add of the
-shift in the chain's test, each round once more per chain. So a bound
-still collects less than (n_h + 10) u M per step.
+order. Each flip's bound then rounds once more in the subtraction from its
+bias term. The chain sums the bounds of its flips first and adds the sum to
+each bound once. Each flip's bound is at most |a_k| + sum_j |W_kj| in size,
+and the flips are of distinct bits, so every partial sum is at most M in
+size and rounds by at most u M: one rounding per flip, in place of the add
+to the bound that the ordinary step makes. So a chain flip costs a bound
+at most (n_h + 6) u M. The single add of the sum to each bound rounds once
+per chain, and a chain that commits has at least one flip, so a bound
+still collects at most (n_h + 7) u M per step, inside the budget.
 
 Chains. After each ordinary step, with at least CHAIN_LENGTH candidates
-left, the search speculates a chain: the CHAIN_LENGTH candidates of least
-upper bound, in ascending order (ties by index), flipped one after another.
-One np.cumsum over [b + vW, d_1, d_2, ...] gives b + vW before each chain
-flip and after the last, and one over [v.a, +-a_1, ...] the visible terms.
-np.cumsum adds in sequence, so these are the floats that the sweep's adds
-`act + d`, one flip at a time, make. One `_free_energy` block scores each
-member p_j at the state before its flip: the energy F_j that the sweep
-scores for p_j at that step, if it picked p_1 ... p_j-1 before. The bounds
-of every chain flip come in a few array operations, each at the state
-before that flip, and their running sums give the shift of every other
-candidate's bounds. The search commits the longest prefix in which each
-member p_j
+left, the search speculates a chain: the candidates of least upper bound,
+in ascending order (ties by index), flipped one after another. A chain has
+twice as many flips as the previous chain committed, but at least
+CHAIN_LENGTH, at most MAX_CHAIN_LENGTH and at most the candidates left. So
+where chains commit in full, as at f = 52, each chain is twice as long as
+the first, and where they fail early, as at f = 20, each speculates no more
+than before. One np.cumsum over [b + vW, d_1, d_2, ...] gives b + vW before
+each chain flip and after the last, and one over [v.a, +-a_1, ...] the
+visible terms. np.cumsum adds in sequence, so these are the floats that the
+sweep's adds `act + d`, one flip at a time, make. One `_free_energy` block
+scores each member p_j at the state before its flip: the energy F_j that
+the sweep scores for p_j at that step, if it picked p_1 ... p_j-1 before.
+The bounds of every chain flip come in a few array operations, each at the
+state before that flip, and their running sums give the shift of every
+other candidate's bounds. The search commits the longest prefix in which
+each member p_j
   (a) passes the sweep's descent test, F_j < F_j-1 - DESCENT_TOL, with F_0
       the current energy, and
   (b) beats every rival: the least lower bound among the candidates outside
@@ -102,13 +113,16 @@ On these windows s3 flipped every candidate, in the order of its lone-flip
 energy: the RBM sets the order and the weights, not the selected set. That
 order is the order of the upper bounds, so most chains commit. On the eight
 upset windows of perfbench's plant-cli seeds 7001 and 7002 (1,765-1,969
-steps each), chains committed 93.5-95.5% of the steps: 76-94 chains and
-84-125 ordinary steps per window, and 171-221 `_free_energy` calls instead
-of one per step. Every chain that stopped short (38-60 per window) stopped
-at the member the sweep picked next: a rival's lower bound lay within the
-slack of its energy, so (b) could not prove the pick. On a 2-core x86-64
-box s3 took 13-17 ms per window (best of 5), against 39-45 ms with one
-ordinary step per flip and, on earlier windows, 750-1,000 ms for the sweep.
+steps each), chains committed 96.7-98.4% of the steps: 29-33 chains and
+29-58 ordinary steps per window, most of the latter among the last 31
+candidates, and 59-89 `_free_energy` calls instead of one per step. Only
+2-6 chains per window stopped short. Each stopped at the member the sweep
+picked next: a rival's lower bound lay 2.2e-8 to 1.4e-6 above its energy,
+within the slack of 1.6e-6, so (b) could not prove the pick. With a slack
+16 times wider and chains of 32 flips, 38-60 chains per window stopped so.
+On a 2-core x86-64 box s3 took 7.3-9.4 ms per window (best of 5), against
+13.6-16.6 ms with that slack, 39-45 ms with one ordinary step per flip and,
+on earlier windows, 750-1,000 ms for the sweep.
 """
 
 from __future__ import annotations
@@ -124,10 +138,12 @@ from .rbm import RbmParams, _free_energy, free_energy
 # Minimum strict decrease for a flip to be accepted; avoids float livelock.
 DESCENT_TOL = 1e-9
 # Slack on the pruning bounds per rounding a bound can collect, relative to
-# the magnitude M of the module docstring: 64 units of 2**-53.
-SLACK_PER_ROUNDING = 64 * 2.0**-53
-# Flips speculated per chain after each ordinary step (module docstring).
+# the magnitude M of the module docstring: 4 units of 2**-53.
+SLACK_PER_ROUNDING = 4 * 2.0**-53
+# The least and the most flips speculated per chain after an ordinary step;
+# in between, twice the previous chain's committed run (module docstring).
 CHAIN_LENGTH = 32
+MAX_CHAIN_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -166,9 +182,10 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     Each step after the first scores only the candidates whose lower bound
     (module docstring) is below the smallest upper bound plus a slack; every
     other candidate is strictly worse than the best. After each such step,
-    a chain of CHAIN_LENGTH speculated flips commits the run of them that
-    the bounds prove the sweep would make. So the selections, trace and
-    weights equal those of a sweep over every candidate.
+    a chain of CHAIN_LENGTH to MAX_CHAIN_LENGTH speculated flips commits the
+    run of them that the bounds prove the sweep would make. So the
+    selections, trace and weights equal those of a sweep over every
+    candidate.
     """
     v = _binary_vector(params, v)
     w, a = params.weights, params.visible_bias
@@ -192,14 +209,13 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     lower = np.full(v.size, np.inf)
     lower[cand] = f_cand
     upper = lower.copy()
-    magnitude = 1.0 + act.size + np.abs(a).sum() + np.abs(params.hidden_bias).sum()
-    magnitude += 3.0 * np.abs(w).sum()  # M of the module docstring
-    slack = SLACK_PER_ROUNDING * v.size * (act.size + 10) * magnitude
+    slack = SLACK_PER_ROUNDING * v.size * (act.size + 10) * params._s3_magnitude
 
     f_current = f0
     selected: list[int] = []
     trace = [f0]
     n_candidates = cand.size
+    run = 0  # flips the last chain committed
     # per step, in place: a flipped row's parts min(d, 0) and max(d, 0), and
     # the sigmoids at the least and the most pre-activations it can meet
     split, sig = np.empty((2, act.size)), np.empty((2, act.size))
@@ -235,11 +251,13 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
             upper += -signed_a[idx] - (pos_lo + neg_hi)
             act += d
             visible_term += signed_a[idx]
-            if n_candidates - len(selected) >= CHAIN_LENGTH:
-                # speculate the next CHAIN_LENGTH flips: the candidates of least upper
-                # bound, in ascending order (ties by index). A tie at the cut may
-                # go either way; the checks below hold for any chain.
-                chain = np.argpartition(upper, CHAIN_LENGTH - 1)[:CHAIN_LENGTH]
+            left = n_candidates - len(selected)
+            if left >= CHAIN_LENGTH:
+                # speculate the next flips: the candidates of least upper bound, in
+                # ascending order (ties by index). A tie at the cut may go either
+                # way; the checks below hold for any chain.
+                length = min(max(2 * run, CHAIN_LENGTH), MAX_CHAIN_LENGTH, left)
+                chain = np.argpartition(upper, length - 1)[:length]
                 chain = chain[np.lexsort((chain, upper[chain]))]
                 d, chain_a = signed_w[chain], signed_a[chain]
                 # the state before each chain flip and after the last: cumsum makes

@@ -80,6 +80,18 @@ class TestInferNodes:
         with pytest.raises(DataError):
             infer_nodes([(0, float("nan"))], f=5)
 
+    @pytest.mark.parametrize("failed, message", [
+        ([(0, float("nan")), (25, 1.0)], "non-finite weight for pattern 0"),
+        ([(25, 1.0), (0, float("nan"))], "pattern index 25 out of range for f=5"),
+        ([(25, float("nan"))], "pattern index 25 out of range for f=5"),
+        ([(0, 1.0), (-(10**400), 1.0)], f"pattern index {-(10**400)} out of range for f=5"),
+    ])
+    def test_first_bad_pair_is_named(self, failed, message):
+        # pairs are checked in input order, and a pair's index before its weight
+        with pytest.raises(DataError) as err:
+            infer_nodes(failed, f=5)
+        assert str(err.value) == message
+
 
 def min_vertex_cover_size(edges, f):
     """Brute-force smallest node set covering every edge (desk-scale only)."""

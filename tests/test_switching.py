@@ -383,10 +383,20 @@ def saturated_s3_machine(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=saturated_s3_machine())
 def test_s3_chains_equal_sweep_reference_on_saturated_machines(case):
-    # wide enough for the chains of switching.CHAIN_LENGTH flips: each committed
-    # run must hold the sweep's selections and floats, ties and curvature included
+    # wide enough for the chains of switching.CHAIN_LENGTH flips or more: each
+    # committed run must hold the sweep's selections and floats, ties and
+    # curvature included
     params, v = case
     assert s3_search(params, v) == sweep_reference_s3(params, v)
+
+
+def test_s3_equals_sweep_reference_at_plant_width():
+    # 2,704 bits and 64 hidden units, as at f = 52: 2,125 steps, most of them
+    # committed in chains of up to switching.MAX_CHAIN_LENGTH flips
+    params, v = saturated_machine(52, 2704, 64, 0.05, 20, gated=False)
+    result = s3_search(params, v)
+    assert len(result.anomalous_patterns) == 2125
+    assert result == sweep_reference_s3(params, v)
 
 
 def test_s3_descent_tolerance_ends_the_search_inside_a_chain(monkeypatch):
@@ -405,7 +415,13 @@ def test_s3_descent_tolerance_ends_the_search_inside_a_chain(monkeypatch):
     lone = scored[1]
     f0 = free_energy(params, v)
     assert len(result.anomalous_patterns) < int((lone < f0 - DESCENT_TOL).sum())
-    chain = [f for f in scored if f.size == switching.CHAIN_LENGTH][-1].tolist()
+    # after the lone flips, each ordinary step scores a chain and then its
+    # candidates, as CHAIN_LENGTH or more candidates stay left; the first chain
+    # has CHAIN_LENGTH flips, the others follow the runs before them
+    chains = scored[2::2]
+    assert len(scored) % 2 == 0 and chains[0].size == switching.CHAIN_LENGTH
+    assert all(switching.CHAIN_LENGTH <= c.size <= switching.MAX_CHAIN_LENGTH for c in chains)
+    chain = chains[-1].tolist()
     last = chain.index(result.final_energy)  # the final flip was committed by the chain
     assert last + 1 < len(chain)
     assert chain[last + 1] >= result.final_energy - DESCENT_TOL
@@ -431,5 +447,5 @@ def test_s3_commits_chains_of_flips_on_a_saturated_machine(monkeypatch):
     result = s3_search(params, v)
     steps = len(result.anomalous_patterns)
     assert steps >= 1000
-    assert len(calls) <= steps / 8
+    assert len(calls) <= 70  # 63 measured, plus about 10%
     assert result == sweep_reference_s3(params, v)
