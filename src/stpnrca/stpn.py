@@ -21,7 +21,9 @@ from .config import _MAX_DEPTH, RunConfig
 from .errors import DataError, UsageError
 from .symbolic import (
     PartitionScheme,
-    _lgamma,
+    _metric_tables,
+    _source_counts,
+    _window_metric,
     learn_partition,
     states_from_symbols,
     symbolize,
@@ -77,20 +79,8 @@ class StpnModel:
 
     @cached_property
     def _metric_tables(self):
-        """Model-side terms of the log metric, built on first use.
-
-        Every log-Gamma argument in the metric is a positive integer no
-        larger than a model row sum plus the window length plus the
-        alphabet size, so one table of ``math.lgamma(k)``, the values
-        ``log_inference_metric`` computes, serves every window scored
-        against this model. Index 0 is never read and holds +inf. Returns
-        (table, table[counts + 1], row sums, table[row sums + n_symbols]).
-        """
-        n_symbols = self.partition.alphabet_size
-        rows = self.counts.sum(axis=3)
-        top = int(rows.max(initial=0)) + self.window_length + n_symbols
-        table = np.concatenate(([np.inf], _lgamma(np.arange(1, top + 1))))
-        return table, table[1:][self.counts], rows, table[rows + n_symbols]
+        """The model side of the metric kernel, built on first use."""
+        return _metric_tables(self.counts, self.window_length)
 
 
 def pattern_index(a: int, b: int, f: int) -> int:
@@ -114,29 +104,6 @@ def _symbols_and_states(ts: TimeSeries, partition, depth):
     symbols = symbolize(ts, partition)
     states = states_from_symbols(symbols, partition.alphabet_size, depth)
     return symbols, states
-
-
-def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
-    """Yield, for each source channel a, the state->symbol counts of a
-    against every target b: shape (f, n_states, n_symbols), equal to
-    ``count_matrix(states[:, a], ..., symbols[:, b], ...)`` for each b.
-
-    One bincount per source over ``state_a * n_symbols + symbol_b + b *
-    n_states * n_symbols``; looping over sources keeps the index to one
-    (pairs, f) array instead of a (pairs, f, f) one.
-    """
-    n_pairs = states.shape[0] - lag
-    if n_pairs < 1:
-        raise DataError(
-            f"no valid pairs after lag shift (T={symbols.shape[0]}, D={depth}, p={lag})"
-        )
-    f = symbols.shape[1]
-    cell = n_states * n_symbols
-    targets = symbols[depth - 1 + lag :] + np.arange(f) * cell
-    sources = states[:n_pairs] * n_symbols
-    for a in range(f):
-        flat = (targets + sources[:, a, None]).ravel()
-        yield np.bincount(flat, minlength=f * cell).reshape(f, n_states, n_symbols)
 
 
 def train_stpn(
@@ -223,28 +190,16 @@ def train_stpn(
 def _metrics_from_symbols(model: StpnModel, symbols, states) -> np.ndarray:
     """Log inference metric of every pattern for one window; shape (f, f).
 
-    Bit-identical to ``log_inference_metric(model.counts[a, b], window
-    counts)`` per pattern: the same log-Gamma values, read from the model's
-    table, are combined in the same order and summed row by row.
+    Row a scores source a against every target at once, with the kernel
+    ``log_inference_metric`` runs.
     """
     table, model_cells, model_rows, model_row_terms = model._metric_tables
-    f = model.n_channels
     n_symbols, n_states = model.partition.alphabet_size, model.counts.shape[2]
-    plus_one, plus_symbols = table[1:], table[n_symbols:]  # lg[k + 1], lg[k + A]
-    out = np.empty((f, f))
-    for a, window in enumerate(
-        _source_counts(symbols, states, n_states, n_symbols, model.lag, model.depth)
-    ):
-        window_rows = window.sum(axis=2)
-        row_terms = (
-            plus_one[window_rows]
-            + model_row_terms[a]
-            - plus_symbols[window_rows + model_rows[a]]
-        )
-        cell_terms = (
-            plus_one[window + model.counts[a]] - plus_one[window] - model_cells[a]
-        )
-        out[a] = row_terms.sum(axis=1) + cell_terms.reshape(f, -1).sum(axis=1)
+    out = np.empty((model.n_channels, model.n_channels))
+    sources = _source_counts(symbols, states, n_states, n_symbols, model.lag, model.depth)
+    for a, window in enumerate(sources):
+        out[a] = _window_metric(table, model.counts[a], model_cells[a], model_rows[a],
+                                model_row_terms[a], window)
     return out
 
 

@@ -143,8 +143,9 @@ def count_matrix(
     """Count state->symbol pairs (Q_a(k), S_b(k+lag)) over all valid k.
 
     `states_a` indexes times depth-1 .. T-1 (length T-depth+1), `symbols_b`
-    indexes times 0 .. T-1 (length T). Returns an (n_states, n_symbols)
-    integer matrix.
+    indexes times 0 .. T-1 (length T). Both hold integers, states in 0 ..
+    n_states-1 and symbols in 0 .. n_symbols-1. Returns an (n_states,
+    n_symbols) integer matrix: one source of :func:`_source_counts`.
     """
     states_a = np.asarray(states_a).ravel()
     symbols_b = np.asarray(symbols_b).ravel()
@@ -156,14 +157,40 @@ def count_matrix(
             f"state sequence length {states_a.shape[0]} inconsistent with "
             f"T={T}, depth={depth}"
         )
-    n_pairs = T - depth + 1 - lag
-    if n_pairs < 1:
+    if T - depth + 1 - lag < 1:
         raise DataError(f"no valid pairs after lag shift (T={T}, D={depth}, p={lag})")
-    src = states_a[:n_pairs]
-    dst = symbols_b[depth - 1 + lag :]
-    flat = src * n_symbols + dst
-    counts = np.bincount(flat, minlength=n_states * n_symbols)
-    return counts.reshape(n_states, n_symbols)
+    for what, values, n in (("states", states_a, n_states), ("symbols", symbols_b, n_symbols)):
+        if not np.issubdtype(values.dtype, np.integer):
+            raise DataError(f"{what} must be integers, not {values.dtype}")
+        outside = (values < 0) | (values >= n)
+        if outside.any():
+            raise DataError(f"{what} must lie in 0..{n - 1}, found {values[outside][0]}")
+    symbols, states = (x[:, None].astype(np.int64, copy=False) for x in (symbols_b, states_a))
+    return next(_source_counts(symbols, states, n_states, n_symbols, lag, depth))[0]
+
+
+def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
+    """Yield, for each source channel a, the state->symbol counts of a
+    against every target b: shape (f, n_states, n_symbols), equal to
+    ``count_matrix(states[:, a], ..., symbols[:, b], ...)`` for each b.
+
+    One bincount per source over ``state_a * n_symbols + symbol_b + b *
+    n_states * n_symbols``; looping over sources keeps the index to one
+    (pairs, f) array instead of a (pairs, f, f) one. Unchecked: the inputs
+    must be int64 and in range, as :func:`symbolize` makes them.
+    """
+    n_pairs = states.shape[0] - lag
+    if n_pairs < 1:
+        raise DataError(
+            f"no valid pairs after lag shift (T={symbols.shape[0]}, D={depth}, p={lag})"
+        )
+    f = symbols.shape[1]
+    cell = n_states * n_symbols
+    targets = symbols[depth - 1 + lag :] + np.arange(f) * cell
+    sources = states[:n_pairs] * n_symbols
+    for a in range(f):
+        flat = (targets + sources[:, a, None]).ravel()
+        yield np.bincount(flat, minlength=f * cell).reshape(f, n_states, n_symbols)
 
 
 def _lgamma(x) -> np.ndarray:
@@ -172,14 +199,41 @@ def _lgamma(x) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _metric_tables(counts: np.ndarray, reach: int):
+    """The model side of the metric kernel for integer `counts` (..., n_states,
+    n_symbols), for windows whose row sums stay below `reach`: a table of
+    ``math.lgamma(k)`` up to the largest argument such a window needs (index
+    0 is never read and holds +inf), table[counts + 1], the row sums, and
+    table[row sums + n_symbols]."""
+    n_symbols = counts.shape[-1]
+    rows = counts.sum(axis=-1)
+    top = int(rows.max(initial=0)) + reach + n_symbols
+    table = np.concatenate(([np.inf], _lgamma(np.arange(1, top + 1))))
+    return table, table[1:][counts], rows, table[rows + n_symbols]
+
+
+def _window_metric(table, model_counts, model_cells, model_rows, model_row_terms, window):
+    """The one implementation of the log metric: integer `window` counts
+    against `model_counts` and their :func:`_metric_tables`, summed over the
+    last two axes (states, symbols)."""
+    plus_one, plus_symbols = table[1:], table[window.shape[-1] :]  # lg[k + 1], lg[k + A]
+    window_rows = window.sum(axis=-1)
+    row_terms = plus_one[window_rows] + model_row_terms - plus_symbols[window_rows + model_rows]
+    cell_terms = plus_one[window + model_counts] - plus_one[window] - model_cells
+    return row_terms.sum(axis=-1) + cell_terms.sum(axis=(-2, -1))
+
+
 def log_inference_metric(model: np.ndarray, window: np.ndarray) -> float:
     """Log of the pattern inference metric, up to an additive constant.
 
     `model` holds counts from the modeling phase, `window` the counts of a
-    short subsequence. The normalizing constant is dropped, so only
-    differences and orderings of returned values are meaningful. Evaluated
-    with ``math.lgamma`` on each entry, so the cost follows the number of
-    cells, not the size of the counts; an all-zero window returns exactly 0.
+    short subsequence: 2-D matrices of whole numbers, integer or float. The
+    normalizing constant is dropped, so only differences and orderings of
+    returned values are meaningful; an all-zero window returns exactly 0.
+    Runs the kernel every scan runs, over a log-Gamma table built for this
+    model, so the cost follows the largest model plus window row sum, not
+    only the number of cells: a table of 10**6 entries takes about 0.2 s
+    on a 2-core x86-64 box.
     """
     model = np.asarray(model, dtype=float)
     window = np.asarray(window, dtype=float)
@@ -187,15 +241,14 @@ def log_inference_metric(model: np.ndarray, window: np.ndarray) -> float:
         raise DataError(f"shape mismatch: model {model.shape}, window {window.shape}")
     if np.any(model < 0) or np.any(window < 0):
         raise DataError("count matrices must be nonnegative")
-    n_sym = model.shape[1]
-    model_rows = model.sum(axis=1)
-    window_rows = window.sum(axis=1)
-    row_terms = (
-        _lgamma(window_rows + 1.0)
-        + _lgamma(model_rows + n_sym)
-        - _lgamma(window_rows + model_rows + n_sym)
-    )
-    cell_terms = (
-        _lgamma(window + model + 1.0) - _lgamma(window + 1.0) - _lgamma(model + 1.0)
-    )
-    return float(np.sum(row_terms) + np.sum(cell_terms))
+    if model.ndim != 2 or model.shape[1] < 1:
+        raise DataError(f"count matrices must be 2-D with at least one column, not {model.shape}")
+    if not (np.isfinite(model).all() and np.isfinite(window).all()):
+        raise DataError("count matrices must be finite")
+    with np.errstate(invalid="ignore"):  # past int64's range a cast is wrong, and refused below
+        counts, window_counts = model.astype(np.int64), window.astype(np.int64)
+    if np.any(counts != model) or np.any(window_counts != window):
+        raise DataError("count matrices must hold whole numbers in int64's range")
+    reach = int(window_counts.sum(axis=1).max(initial=0)) + 1
+    table, cells, rows, row_terms = _metric_tables(counts, reach)
+    return float(_window_metric(table, counts, cells, rows, row_terms, window_counts))

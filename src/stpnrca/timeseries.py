@@ -236,9 +236,10 @@ def write_csv(ts: TimeSeries, path: str | os.PathLike) -> None:
     Names that :func:`read_csv` would not read back are refused with a
     DataError naming the first of them, before any file is made: names that
     are all numbers (the header would be read as a sample row), names with
-    surrounding whitespace (stripped), and a first name that starts the
-    file with a byte-order mark (dropped). The check reads the header
-    through read_csv's own codec, csv quoting and name rule.
+    surrounding whitespace (stripped), a first name that starts the file
+    with a byte-order mark (dropped), and names that UTF-8 cannot encode,
+    such as a lone surrogate. The check reads the header through
+    read_csv's own codec, csv quoting and name rule.
     """
     path = os.fspath(path)
     buf = io.StringIO()
@@ -255,6 +256,11 @@ def _check_names_read_back(names: tuple[str, ...], header: str, path: str) -> No
     """Raise the DataError naming the first of `names` that :func:`read_csv`
     would not read back from `header`, their row as ``csv.writer`` writes it
     at the start of a file."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"{path}: channel name {name!r} cannot be written in UTF-8") from None
     text = header.encode("utf-8").decode("utf-8-sig")  # read_csv's codec drops a leading BOM
     read = _header_names(next(csv.reader(io.StringIO(text, newline=""))))
     if read is None:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpnrca import stpn
+from stpnrca import symbolic
+from stpnrca.bench import exact_log_metric
 from stpnrca.config import RunConfig
 from stpnrca.errors import DataError
 from stpnrca.persist import TrainedBundle, load_bundle, save_bundle
@@ -109,13 +110,13 @@ class TestTrainStpn:
         """The calibrated model keeps the table built for its calibration
         scan, so scoring with it builds none."""
         builds = []
-        lgamma = stpn._lgamma
+        lgamma = symbolic._lgamma
 
         def counted(k):
             builds.append(len(k))
             return lgamma(k)
 
-        monkeypatch.setattr(stpn, "_lgamma", counted)
+        monkeypatch.setattr(symbolic, "_lgamma", counted)
         nominal = simulate_var(toy_graph, 20 * 200, seed=3)
         model = train_stpn(nominal, small_config)[0]
         scan_windows(model, nominal.window(0, 400))
@@ -186,23 +187,28 @@ def symbol_model(counts, depth, lag, length):
     )
 
 
-def per_pattern_reference(counts, symbols, depth, lag):
-    """The metric of one window, one (a, b) pattern at a time."""
+def pattern_windows(counts, symbols, depth, lag):
+    """The window counts of every (a, b) pattern, one count_matrix call each."""
     f, _, n_states, n_symbols = counts.shape
     states = states_from_symbols(symbols, n_symbols, depth)
+    return [
+        [
+            count_matrix(
+                states[:, a], n_states, symbols[:, b], n_symbols, lag=lag, depth=depth
+            )
+            for b in range(f)
+        ]
+        for a in range(f)
+    ]
+
+
+def per_pattern_reference(counts, symbols, depth, lag):
+    """The metric of one window, one (a, b) pattern at a time."""
+    windows = pattern_windows(counts, symbols, depth, lag)
     return np.array(
         [
-            [
-                log_inference_metric(
-                    counts[a, b],
-                    count_matrix(
-                        states[:, a], n_states, symbols[:, b], n_symbols,
-                        lag=lag, depth=depth,
-                    ),
-                )
-                for b in range(f)
-            ]
-            for a in range(f)
+            [log_inference_metric(counts[a, b], window) for b, window in enumerate(row)]
+            for a, row in enumerate(windows)
         ]
     )
 
@@ -220,7 +226,8 @@ def per_pattern_reference(counts, symbols, depth, lag):
 def test_window_metrics_equal_per_pattern_reference(
     f, n_symbols, depth, lag, extra, max_count, seed
 ):
-    """The vectorised kernel reproduces the per-pattern metric bit for bit."""
+    """The scan's kernel reproduces the per-pattern metric bit for bit, and
+    every pattern's metric is within 1e-9 of exact arithmetic."""
     rng = np.random.default_rng(seed)
     length = max(depth + lag, n_symbols) + extra
     counts = rng.integers(0, max_count + 1, size=(f, f, n_symbols**depth, n_symbols))
@@ -229,6 +236,10 @@ def test_window_metrics_equal_per_pattern_reference(
     expected = per_pattern_reference(counts, symbols, depth, lag)
     got = scan_windows(model, TimeSeries(model.names, symbols.astype(float))).metrics[0]
     assert np.array_equal(got, expected)
+    windows = pattern_windows(counts, symbols, depth, lag)
+    for a, b in np.ndindex(f, f):
+        want = exact_log_metric(counts[a, b], windows[a][b])
+        assert abs(got[a, b] - want) <= 1e-9 * abs(want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -309,6 +309,32 @@ class TestCountMatrix:
         with pytest.raises(DataError):
             count_matrix(np.array([0, 1]), 2, np.array([0, 1]), 2, lag=5)
 
+    @pytest.mark.parametrize(
+        "states, symbols, message",
+        [
+            ([0, 1, 0], [0, 3, 1], "symbols must lie in 0..1, found 3"),
+            ([0, 1, 0], [0, -1, 1], "symbols must lie in 0..1, found -1"),
+            ([0, 2, 0], [0, 1, 1], "states must lie in 0..1, found 2"),
+            ([0, -1, 0], [0, 1, 1], "states must lie in 0..1, found -1"),
+            ([0.0, 1.0, 0.0], [0, 1, 1], "states must be integers, not float64"),
+            ([0, 1, 0], [0.0, 1.0, 1.0], "symbols must be integers, not float64"),
+        ],
+    )
+    def test_bad_states_and_symbols_refused(self, states, symbols, message):
+        with pytest.raises(DataError) as info:
+            count_matrix(np.array(states), 2, np.array(symbols), 2)
+        assert str(info.value) == message
+
+    def test_narrow_integer_types_count_like_int64(self):
+        rng = np.random.default_rng(3)
+        symbols = rng.integers(0, 200, size=80)
+        want = count_matrix(symbols, 200, symbols, 200)
+        narrow = symbols.astype(np.uint8)
+        assert np.array_equal(count_matrix(narrow, 200, narrow, 200), want)
+
+
+WHOLE = "count matrices must hold whole numbers in int64's range"
+
 
 class TestLogInferenceMetric:
     def test_empty_window_is_exactly_zero(self):
@@ -339,6 +365,28 @@ class TestLogInferenceMetric:
     def test_negative_counts(self):
         with pytest.raises(DataError):
             log_inference_metric(np.array([[-1, 0]]), np.array([[0, 0]]))
+
+    @pytest.mark.parametrize(
+        "model, window, message",
+        [
+            ([[np.nan, 1.0]], [[0.0, 0.0]], "count matrices must be finite"),
+            ([[2.0, 1.0]], [[np.inf, 0.0]], "count matrices must be finite"),
+            ([[2.0, 1.0]], [[0.5, 0.0]], WHOLE),
+            ([[1e19, 1.0]], [[1.0, 0.0]], WHOLE),
+            ([1, 2], [0, 1], "count matrices must be 2-D with at least one column, not (2,)"),
+            (np.zeros((2, 0)), np.zeros((2, 0)),
+             "count matrices must be 2-D with at least one column, not (2, 0)"),
+        ],
+    )
+    def test_counts_that_are_not_count_matrices_refused(self, model, window, message):
+        with pytest.raises(DataError) as info:
+            log_inference_metric(np.array(model), np.array(window))
+        assert str(info.value) == message
+
+    def test_whole_float_counts_equal_integer_counts(self):
+        model, window = np.array([[4, 2], [1, 3]]), np.array([[2, 1], [0, 1]])
+        want = log_inference_metric(model, window)
+        assert log_inference_metric(model.astype(float), window.astype(float)) == want
 
 
 class TestMetricDelta:

@@ -278,6 +278,7 @@ class TestWriteCsvNames:
             (("\t", "c"), "channel name '\\t' would be read back as ''"),
             (("a", "b\n"), "channel name 'b\\n' would be read back as 'b'"),
             (("\ufeffa", "b"), "channel name '\\ufeffa' would be read back as 'a'"),
+            (("c", "a\ud800"), "channel name 'a\\ud800' cannot be written in UTF-8"),
         ],
     )
     def test_refused_with_the_first_such_name(self, tmp_path, names, message):
