@@ -199,10 +199,11 @@ def evaluate_case(report: dict, labels: dict) -> dict:
     `data` path a file stem, the same case; a mismatch is a DataError.
     Nominal and pattern-break cases get per-window accuracy; pattern breaks
     also get the TP/FN/FP counts pooled over the windows, the
-    recall/precision/F-measure from them and the error ratio; label files
-    without a fault are treated as false-alarm cases. Node faults get the
-    error ratio (patterns not incident to the injected node), the node-set
-    TP/FN/FP counts, and the diagnosis cost.
+    recall/precision/F-measure from them and the error ratio; labels whose
+    fault is null are false-alarm cases. Node faults get the error ratio
+    (patterns not incident to the injected node), the node-set TP/FN/FP
+    counts, and the diagnosis cost. Labels without a `fault` key, or with a
+    fault kind other than pattern_break or node_delay, are a DataError.
     """
     if report.get("channels") != labels.get("channels"):
         raise DataError(
@@ -213,6 +214,12 @@ def evaluate_case(report: dict, labels: dict) -> dict:
     data_stem = os.path.splitext(os.path.basename(report.get("data", "")))[0]
     if case_id and data_stem and case_id != data_stem:
         raise DataError(f"case id mismatch: report is for {data_stem!r}, labels for {case_id!r}")
+    if "fault" not in labels:
+        raise DataError("labels have no 'fault' key; a label sidecar names its fault, or null")
+    fault = labels["fault"]
+    if fault is not None and fault.get("kind") not in ("pattern_break", "node_delay"):
+        raise DataError(f"unknown fault kind {fault.get('kind')!r}: "
+                        "expected 'pattern_break' or 'node_delay'")
 
     f = len(labels["channels"])
     total = f * f
@@ -223,7 +230,6 @@ def evaluate_case(report: dict, labels: dict) -> dict:
         if w.get("analyzed")
     ] or [agg_patterns]
 
-    fault = labels.get("fault")
     out: dict = {
         "case_id": case_id,
         "method": report["method"],

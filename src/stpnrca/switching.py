@@ -41,37 +41,32 @@ M = 1 + n_h + sum|a| + sum|b| + 3 sum|W|. For any v it bounds |F|, each
 change of F, and sum_j |x_j| for every pre-activation x the search scores
 or bounds: b + vW plus at most two signed rows. With u = 2**-53, each
 scored energy, each per-flip bound, and each update of b + vW or of a bound
-is then exact to within (n_h + 10) u M. A per-flip bound is two dot
-products of the row's entries d_j with sigmoids, which take n_h u M of that
-budget in any summation order; the sigmoids take a few u M of the rest.
-Each is computed in place as 1/(1 + exp(-x)) and lies within a few u of
-the sigmoid at the exact x: numpy's exp, the add and the reciprocal each
-round by about u relative, and as |x| sigmoid'(x) < 0.23, rounding x
-itself moves the value by under u/2. (Sampled, exp erred by at most 1.1 u,
-and the sigmoid over x in [-745, 745] by at most 1.5 u.) Each sigmoid
-multiplies one |d_j|, and sum_j |d_j| <= M, so the sigmoids take at most
-4 u M. Below x = -709, exp(-x) overflows to inf and the sigmoid computes
-as 0, off by less than 1e-308. The ordinary step then adds the two dot
-products, subtracts the sum from the bias term and adds the result to the
-bound: three roundings of at most u M each. So an ordinary step costs a
-bound at most (n_h + 7) u M. A bound collects one such error per step
-between two scorings, and there are at most n_v steps, so two bounds
-compared are off by at most 2 n_v (n_h + 10) u M. The slack,
-SLACK_PER_ROUNDING * n_v * (n_h + 10) * M, is twice that: 8.9e-11 M at
-f = 52 with 64 hidden units, or 1.6e-6 on perfbench's plant-cli bundle.
-The other half covers the one rounding of each comparison, by at most
-u M: the add of the slack, and in a chain also the add of the shift.
-A chain computes its flips' bounds with the dot products summed in another
-order, which the n_h u M share covers, since it holds in any summation
-order. Each flip's bound then rounds once more in the subtraction from its
-bias term. The chain sums the bounds of its flips first and adds the sum to
-each bound once. Each flip's bound is at most |a_k| + sum_j |W_kj| in size,
-and the flips are of distinct bits, so every partial sum is at most M in
-size and rounds by at most u M: one rounding per flip, in place of the add
-to the bound that the ordinary step makes. So a chain flip costs a bound
-at most (n_h + 6) u M. The single add of the sum to each bound rounds once
-per chain, and a chain that commits has at least one flip, so a bound
-still collects at most (n_h + 7) u M per step, inside the budget.
+is then exact to within (n_h + 10) u M. One rule, `_bound_changes`,
+computes every per-flip bound, for the ordinary step and the chain alike.
+A bound is one sum over j of min(d_j, 0) and max(d_j, 0) times sigmoids. At
+most n_h of those products are nonzero, and adding a zero is exact, so the
+sum takes n_h u M of that budget in any summation order; the sigmoids take
+a few u M of the rest. Each is computed in place as 1/(1 + exp(-x)) and
+lies within a few u of the sigmoid at the exact x: numpy's exp, the add and
+the reciprocal each round by about u relative, and as |x| sigmoid'(x) <
+0.23, rounding x itself moves the value by under u/2. (Sampled, exp erred by
+at most 1.1 u, and the sigmoid over x in [-745, 745] by at most 1.5 u.)
+Each sigmoid multiplies one |d_j|, and sum_j |d_j| <= M, so the sigmoids
+take at most 4 u M. Below x = -709, exp(-x) overflows to inf and the
+sigmoid computes as 0, off by less than 1e-308. The sum then rounds once
+more in the subtraction from the bias term. The ordinary step adds a flip's
+bound to each candidate's bound; a chain takes the running sum of its
+flips' bounds and adds it to each bound once. Each flip's bound is at most
+|a_k| + sum_j |W_kj| in size, and the flips are of distinct bits, so every
+partial sum is at most M in size. Either way a flip costs one more rounding
+of at most u M, and a chain, which commits at least one flip, one more. So
+a bound collects at most (n_h + 7) u M per step between two scorings, and
+there are at most n_v steps, so two bounds compared are off by at most
+2 n_v (n_h + 10) u M. The slack, SLACK_PER_ROUNDING * n_v * (n_h + 10) * M,
+is twice that: 8.9e-11 M at f = 52 with 64 hidden units, or 1.6e-6 on
+perfbench's plant-cli bundle. The other half covers the one rounding of
+each comparison, by at most u M: the add of the slack, and in a chain also
+the add of the shift.
 
 Chains. After each ordinary step, with at least CHAIN_LENGTH candidates
 left, the search speculates a chain: the candidates of least upper bound,
@@ -86,7 +81,7 @@ visible terms. np.cumsum adds in sequence, so these are the floats that the
 sweep's adds `act + d`, one flip at a time, make. One `_free_energy` block
 scores each member p_j at the state before its flip: the energy F_j that
 the sweep scores for p_j at that step, if it picked p_1 ... p_j-1 before.
-The bounds of every chain flip come in a few array operations, each at the
+One `_bound_changes` call gives the bounds of every chain flip, each at the
 state before that flip, and their running sums give the shift of every
 other candidate's bounds. The search commits the longest prefix in which
 each member p_j
@@ -169,6 +164,26 @@ def _binary_vector(params: RbmParams, v) -> np.ndarray:
     return v
 
 
+def _bound_changes(d, acts, a, neg_bounds):
+    """The least and the most change each flip makes to every other
+    candidate's F (module docstring, Bounds): flips of signed rows `d` and
+    signed biases `a`, each at its state b + vW in `acts`, with `neg_bounds`
+    the negated column-wise min and max of the candidates' signed rows.
+    `d` and `acts` are one row (n_h,) or k rows (k, n_h), `a` one value or k."""
+    split = np.empty(d.shape[:-1] + (2, d.shape[-1]))  # min(d, 0) and max(d, 0)
+    np.minimum(d, 0.0, out=split[..., 0, :])
+    np.maximum(d, 0.0, out=split[..., 1, :])
+    # the sigmoid 1 / (1 + exp(-x)) at x = (act + lo) + min(d, 0) and (act + hi) + max(d, 0);
+    # rounding is symmetric, so (-lo - act) - min(d, 0) is exactly -x
+    sig = neg_bounds - acts[..., None, :]
+    sig -= split
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    return (-a - (split * sig).sum(axis=(-2, -1)),
+            -a - (split * sig[..., ::-1, :]).sum(axis=(-2, -1)))
+
+
 def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     """Greedy minimization of free energy by single-bit flips.
 
@@ -216,10 +231,6 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
     trace = [f0]
     n_candidates = cand.size
     run = 0  # flips the last chain committed
-    # per step, in place: a flipped row's parts min(d, 0) and max(d, 0), and
-    # the sigmoids at the least and the most pre-activations it can meet
-    split, sig = np.empty((2, act.size)), np.empty((2, act.size))
-    neg, pos = split
     neg_bounds = np.negative([lo, hi])
     # below x = -709, exp(-x) overflows to inf and the sigmoid is 0, as it should be
     with np.errstate(over="ignore"):
@@ -234,22 +245,10 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
             if len(selected) == n_candidates:
                 break
             lower[idx] = upper[idx] = np.inf
-            d = signed_w[idx]
-            # the least and the most any candidate's F can change by this flip
-            np.minimum(d, 0.0, out=neg)
-            np.maximum(d, 0.0, out=pos)
-            # the sigmoid 1 / (1 + exp(-x)) at x = (act + lo) + neg and (act + hi) + pos;
-            # rounding is symmetric, so (-lo - act) - neg is exactly -x
-            np.subtract(neg_bounds, act, out=sig)
-            sig -= split
-            np.exp(sig, out=sig)
-            sig += 1.0
-            np.reciprocal(sig, out=sig)
-            # the four dot products of the parts with the sigmoids, in one GEMM
-            (neg_lo, neg_hi), (pos_lo, pos_hi) = (split @ sig.T).tolist()
-            lower += -signed_a[idx] - (pos_hi + neg_lo)
-            upper += -signed_a[idx] - (pos_lo + neg_hi)
-            act += d
+            low, up = _bound_changes(signed_w[idx], act, signed_a[idx], neg_bounds)
+            lower += low
+            upper += up
+            act += signed_w[idx]
             visible_term += signed_a[idx]
             left = n_candidates - len(selected)
             if left >= CHAIN_LENGTH:
@@ -265,16 +264,9 @@ def s3_search(params: RbmParams, v: np.ndarray) -> S3Result:
                 acts = np.cumsum(np.vstack([act, d]), axis=0)
                 terms = np.cumsum(np.concatenate([[visible_term], chain_a]))
                 f_chain = _free_energy(d + acts[:-1], terms[:-1] + chain_a)
-                # each flip's least and most change of every other candidate's F, at
-                # the state before it as in the ordinary step, summed along the chain
-                chain_split = np.stack([np.minimum(d, 0.0), np.maximum(d, 0.0)], axis=1)
-                chain_sig = neg_bounds - acts[:-1, None, :]
-                chain_sig -= chain_split
-                np.exp(chain_sig, out=chain_sig)
-                chain_sig += 1.0
-                np.reciprocal(chain_sig, out=chain_sig)
-                low_shift = np.cumsum(-chain_a - (chain_split * chain_sig).sum(axis=(1, 2)))
-                up_shift = np.cumsum(-chain_a - (chain_split * chain_sig[:, ::-1]).sum(axis=(1, 2)))
+                # each flip's bound changes at the state before it, summed along the chain
+                low, up = _bound_changes(d, acts[:-1], chain_a, neg_bounds)
+                low_shift, up_shift = np.cumsum(low), np.cumsum(up)
                 # each member's rivals at its step are the candidates outside the
                 # chain and the members after it: their least lower bound
                 chain_lower = lower[chain]

@@ -10,6 +10,7 @@ root-cause step consumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -193,10 +194,11 @@ def _source_counts(symbols, states, n_states, n_symbols, lag, depth):
         yield np.bincount(flat, minlength=f * cell).reshape(f, n_states, n_symbols)
 
 
-def _lgamma(x) -> np.ndarray:
-    """``math.lgamma`` of every entry of `x`: a float array of its shape."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _lgamma_table(top: int) -> np.ndarray:
+    """``math.lgamma(k)`` at index k for k = 1 .. `top`, and +inf at index 0,
+    filled in one allocation of 8 bytes per entry."""
+    values = itertools.chain([math.inf], map(math.lgamma, range(1, top + 1)))
+    return np.fromiter(values, float, top + 1)
 
 
 def _metric_tables(counts: np.ndarray, reach: int):
@@ -208,7 +210,7 @@ def _metric_tables(counts: np.ndarray, reach: int):
     n_symbols = counts.shape[-1]
     rows = counts.sum(axis=-1)
     top = int(rows.max(initial=0)) + reach + n_symbols
-    table = np.concatenate(([np.inf], _lgamma(np.arange(1, top + 1))))
+    table = _lgamma_table(top)
     return table, table[1:][counts], rows, table[rows + n_symbols]
 
 

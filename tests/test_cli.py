@@ -649,6 +649,24 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert str(report_path) in err and str(cut) in err
 
+    def test_report_given_as_labels_is_refused(self, report_and_labels, capsys):
+        # a report has the labels' channels but no fault: not a false-alarm case
+        report_path, _ = report_and_labels
+        assert run("evaluate", "--reports", report_path, "--labels", report_path) == 2
+        err = capsys.readouterr().err
+        assert "no 'fault' key" in err and err.count(str(report_path)) == 2
+
+    def test_unknown_fault_kind_is_refused(self, report_and_labels, tmp_path, capsys):
+        # not scored as a node fault from its failed_nodes
+        report_path, labels_path = report_and_labels
+        bad = tmp_path / "bad.labels.json"
+        labels = json.loads(labels_path.read_text())
+        labels["fault"]["kind"] = "bogus"
+        bad.write_text(json.dumps(labels))
+        assert run("evaluate", "--reports", report_path, "--labels", bad) == 2
+        err = capsys.readouterr().err
+        assert "unknown fault kind 'bogus'" in err and str(report_path) in err and str(bad) in err
+
     def test_count_mismatch(self, report_and_labels):
         report_path, labels_path = report_and_labels
         code = run(

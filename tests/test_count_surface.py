@@ -23,10 +23,11 @@ def test_counts_print_as_integers_and_flags_match_the_parser(capsys):
     assert _load_tool().main([str(REPO)]) == 0
     matches = [re.fullmatch(r"(.+): (\d+)", line) for line in capsys.readouterr().out.splitlines()]
     assert [m and m.group(1) for m in matches] == [
-        "src/stpnrca lines", "settable parameters", "cli flags"
+        "src/stpnrca lines", "src/stpnrca code lines", "settable parameters", "cli flags"
     ]
     counts = {m.group(1): int(m.group(2)) for m in matches}
-    assert counts["src/stpnrca lines"] > 0 and counts["settable parameters"] > 0
+    assert 0 < counts["src/stpnrca code lines"] < counts["src/stpnrca lines"]
+    assert counts["settable parameters"] > 0
 
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -37,3 +38,18 @@ def test_counts_print_as_integers_and_flags_match_the_parser(capsys):
         if action.option_strings and action.dest != "help"
     ]
     assert counts["cli flags"] == len(flags)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "    def f(self):\n"
+        '        """Function\n        docstring."""\n'
+        "        text = \"\"\"a string\n        that is code\"\"\"  # trailing comment\n"
+        "        return text\n"
+    )
+    assert _load_tool().code_lines(source) == 5

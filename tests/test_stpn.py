@@ -110,13 +110,13 @@ class TestTrainStpn:
         """The calibrated model keeps the table built for its calibration
         scan, so scoring with it builds none."""
         builds = []
-        lgamma = symbolic._lgamma
+        build = symbolic._lgamma_table
 
-        def counted(k):
-            builds.append(len(k))
-            return lgamma(k)
+        def counted(top):
+            builds.append(top)
+            return build(top)
 
-        monkeypatch.setattr(symbolic, "_lgamma", counted)
+        monkeypatch.setattr(symbolic, "_lgamma_table", counted)
         nominal = simulate_var(toy_graph, 20 * 200, seed=3)
         model = train_stpn(nominal, small_config)[0]
         scan_windows(model, nominal.window(0, 400))

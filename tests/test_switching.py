@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -296,6 +297,68 @@ def test_s3_equals_sweep_reference(case):
     # the same floats in the weights and the trace
     params, v = case
     assert s3_search(params, v) == sweep_reference_s3(params, v)
+
+
+def exact_energy(params, v):
+    """F(v) in 60-digit decimal arithmetic on the float parameters, whose
+    values Decimal takes exactly: far finer than any slack."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        on = v.astype(bool)
+        x = [Decimal(b) + sum(map(Decimal, col[on].tolist()), Decimal(0))
+             for b, col in zip(params.hidden_bias.tolist(), params.weights.T)]
+        visible = sum(map(Decimal, params.visible_bias[on].tolist()), Decimal(0))
+        return -visible - sum(((1 + xj.exp()).ln() for xj in x), Decimal(0))
+
+
+@st.composite
+def bound_case(draw):
+    """A small machine with values up to +-800, so that exp overflows, a
+    vector, a candidate set, and a chain of distinct candidates to flip."""
+    n_v, n_h = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+
+    def values(shape):
+        bound = draw(st.sampled_from([1.0, 5.0, 800.0]))
+        return draw(arrays(float, shape, elements=st.floats(-bound, bound)))
+
+    a, b, w = values(n_v), values(n_h), values((n_v, n_h))
+    v = draw(arrays(float, n_v, elements=st.sampled_from([0.0, 1.0])))
+    cands = draw(st.lists(st.integers(0, n_v - 1), min_size=2, unique=True))
+    chain = draw(st.permutations(cands))[: draw(st.integers(1, len(cands) - 1))]
+    return RbmParams(a, b, w), v, cands, chain
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=bound_case())
+def test_bound_changes_hold_every_exact_change(case):
+    # flip k of a chain, at the state before it, changes every remaining
+    # candidate c's energy by F(v + k + c) - F(v + c), exactly; the bound rule,
+    # asked for the whole chain or for one flip, must hold that change within
+    # its least and most change, up to the slack
+    params, v, cands, chain = case
+    sign = 1.0 - 2.0 * v
+    signed_w, signed_a = sign[:, None] * params.weights, sign * params.visible_bias
+    rows = signed_w[cands]
+    neg_bounds = np.negative([rows.min(axis=0), rows.max(axis=0)])
+    acts = np.cumsum(np.vstack([params.hidden_bias + v @ params.weights, signed_w[chain]]), axis=0)
+    with np.errstate(over="ignore"):
+        low, up = switching._bound_changes(signed_w[chain], acts[:-1], signed_a[chain], neg_bounds)
+    slack = switching.SLACK_PER_ROUNDING * v.size * (params.n_hidden + 10) * params._s3_magnitude
+
+    def flipped(base, *bits):
+        out = base.copy()
+        out[list(bits)] = 1.0 - out[list(bits)]
+        return out
+
+    before = v
+    for j, k in enumerate(chain):
+        with np.errstate(over="ignore"):  # one flip, as the ordinary step asks
+            lone = switching._bound_changes(signed_w[k], acts[j], signed_a[k], neg_bounds)
+        for c in set(cands) - set(chain[: j + 1]):
+            change = exact_energy(params, flipped(before, k, c)) - exact_energy(params, flipped(before, c))
+            for least, most in ((low[j], up[j]), lone):
+                assert Decimal(least - slack) <= change <= Decimal(most + slack)
+        before = flipped(before, k)
 
 
 def test_s3_scores_few_rows_per_step_on_a_saturated_machine(monkeypatch):

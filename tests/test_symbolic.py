@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,19 @@ class TestLogInferenceMetric:
         model, window = np.array([[4, 2], [1, 3]]), np.array([[2, 1], [0, 1]])
         want = log_inference_metric(model, window)
         assert log_inference_metric(model.astype(float), window.astype(float)) == want
+
+    def test_table_peak_memory_is_one_float_per_entry(self):
+        # a row sum of 2 * 10**5 makes a log-Gamma table of about as many
+        # entries; building it must not hold more than the table itself
+        model, window = np.array([[200_000, 0], [3, 5]]), np.array([[1, 0], [0, 2]])
+        entries = 200_000 + 2 + 1 + 2  # largest row sum, window reach, symbols, index 0
+        tracemalloc.start()
+        try:
+            log_inference_metric(model, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * entries
 
 
 class TestMetricDelta:

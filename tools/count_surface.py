@@ -1,9 +1,11 @@
-"""Print the size of the stpnrca surface: source lines, settable parameters
-and command-line flags.
+"""Print the size of the stpnrca surface: source lines, code lines, settable
+parameters and command-line flags.
 
     python tools/count_surface.py [REPO]
 
-REPO defaults to the repository holding this script. Settable parameters
+REPO defaults to the repository holding this script. Code lines are the
+source lines that hold a token other than a comment and lie outside every
+module, class and function docstring. Settable parameters
 are the arguments of public functions and methods (without ``self``,
 ``cls`` and ``**kwargs``) plus the fields of public dataclasses, found with
 ``ast`` in ``src/stpnrca``. CLI flags are the options of every subcommand
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 
@@ -36,6 +40,20 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
         if name == "dataclass":
             return True
     return False
+
+
+def code_lines(source: str) -> int:
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                            tokenize.DEDENT, tokenize.ENDMARKER):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
 
 
 def settable_parameters(tree: ast.Module) -> int:
@@ -74,9 +92,12 @@ def main(argv=None) -> int:
     repo = parser.parse_args(argv).repo
     package = repo / "src" / "stpnrca"
     files = sorted(package.glob("*.py"))
-    lines = sum(len(f.read_text().splitlines()) for f in files)
-    params = sum(settable_parameters(ast.parse(f.read_text())) for f in files)
+    sources = [f.read_text() for f in files]
+    lines = sum(len(source.splitlines()) for source in sources)
+    code = sum(code_lines(source) for source in sources)
+    params = sum(settable_parameters(ast.parse(source)) for source in sources)
     print(f"src/stpnrca lines: {lines}")
+    print(f"src/stpnrca code lines: {code}")
     print(f"settable parameters: {params}")
     print(f"cli flags: {cli_flags(repo / 'src')}")
     return 0
