@@ -4,9 +4,11 @@ Each suite regenerates its data from frozen seeds, checks its thresholds,
 and reports one pass/fail line per check. The desk-scale suites mirror the
 reference experiments at a size that runs on one core in minutes; where a
 desk run cannot reproduce a full-scale published number, the suite reports
-the reference value alongside its own. The root-cause suites run each case
-through `run_rca` (or `run_var_rca`) and score its report with
-`evaluate_case`, the path behind `stpn-rca rca` and `stpn-rca evaluate`.
+the reference value alongside its own. The root-cause suites scan each case
+once, build each method's forced report from that scan with the code that
+`run_rca` runs after its own scan (the baseline through `run_var_rca`), and
+score it with `evaluate_case`: the path behind `stpn-rca rca` and
+`stpn-rca evaluate`.
 
 `SUITES` names every suite that `stpn-rca bench` runs, `tep` among them.
 `run_suite` times one and returns its `SuiteResult`, which passes when none
@@ -31,6 +33,7 @@ from .config import RunConfig
 from .errors import DataError
 from .metrics import diagnosis_cost, prf_counts
 from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
+from .pipeline import _rca_report, _scan_and_flag, _window_analyser
 from .rbm import free_energy, train_rbm
 from .stpn import train_stpn
 from .switching import exhaustive_switch_oracle, s3_search
@@ -249,9 +252,9 @@ def desk_nominal() -> list[TimeSeries]:
     return [simulate_var(m, n_samples, seed=100 + i) for i, m in enumerate(builtin_modes())]
 
 
-def build_desk_context(with_a3: bool = True) -> TrainedBundle:
-    """The six-mode desk bundle shared by the desk suites."""
-    return train_bundle(desk_nominal(), DESK_CONFIG, with_a3=with_a3)
+def build_desk_context() -> TrainedBundle:
+    """The six-mode desk bundle, with a3, shared by the desk suites."""
+    return train_bundle(desk_nominal(), DESK_CONFIG, with_a3=True)
 
 
 def _pooled(rows: list[dict], key: str) -> float:
@@ -263,6 +266,28 @@ def _pooled(rows: list[dict], key: str) -> float:
 
 def _total(rows: list[dict], key: str) -> int:
     return sum(r[key] for r in rows)
+
+
+def _case_rows(bundle: TrainedBundle, cases, methods, nominal: TimeSeries | None = None):
+    """Score every method's forced report on each (series, labels) case.
+
+    Each case is scanned once; "s3" and "a3" build their reports from that
+    scan as `run_rca(..., force=True)` does, and "var" is
+    `run_var_rca(nominal, series, bundle.config)`. The methods are resolved
+    before any case is scanned. Returns the `evaluate_case` rows per method
+    and the detector's window flags per case.
+    """
+    analysers = {m: _window_analyser(bundle, m) for m in methods if m != "var"}
+    rows: dict[str, list[dict]] = {m: [] for m in methods}
+    flags: list[np.ndarray] = []
+    for ts, labels in cases:
+        scanned = _scan_and_flag(bundle, ts)
+        flags.append(scanned[2])
+        for m in methods:
+            report = (run_var_rca(nominal, ts, bundle.config) if m == "var"
+                      else _rca_report(bundle, scanned, m, analysers[m], force=True))
+            rows[m].append(evaluate_case(report, labels))
+    return rows, flags
 
 
 def _energy_gap(lines: list[str], vectors: np.ndarray | None = None) -> None:
@@ -284,26 +309,16 @@ def _energy_gap(lines: list[str], vectors: np.ndarray | None = None) -> None:
 
 def _dataset1(lines: list[str], bundle: TrainedBundle | None = None) -> None:
     """Desk-scale 30-case pattern-fault suite (reference: 97.04 / 98.66)."""
-    bundle = bundle or build_desk_context(with_a3=True)
+    bundle = bundle or build_desk_context()
     mode = builtin_modes()[0]
-    cases = pattern_fault_cases()
-    rows: dict[str, list[dict]] = {"s3": [], "a3": []}
-    n_detected = n_windows = 0
     n_samples = DATASET1_WINDOWS * bundle.stpn.window_length
-    for ci, case_edges in enumerate(cases):
-        spec = FaultSpec(kind="pattern_break", edges=case_edges)
-        test, labels = simulate_case(mode, spec, n_samples, 9000 + ci, f"case{ci + 1:02d}")
-        for method, method_rows in rows.items():
-            report = run_rca(bundle, test, method=method, force=True)
-            method_rows.append(evaluate_case(report, labels))
-        # the detector's flags do not depend on the method: any report serves
-        n_detected += sum(w["anomalous"] for w in report["windows"])
-        n_windows += report["n_windows"]
-
-    lines.append(
-        f"{len(cases)} cases x {DATASET1_WINDOWS} windows; detector flagged "
-        f"{n_detected}/{n_windows} (analysis forced on all windows)"
-    )
+    cases = (simulate_case(mode, FaultSpec(kind="pattern_break", edges=edges), n_samples,
+                           9000 + ci, f"case{ci + 1:02d}")
+             for ci, edges in enumerate(pattern_fault_cases()))
+    rows, flags = _case_rows(bundle, cases, ("s3", "a3"))
+    flagged = np.concatenate(flags)
+    lines.append(f"{len(flags)} cases x {DATASET1_WINDOWS} windows; detector flagged "
+                 f"{flagged.sum()}/{flagged.size} (analysis forced on all windows)")
     reference = {"s3": "97.04", "a3": "98.66"}
     for method, method_rows in rows.items():
         alpha = _pooled(method_rows, "alpha1")
@@ -319,15 +334,12 @@ def _dataset1(lines: list[str], bundle: TrainedBundle | None = None) -> None:
 
 def _false_alarm(lines: list[str], bundle: TrainedBundle | None = None) -> None:
     """Forced RCA on nominal windows flags few patterns (reference 6.65/1.30%)."""
-    bundle = bundle or build_desk_context(with_a3=True)
+    bundle = bundle or build_desk_context()
     modes = builtin_modes()
     n_samples = int(np.ceil(FALSE_ALARM_WINDOWS / len(modes))) * bundle.stpn.window_length
-    rows: dict[str, list[dict]] = {"s3": [], "a3": []}
-    for i, mode in enumerate(modes):
-        ts, labels = simulate_case(mode, None, n_samples, 40000 + i, f"nominal_mode{i + 1}", i)
-        for method, method_rows in rows.items():
-            report = run_rca(bundle, ts, method=method, force=True)
-            method_rows.append(evaluate_case(report, labels))
+    cases = (simulate_case(mode, None, n_samples, 40000 + i, f"nominal_mode{i + 1}", i)
+             for i, mode in enumerate(modes))
+    rows, _ = _case_rows(bundle, cases, ("s3", "a3"))
     n_total = _total(rows["s3"], "n_windows_analyzed")
     _check(lines, n_total >= 500, f"{n_total} nominal windows analyzed (need >= 500)")
     reference = {"s3": "6.65", "a3": "1.30"}
@@ -359,14 +371,10 @@ def _dataset23(lines: list[str]) -> None:
     for graph, label in graphs:
         nominal = simulate_var(graph, DESK_TRAIN_WINDOWS * wl, seed=11)
         bundle = train_bundle([nominal], DESK_CONFIG, with_a3=False)
-        s3_rows, var_rows = [], []
-        for node in range(graph.n_channels):
-            spec = FaultSpec(kind="node_delay", node=node, delay=NODE_FAULT_DELAY)
-            test, labels = simulate_case(
-                graph, spec, NODE_FAULT_WINDOWS * wl, 500 + node, f"node{node}"
-            )
-            s3_rows.append(evaluate_case(run_rca(bundle, test, method="s3", force=True), labels))
-            var_rows.append(evaluate_case(run_var_rca(nominal, test, DESK_CONFIG), labels))
+        cases = (simulate_case(graph, FaultSpec(kind="node_delay", node=n, delay=NODE_FAULT_DELAY),
+                               NODE_FAULT_WINDOWS * wl, 500 + n, f"node{n}")
+                 for n in range(graph.n_channels))
+        s3_rows, var_rows = _case_rows(bundle, cases, ("s3", "var"), nominal)[0].values()
         lines.append(
             f"{label}: {graph.n_channels} delay cases; s3 patterns "
             f"{_total(s3_rows, 'n_incorrect')}/{_total(s3_rows, 'n_predicted')} off-node, "
@@ -420,9 +428,12 @@ def _tep_pipeline(lines: list[str], csv_path: str) -> None:
 
 
 # The suites `stpn-rca bench` runs, by name. Each body appends its report
-# lines, checks through `_check`; dataset1-desk and false-alarm take an
-# optional prebuilt desk bundle, energy-gap the optional pattern vectors of
-# the desk training series, and tep the path of the process CSV it reads.
+# lines, checks through `_check`. The three root-cause suites (dataset1-desk,
+# false-alarm, dataset23-desk) are a case table plus their print lines over
+# `_case_rows`, which scans each case once. dataset1-desk and false-alarm
+# take an optional prebuilt desk bundle, energy-gap the optional pattern
+# vectors of the desk training series, and tep the path of the process CSV
+# it reads.
 SUITES = {
     "prop1": _prop1,
     "metric-oracle": _metric_oracle,
@@ -439,6 +450,6 @@ SUITES = {
 def run_suite(name: str, *args) -> SuiteResult:
     """Run the suite `name` on `args`, timed; it passes when no check fails."""
     lines: list[str] = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     SUITES[name](lines, *args)
-    return SuiteResult(name, lines, time.time() - t0)
+    return SuiteResult(name, lines, time.perf_counter() - t0)

@@ -146,10 +146,16 @@ def run_rca(
     the remaining channels by anomaly score. An unknown method, or a3 on a
     bundle without a classifier, is a UsageError raised before the scan.
     """
-    f = bundle.stpn.n_channels
     analyse = _window_analyser(bundle, method)
-    scan, energies, flags = _scan_and_flag(bundle, ts)
+    return _rca_report(bundle, _scan_and_flag(bundle, ts), method, analyse, force, data_path)
 
+
+def _rca_report(bundle, scanned, method, analyse, force, data_path=""):
+    """The report of `run_rca` from the (scan, energies, flags) of one
+    `_scan_and_flag` and the analyser that `_window_analyser` resolved for
+    `method`."""
+    f = bundle.stpn.n_channels
+    scan, energies, flags = scanned
     windows = []
     flagged_counts: dict[int, int] = {}
     weight_sums: dict[int, float] = {}

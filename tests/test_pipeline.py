@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpnrca import pipeline
+from stpnrca import bench, pipeline
 from stpnrca.config import CONFIG_ENV_VAR, RunConfig
 from stpnrca.errors import DataError, UsageError
 from stpnrca.persist import BUNDLE_FILE
@@ -250,6 +250,48 @@ class TestDetectAndRca:
         assert len(report["aggregate"]["ranking"]) == 4
         for p in report["aggregate"]["failed_patterns"]:
             assert p["weight"] == 1.0
+
+
+class TestCaseRunner:
+    """bench._case_rows, the runner under the root-cause suites."""
+
+    def test_rows_are_those_of_the_user_path(self, toy_bundle, toy_fault_case, toy_nominal):
+        ts, labels = toy_fault_case
+        rows, flags = bench._case_rows(toy_bundle, [toy_fault_case], ("s3", "a3", "var"),
+                                       toy_nominal)
+        assert rows == {
+            "s3": [evaluate_case(run_rca(toy_bundle, ts, method="s3", force=True), labels)],
+            "a3": [evaluate_case(run_rca(toy_bundle, ts, method="a3", force=True), labels)],
+            "var": [evaluate_case(run_var_rca(toy_nominal, ts, toy_bundle.config), labels)],
+        }
+        assert len(flags) == 1
+        np.testing.assert_array_equal(flags[0], run_detect(toy_bundle, ts)[2])
+
+    def test_each_case_is_scanned_once(self, toy_bundle, toy_fault_case, monkeypatch):
+        scanned, scan_and_flag = [], pipeline._scan_and_flag
+
+        def counted(bundle, ts):
+            scanned.append(ts)
+            return scan_and_flag(bundle, ts)
+
+        # Counted both where the runner and where run_rca look the scan up.
+        monkeypatch.setattr(bench, "_scan_and_flag", counted)
+        monkeypatch.setattr(pipeline, "_scan_and_flag", counted)
+        bench._case_rows(toy_bundle, [toy_fault_case] * 2, ("s3", "a3"))
+        assert len(scanned) == 2
+
+    @pytest.mark.parametrize("method", ["bogus", "a3"])
+    def test_method_checked_before_any_scan(
+        self, toy_bundle, toy_fault_case, method, monkeypatch
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a case was scanned before the methods were checked")
+
+        monkeypatch.setattr(pipeline, "scan_windows", no_scan)
+        bundle = dataclasses.replace(toy_bundle, mlp=None)  # a3: no classifier
+        match = "classifier" if method == "a3" else f"{method}.*s3 or a3"
+        with pytest.raises(UsageError, match=match):
+            bench._case_rows(bundle, [toy_fault_case], ("s3", method))
 
 
 class TestEvaluateCase:

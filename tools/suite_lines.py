@@ -47,7 +47,7 @@ def main(argv=None) -> int:
 
     from stpnrca import bench
 
-    desk = bench.build_desk_context(with_a3=True)
+    desk = bench.build_desk_context()
     lines, failed = [], False
     for name in bench.SUITES:
         if name == "tep":
