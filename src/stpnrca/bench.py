@@ -6,8 +6,9 @@ reference experiments at a size that runs on one core in minutes; where a
 desk run cannot reproduce a full-scale published number, the suite reports
 the reference value alongside its own. The root-cause suites scan each case
 once, build each method's forced report from that scan with the code that
-`run_rca` runs after its own scan (the baseline through `run_var_rca`), and
-score it with `evaluate_case`: the path behind `stpn-rca rca` and
+`run_rca` runs after its own scan (the baseline's with the code that
+`run_var_rca` runs after its nominal fit, from one fit per nominal series),
+and score it with `evaluate_case`: the path behind `stpn-rca rca` and
 `stpn-rca evaluate`.
 
 `SUITES` names every suite that `stpn-rca bench` runs, `tep` among them.
@@ -32,8 +33,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import DataError
 from .metrics import diagnosis_cost, prf_counts
-from .pipeline import TrainedBundle, evaluate_case, run_rca, run_var_rca, train_bundle
-from .pipeline import _rca_report, _scan_and_flag, _window_analyser
+from .pipeline import TrainedBundle, evaluate_case, run_rca, train_bundle
+from .pipeline import _rca_report, _scan_and_flag, _var_report, _window_analyser
 from .rbm import free_energy, train_rbm
 from .stpn import train_stpn
 from .switching import exhaustive_switch_oracle, s3_search
@@ -272,19 +273,21 @@ def _case_rows(bundle: TrainedBundle, cases, methods, nominal: TimeSeries | None
     """Score every method's forced report on each (series, labels) case.
 
     Each case is scanned once; "s3" and "a3" build their reports from that
-    scan as `run_rca(..., force=True)` does, and "var" is
-    `run_var_rca(nominal, series, bundle.config)`. The methods are resolved
-    before any case is scanned. Returns the `evaluate_case` rows per method
-    and the detector's window flags per case.
+    scan as `run_rca(..., force=True)` does, and "var" is the report of
+    `run_var_rca(nominal, series, bundle.config)`, from one fit of `nominal`
+    for all the cases. The methods are resolved before any case is scanned.
+    Returns the `evaluate_case` rows per method and the detector's window
+    flags per case.
     """
     analysers = {m: _window_analyser(bundle, m) for m in methods if m != "var"}
+    a_nom = var_fit(nominal, bundle.config.var_lag) if "var" in methods else None
     rows: dict[str, list[dict]] = {m: [] for m in methods}
     flags: list[np.ndarray] = []
     for ts, labels in cases:
         scanned = _scan_and_flag(bundle, ts)
         flags.append(scanned[2])
         for m in methods:
-            report = (run_var_rca(nominal, ts, bundle.config) if m == "var"
+            report = (_var_report(a_nom, ts, bundle.config) if m == "var"
                       else _rca_report(bundle, scanned, m, analysers[m], force=True))
             rows[m].append(evaluate_case(report, labels))
     return rows, flags
@@ -430,10 +433,10 @@ def _tep_pipeline(lines: list[str], csv_path: str) -> None:
 # The suites `stpn-rca bench` runs, by name. Each body appends its report
 # lines, checks through `_check`. The three root-cause suites (dataset1-desk,
 # false-alarm, dataset23-desk) are a case table plus their print lines over
-# `_case_rows`, which scans each case once. dataset1-desk and false-alarm
-# take an optional prebuilt desk bundle, energy-gap the optional pattern
-# vectors of the desk training series, and tep the path of the process CSV
-# it reads.
+# `_case_rows`, which scans each case once and fits the nominal VAR once per
+# call. dataset1-desk and false-alarm take an optional prebuilt desk bundle,
+# energy-gap the optional pattern vectors of the desk training series, and
+# tep the path of the process CSV it reads.
 SUITES = {
     "prop1": _prop1,
     "metric-oracle": _metric_oracle,

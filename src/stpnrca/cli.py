@@ -250,6 +250,11 @@ def cmd_rca(args) -> int:
     _write_json(report, args.out)
     if args.out:
         print(f"report written to {args.out}")
+    # how spread the fault is; on stderr without --out, so stdout stays the report
+    f, aggregate = len(report["channels"]), report["aggregate"]
+    print(f"{len(aggregate['failed_patterns'])}/{f * f} patterns failed; "
+          f"node cover {len(aggregate['nodes'])}/{f} channels",
+          file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -6,6 +6,7 @@ and the benchmark suites drive the exact same code paths.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -60,15 +61,16 @@ def train_bundle(
 def _window_analyser(bundle: TrainedBundle, method: str):
     """The per-window analysis for `method`, resolved before any scan.
 
-    Returns a function from a pattern vector to (patterns, weights, trace);
-    the trace is empty for the classifier method. An unknown method, or a3
-    on a bundle without a classifier, is a UsageError.
+    Returns a function from a pattern vector to (patterns, weights, trace)
+    as Python ints and floats, the trace a list, empty for the classifier
+    method. An unknown method, or a3 on a bundle without a classifier, is a
+    UsageError.
     """
     if method == "s3":
 
         def analyse(vector):
             result = s3_search(bundle.rbm, vector)
-            return list(result.anomalous_patterns), list(result.weights), list(result.trace)
+            return result.anomalous_patterns, result.weights, list(result.trace)
 
         return analyse
     if method == "a3":
@@ -77,8 +79,8 @@ def _window_analyser(bundle: TrainedBundle, method: str):
 
         def analyse(vector):
             indicator, probs = infer_a3(bundle.mlp, vector, cutoff=bundle.config.a3_cutoff)
-            patterns = [int(i) for i in np.flatnonzero(indicator == 0)]
-            return patterns, [float(1.0 - probs[i]) for i in patterns], []
+            patterns = np.flatnonzero(indicator == 0)
+            return patterns.tolist(), (1.0 - probs[patterns]).tolist(), []
 
         return analyse
     raise UsageError(
@@ -101,28 +103,28 @@ def run_detect(bundle: TrainedBundle, ts: TimeSeries):
     return scan.starts, energies, flags
 
 
-def _pattern_entry(p: int, f: int, weight: float) -> dict:
-    source, target = index_pattern(p, f)
-    return {"index": int(p), "source": source, "target": target, "weight": float(weight)}
+# Reports of earlier builds carry no version key and score the same.
+_REPORT_VERSION = 2
 
 
-def _report(head: dict, failed: list[tuple[int, float, float]]) -> dict:
-    """`head` plus the case-level aggregate built from the failed patterns,
-    given as (pattern, weight, window fraction): the patterns, the greedy
-    node cover, and the ranking of every channel in head["channels"]."""
+def _report(head: dict, index: list, weight: list, fraction: list) -> dict:
+    """`head` plus the report version and the case-level aggregate built
+    from the failed patterns, given as their indices, weights and window
+    fractions: the patterns, the greedy node cover, and the ranking of every
+    channel in head["channels"]. A pattern's endpoints are divmod(index, f)."""
     names = head["channels"]
-    f = len(names)
-    inference = infer_nodes([(p, w) for p, w, _ in failed], f)
+    inference = infer_nodes(zip(index, weight), len(names))
 
     def nodes(ids, scores):
         return [{"node": int(n), "name": names[n], "score": float(s)} for n, s in zip(ids, scores)]
 
     return {
         **head,
+        "version": _REPORT_VERSION,
         "aggregate": {
             "failed_patterns": [
-                {**_pattern_entry(p, f, w), "window_fraction": fraction}
-                for p, w, fraction in failed
+                {"index": i, "weight": w, "window_fraction": q}
+                for i, w, q in zip(index, weight, fraction)
             ],
             "nodes": nodes(inference.nodes, inference.scores[: inference.n_cover]),
             "ranking": nodes(inference.ranking, inference.scores),
@@ -154,32 +156,35 @@ def _rca_report(bundle, scanned, method, analyse, force, data_path=""):
     """The report of `run_rca` from the (scan, energies, flags) of one
     `_scan_and_flag` and the analyser that `_window_analyser` resolved for
     `method`."""
-    f = bundle.stpn.n_channels
     scan, energies, flags = scanned
     windows = []
-    flagged_counts: dict[int, int] = {}
-    weight_sums: dict[int, float] = {}
-    n_analyzed = 0
-    for i, start in enumerate(scan.starts):
+    found_patterns, found_weights = [], []  # per analysed window
+    for start, energy, flag, vector in zip(scan.starts, energies, flags, scan.vectors):
         entry = {
             "start": int(start),
-            "free_energy": float(energies[i]),
-            "anomalous": bool(flags[i]),
-            "analyzed": bool(flags[i] or force),
+            "free_energy": float(energy),
+            "anomalous": bool(flag),
+            "analyzed": bool(flag or force),
             "patterns": [],
         }
         if entry["analyzed"]:
-            n_analyzed += 1
-            patterns, weights, trace = analyse(scan.vectors[i])
-            entry["patterns"] = [_pattern_entry(p, f, w) for p, w in zip(patterns, weights)]
+            patterns, pattern_weights, trace = analyse(vector)
+            entry["patterns"] = [{"index": p, "weight": w}
+                                 for p, w in zip(patterns, pattern_weights)]
             if trace:
-                entry["trace"] = [float(x) for x in trace]
-            for p, w in zip(patterns, weights):
-                flagged_counts[p] = flagged_counts.get(p, 0) + 1
-                weight_sums[p] = weight_sums.get(p, 0.0) + float(w)
+                entry["trace"] = trace
+            found_patterns.append(patterns)
+            found_weights.append(pattern_weights)
         windows.append(entry)
 
-    failed = sorted(p for p, c in flagged_counts.items() if c >= 0.5 * n_analyzed)
+    # Pool the windows: a pattern's count, and its weights summed in window
+    # order (bincount adds in input order), over the f*f patterns.
+    n_analyzed = len(found_patterns)
+    pooled = np.fromiter(itertools.chain.from_iterable(found_patterns), np.intp)
+    pooled_weights = np.fromiter(itertools.chain.from_iterable(found_weights), float)
+    counts = np.bincount(pooled, minlength=bundle.stpn.n_patterns)
+    sums = np.bincount(pooled, pooled_weights, minlength=bundle.stpn.n_patterns)
+    failed = np.flatnonzero(counts >= max(0.5 * n_analyzed, 1))
     head = {
         "method": method,
         "config_fingerprint": bundle.config.fingerprint(),
@@ -187,14 +192,13 @@ def _rca_report(bundle, scanned, method, analyse, force, data_path=""):
         "channels": list(bundle.stpn.names),
         "window_length": bundle.stpn.window_length,
         "n_windows": int(len(scan.starts)),
-        "n_analyzed": int(n_analyzed),
+        "n_analyzed": n_analyzed,
         "forced": bool(force),
         "energy_threshold": float(bundle.energy_threshold),
         "windows": windows,
     }
-    return _report(
-        head, [(p, weight_sums[p], flagged_counts[p] / max(n_analyzed, 1)) for p in failed]
-    )
+    return _report(head, failed.tolist(), sums[failed].tolist(),
+                   (counts[failed] / max(n_analyzed, 1)).tolist())
 
 
 def evaluate_case(report: dict, labels: dict) -> dict:
@@ -209,8 +213,14 @@ def evaluate_case(report: dict, labels: dict) -> dict:
     fault is null are false-alarm cases. Node faults get the error ratio
     (patterns not incident to the injected node), the node-set TP/FN/FP
     counts, and the diagnosis cost. Labels without a `fault` key, or with a
-    fault kind other than pattern_break or node_delay, are a DataError.
+    fault kind other than pattern_break or node_delay, are a DataError, as
+    is a report version other than 2. A report without one is of an earlier
+    build; it scores the same, since only the pattern indices are read.
     """
+    version = report.get("version", _REPORT_VERSION)
+    if version != _REPORT_VERSION:
+        raise DataError(f"report version {version!r}: this toolkit reads version "
+                        f"{_REPORT_VERSION}, or a report of an earlier build, which has none")
     if report.get("channels") != labels.get("channels"):
         raise DataError(
             f"channel mismatch: report has {report.get('channels')}, "
@@ -286,9 +296,12 @@ def run_var_rca(
     """Baseline report from differencing two least-squares fits."""
     if nominal.names != test.names:
         raise DataError("nominal and test series must share channels")
-    a_nom = var_fit(nominal, config.var_lag)
-    a_ano = var_fit(test, config.var_lag)
-    failed = var_rca_baseline(a_nom, a_ano, eta=config.var_eta)
+    return _var_report(var_fit(nominal, config.var_lag), test, config, data_path)
+
+
+def _var_report(a_nom, test: TimeSeries, config: RunConfig, data_path: str = "") -> dict:
+    """The report of `run_var_rca` from the nominal fit `a_nom`."""
+    failed = var_rca_baseline(a_nom, var_fit(test, config.var_lag), eta=config.var_eta)
     head = {
         "method": "var",
         "config_fingerprint": config.fingerprint(),
@@ -299,4 +312,5 @@ def run_var_rca(
         "forced": True,
         "windows": [],
     }
-    return _report(head, [(p, 1.0, 1.0) for p in failed])  # baseline weights fixed at 1
+    ones = [1.0] * len(failed)  # baseline weights fixed at 1
+    return _report(head, failed, ones, ones)

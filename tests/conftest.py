@@ -84,3 +84,25 @@ def rewrite_header():
         path.write_bytes(json.dumps(doc).encode() + b"\n" + rest)
 
     return edit
+
+
+@pytest.fixture(scope="session")
+def earlier_report():
+    """earlier(report): `report` in the form earlier builds wrote, with no
+    version key and each pattern entry also carrying its endpoints,
+    `source` and `target` = divmod(index, f)."""
+
+    def earlier(report):
+        f = len(report["channels"])
+
+        def entries(patterns):
+            return [{**p, **dict(zip(("source", "target"), divmod(p["index"], f)))}
+                    for p in patterns]
+
+        old = {k: v for k, v in report.items() if k != "version"}
+        old["windows"] = [{**w, "patterns": entries(w["patterns"])} for w in report["windows"]]
+        old["aggregate"] = {**report["aggregate"],
+                            "failed_patterns": entries(report["aggregate"]["failed_patterns"])}
+        return old
+
+    return earlier

@@ -496,6 +496,27 @@ class TestRca:
         assert run(*args, "--out", tmp_path / "report.json") == 0
         assert printed == (tmp_path / "report.json").read_text()
 
+    # forced s3 on the toy fault finds patterns 0->1, 0->2 and 0->3, covered by channel 0
+    SPREAD = "3/16 patterns failed; node cover 1/4 channels\n"
+
+    def test_spread_follows_the_written_report(self, workdir, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run("rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+                   "--force", "--out", out) == 0
+        assert capsys.readouterr() == (f"report written to {out}\n{self.SPREAD}", "")
+
+    def test_spread_goes_to_stderr_without_out(self, workdir, capsys):
+        assert run("rca", "--model", workdir / "bundle", "--data", workdir / "fault.csv",
+                   "--force") == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1 and json.loads(captured.out)["n_analyzed"] == 6
+        assert captured.err == self.SPREAD
+        assert run("rca", "--model", workdir / "bundle", "--data", workdir / "fresh.csv") == 0
+        assert capsys.readouterr().err == (
+            "no window flagged anomalous; re-run with --force to analyze anyway\n"
+            "0/16 patterns failed; node cover 0/4 channels\n"
+        )
+
     def test_var_method(self, workdir, tmp_path):
         out = tmp_path / "var.json"
         code = run(
@@ -667,6 +688,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "unknown fault kind 'bogus'" in err and str(report_path) in err and str(bad) in err
 
+    def test_report_of_another_version_is_refused(self, report_and_labels, tmp_path, capsys):
+        report_path, labels_path = report_and_labels
+        future = tmp_path / "future.report.json"
+        future.write_text(json.dumps({**json.loads(report_path.read_text()), "version": 3}))
+        assert run("evaluate", "--reports", future, "--labels", labels_path) == 2
+        err = capsys.readouterr().err
+        assert "report version 3" in err and str(future) in err
+
     def test_count_mismatch(self, report_and_labels):
         report_path, labels_path = report_and_labels
         code = run(
@@ -743,19 +772,23 @@ class TestJsonOutput:
         _, labels = synth.simulate_case(graph, spec, 4000, config.seed + 777, "fault", 0)
         assert _same_exactly(labels, json.loads(text))
 
-    def test_indented_reports_of_earlier_builds_score_the_same(self, plant, tmp_path, capsys):
+    def test_indented_reports_of_earlier_builds_score_the_same(self, plant, tmp_path, capsys,
+                                                               earlier_report):
+        # earlier builds wrote no version key, each entry's source and target,
+        # and, before that, indented JSON
         data, _, report = plant
-        indented = tmp_path / "fault.indented.json"
-        indented.write_text(json.dumps(json.loads(report.read_text()), indent=1,
-                                       sort_keys=True) + "\n")
+        earlier = earlier_report(json.loads(report.read_text()))
+        compact, indented = tmp_path / "fault.earlier.json", tmp_path / "fault.indented.json"
+        compact.write_text(json.dumps(earlier))
+        indented.write_text(json.dumps(earlier, indent=1, sort_keys=True) + "\n")
         runs = []
-        for path in (report, indented):
+        for path in (report, compact, indented):
             table = tmp_path / f"{path.stem}.csv"
             assert run("evaluate", "--reports", path, "--labels", data / "fault.labels.json",
                        "--out", table) == 0
             runs.append((capsys.readouterr().out.replace(str(table), "TABLE"),
                          table.read_bytes()))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestBench:

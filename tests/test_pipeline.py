@@ -293,6 +293,95 @@ class TestCaseRunner:
         with pytest.raises(UsageError, match=match):
             bench._case_rows(bundle, [toy_fault_case], ("s3", method))
 
+    def test_nominal_fit_once_per_call(self, toy_bundle, toy_fault_case, toy_nominal,
+                                       monkeypatch):
+        fits, var_fit = [], pipeline.var_fit
+
+        def counted(ts, p=1):
+            fits.append(ts is toy_nominal)
+            return var_fit(ts, p)
+
+        # Counted both where the runner and where the var report look the fit up.
+        monkeypatch.setattr(bench, "var_fit", counted)
+        monkeypatch.setattr(pipeline, "var_fit", counted)
+        for n_cases in (1, 3):
+            fits.clear()
+            rows, _ = bench._case_rows(toy_bundle, [toy_fault_case] * n_cases, ("s3", "var"),
+                                       toy_nominal)
+            assert fits == [True] + [False] * n_cases
+        monkeypatch.undo()
+        ts, labels = toy_fault_case
+        assert rows["var"] == [evaluate_case(run_var_rca(toy_nominal, ts, toy_bundle.config),
+                                             labels)] * 3
+
+
+def pooled_by_dict_loop(report) -> list[tuple[int, str, str]]:
+    """The failed patterns as a loop over the analysed windows' entries
+    pools them: counts and weight sums in dicts, window by window, kept
+    where the count reaches half the analysed windows. Floats as hex."""
+    counts, sums = {}, {}
+    windows = [w for w in report["windows"] if w["analyzed"]]
+    for w in windows:
+        for p in w["patterns"]:
+            counts[p["index"]] = counts.get(p["index"], 0) + 1
+            sums[p["index"]] = sums.get(p["index"], 0.0) + p["weight"]
+    n = len(windows)
+    return [(i, sums[i].hex(), (counts[i] / max(n, 1)).hex())
+            for i in sorted(counts) if counts[i] >= 0.5 * n]
+
+
+def aggregate_hexed(report) -> list[tuple[int, str, str]]:
+    return [(p["index"], p["weight"].hex(), p["window_fraction"].hex())
+            for p in report["aggregate"]["failed_patterns"]]
+
+
+class TestReportEntries:
+    """Each pattern entry is its index and weight; the aggregate pools the
+    analysed windows' entries with the exact floats of a dict loop."""
+
+    @pytest.mark.parametrize("method", ["s3", "a3", "var"])
+    def test_entries_are_index_and_weight(self, toy_bundle, toy_fault_ts, toy_nominal, method):
+        report = (run_var_rca(toy_nominal, toy_fault_ts, toy_bundle.config) if method == "var"
+                  else run_rca(toy_bundle, toy_fault_ts, method=method, force=True))
+        assert report["version"] == 2
+        window_entries = [p for w in report["windows"] for p in w["patterns"]]
+        failed = report["aggregate"]["failed_patterns"]
+        assert failed and (window_entries or method == "var")
+        assert all(p.keys() == {"index", "weight"} for p in window_entries)
+        assert all(p.keys() == {"index", "weight", "window_fraction"} for p in failed)
+        assert all(type(p["index"]) is int and type(p["weight"]) is float
+                   for p in window_entries + failed)
+
+    @pytest.mark.parametrize("method, force", [("s3", True), ("s3", False), ("a3", True)])
+    def test_aggregate_equals_a_dict_loop(self, toy_bundle, toy_fault_ts, method, force):
+        report = run_rca(toy_bundle, toy_fault_ts, method=method, force=force)
+        assert report["n_analyzed"] >= (2 if force else 1)
+        assert report["aggregate"]["failed_patterns"]
+        assert aggregate_hexed(report) == pooled_by_dict_loop(report)
+
+    def test_no_analysed_window_fails_no_pattern(self, toy_bundle, toy_fresh_nominal):
+        report = run_rca(toy_bundle, toy_fresh_nominal, method="s3")
+        assert report["n_analyzed"] == 0 and report["windows"]
+        assert report["aggregate"]["failed_patterns"] == pooled_by_dict_loop(report) == []
+
+    def test_weights_sum_in_window_order(self, toy_bundle, toy_fault_ts):
+        # 1 + 2**-53 rounds back to 1 at each step, so only the window order
+        # gives 1.0; summed in any other order the small weights add up first
+        tiny = 2.0**-53
+        n_windows = 0
+
+        def analyse(vector):
+            nonlocal n_windows
+            n_windows += 1
+            return ([5, 7], [1.0, 0.5], []) if n_windows == 1 else ([5], [tiny], [])
+
+        scanned = pipeline._scan_and_flag(toy_bundle, toy_fault_ts)
+        report = pipeline._rca_report(toy_bundle, scanned, "s3", analyse, force=True)
+        assert n_windows >= 3
+        assert aggregate_hexed(report) == pooled_by_dict_loop(report)
+        assert aggregate_hexed(report)[0] == (5, (1.0).hex(), (1.0).hex())
+        assert sum([tiny] * (n_windows - 1) + [1.0]) != 1.0
+
 
 class TestEvaluateCase:
     def test_pattern_break_case(self, toy_bundle):
@@ -415,6 +504,41 @@ class TestEvaluateCase:
         }
         with pytest.raises(DataError, match="mismatch"):
             evaluate_case(report, labels)
+
+    @staticmethod
+    def false_alarm_pair():
+        report = {
+            "method": "s3",
+            "channels": ["a", "b"],
+            "n_analyzed": 1,
+            "aggregate": {"failed_patterns": [], "nodes": [], "ranking": []},
+            "windows": [{"analyzed": True, "patterns": [{"index": 3, "weight": 0.5}]}],
+        }
+        labels = {"channels": ["a", "b"], "fault": None, "failed_patterns": [],
+                  "failed_nodes": []}
+        return report, labels
+
+    def test_report_of_version_2_or_of_an_earlier_build_is_read(self):
+        report, labels = self.false_alarm_pair()
+        out = evaluate_case(report, labels)  # no version key: an earlier build
+        assert out["false_alarm_fraction"] == 0.25
+        assert evaluate_case({**report, "version": 2}, labels) == out
+
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_other_report_version_is_data_error(self, version):
+        report, labels = self.false_alarm_pair()
+        with pytest.raises(DataError, match=f"report version {version!r}"):
+            evaluate_case({**report, "version": version}, labels)
+
+    @pytest.mark.parametrize("method", ["s3", "a3"])
+    def test_earlier_report_form_scores_the_same(self, toy_bundle, toy_fault_case, method,
+                                                 earlier_report):
+        ts, labels = toy_fault_case
+        report = run_rca(toy_bundle, ts, method=method, force=True)
+        earlier = earlier_report(report)
+        assert "version" not in earlier
+        assert earlier["aggregate"]["failed_patterns"][0].keys() > {"source", "target"}
+        assert evaluate_case(earlier, labels) == evaluate_case(report, labels)
 
 
 @st.composite
