@@ -13,7 +13,8 @@ and score it with `evaluate_case`: the path behind `stpn-rca rca` and
 
 `SUITES` names every suite that `stpn-rca bench` runs, `tep` among them.
 `run_suite` times one and returns its `SuiteResult`, which passes when none
-of its lines is a failed check.
+of its lines is a failed check; the warnings a suite raises are among its
+lines.
 
 Shared oracles live here too: the exact-arithmetic evaluation of the
 inference metric (big-integer binomial coefficients plus `decimal` logs,
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import decimal
 import time
+import warnings
 from dataclasses import dataclass, replace
 from math import comb, prod
 
@@ -451,8 +453,13 @@ SUITES = {
 
 
 def run_suite(name: str, *args) -> SuiteResult:
-    """Run the suite `name` on `args`, timed; it passes when no check fails."""
+    """Run the suite `name` on `args`, timed; it passes when no check fails.
+    Every warning the suite raises becomes a "warning: <message>" line where
+    it was raised among the suite's lines; such a line is not a check."""
     lines: list[str] = []
     t0 = time.perf_counter()
-    SUITES[name](lines, *args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: lines.append(f"warning: {message}")
+        SUITES[name](lines, *args)
     return SuiteResult(name, lines, time.perf_counter() - t0)

@@ -45,6 +45,7 @@ from .pipeline import (
     train_bundle,
 )
 from .synth import (
+    MODE_DROPPED,
     FaultSpec,
     builtin_modes,
     pattern_fault_cases,
@@ -149,12 +150,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("nothing to simulate: pass --modes builtin, --cases, or --fault")
     mode_index, name = args.mode or 0, args.name or "fault"
 
-    if args.nodes is not None:
-        graph = random_graph(args.nodes, seed=config.seed)
-    else:
-        graph = builtin_modes()[mode_index]
+    modes = builtin_modes() if args.nodes is None else ()
+    graph = modes[mode_index] if modes else random_graph(args.nodes, seed=config.seed)
     # simulate_var's burn-in rule, checked here so that the message names the flag
-    graphs = [graph, *builtin_modes()] if args.modes else [graph]
+    graphs = [graph, *modes] if args.modes else [graph]
     min_samples = 10 * max(g.n_lags for g in graphs)
     if args.samples < min_samples:
         raise UsageError(f"--samples takes at least {min_samples} samples, got {args.samples}")
@@ -163,7 +162,7 @@ def cmd_simulate(args) -> int:
     # no directory behind
     labelled, nominal = [], None
     if args.modes == "builtin":
-        for i, mode in enumerate(builtin_modes()):
+        for i, mode in enumerate(modes):
             labelled.append(simulate_case(
                 mode, None, args.samples, config.seed + i, f"nominal_mode{i + 1}", i))
     for ci, case_edges in enumerate(cases[: args.cases or 0]):
@@ -324,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cases", type=int, help="emit the first N (1-30) pattern-fault cases")
     p.add_argument("--nodes", type=int,
                    help="break a seeded random graph of N >= 2 nodes (--fault only)")
-    p.add_argument("--mode", type=int, choices=range(len(builtin_modes())),
+    p.add_argument("--mode", type=int, choices=range(len(MODE_DROPPED)),
                    help="builtin mode index for --cases and --fault (0-based, default 0)")
     p.add_argument("--fault", help="node-delay:NODE:DELAY or pattern-break:SRC-DST,...")
     p.add_argument("--samples", type=int, default=12000)

@@ -36,35 +36,40 @@ def infer_nodes(failed, f: int) -> NodeInferenceResult:
     """Greedy cover of failed patterns by their incident channels, and the
     full channel ranking that follows it.
 
-    `failed` is an iterable of (pattern index, weight) pairs; duplicate
-    indices accumulate weight. An empty input yields an empty cover. Ties
-    in the score go to the lowest channel index.
+    `failed` is the failed-pattern pool as a pair (index, weight) of
+    equal-length 1-D arrays: each pattern's index, integers in strictly
+    ascending order (so each pattern appears once), and its weight. Scores
+    sum the weights in that order. An empty pool yields an empty cover.
+    Ties in the score go to the lowest channel index. Arrays of other shapes
+    or kinds, or a bad entry (an index out of range, not an integer or not
+    above the one before it, or a non-finite weight), are a DataError that
+    names the first bad entry.
     """
-    pairs = [(int(idx), float(weight)) for idx, weight in failed]
-    # as floats, which order ints as the ints do: a bad index stays out of range
-    try:
-        index, weight = np.array(list(zip(*pairs)) or [(), ()], dtype=float)
-    except OverflowError:  # an index past the float range: clipped, it stays out of range
-        index, weight = np.array([(min(max(i, -1), f * f), w) for i, w in pairs]).T
-    bad_index = (index < 0) | (index >= f * f)
-    bad = bad_index | ~np.isfinite(weight)
+    index, weight = map(np.asarray, failed)
+    numeric = index.dtype.kind in "iuf" and weight.dtype.kind in "iuf"
+    if not numeric or index.ndim != 1 or index.shape != weight.shape:
+        raise DataError(f"failed patterns take numeric 1-D index and weight arrays of one "
+                        f"length, not {index.dtype}{index.shape} and {weight.dtype}{weight.shape}")
+    out_of_range = (index < 0) | (index >= f * f)
+    fractional = np.floor(index) != index  # a NaN index too
+    unordered = np.r_[False, index[1:] <= index[:-1]]
+    bad = out_of_range | fractional | unordered | ~np.isfinite(weight)
     if bad.any():
-        first = int(bad.argmax())
-        idx = pairs[first][0]
-        if bad_index[first]:
+        k = int(bad.argmax())
+        idx = index[k].item()
+        if out_of_range[k]:
             raise DataError(f"pattern index {idx} out of range for f={f}")
+        if fractional[k]:
+            raise DataError(f"pattern index {idx} is not an integer")
+        if unordered[k]:
+            raise DataError(f"pattern index {idx} follows {index[k - 1].item()}: "
+                            "indices must be strictly ascending")
         raise DataError(f"non-finite weight for pattern {idx}")
 
-    # the pool: each distinct index in first-occurrence order, its weights
-    # summed in input order (np.add.at adds one at a time), as a dict would
-    keys, seen, inverse = np.unique(index.astype(np.intp), return_index=True, return_inverse=True)
-    pooled = np.zeros(keys.size)
-    np.add.at(pooled, inverse, weight)
-    order = np.argsort(seen)
-    source, target = np.divmod(keys[order], f)
+    source, target = np.divmod(index.astype(np.intp), f)
     # a self-pattern counts once: its second endpoint goes to an extra bin f
     ends = np.stack([source, np.where(source == target, f, target)], axis=1)
-    weights = np.repeat(pooled[order], 2).reshape(-1, 2)
+    weights = np.repeat(weight.astype(float), 2).reshape(-1, 2)
 
     # bincount adds the weights in pool order, as a loop over the pool would,
     # so the sums match that loop bit for bit; on no input it returns ints

@@ -107,13 +107,14 @@ def run_detect(bundle: TrainedBundle, ts: TimeSeries):
 _REPORT_VERSION = 2
 
 
-def _report(head: dict, index: list, weight: list, fraction: list) -> dict:
+def _report(head: dict, index: np.ndarray, weight: np.ndarray, fraction: np.ndarray) -> dict:
     """`head` plus the report version and the case-level aggregate built
-    from the failed patterns, given as their indices, weights and window
-    fractions: the patterns, the greedy node cover, and the ranking of every
-    channel in head["channels"]. A pattern's endpoints are divmod(index, f)."""
+    from the failed-pattern pool, given as arrays of the patterns' indices
+    (ascending), weights and window fractions: the patterns, the greedy node
+    cover, and the ranking of every channel in head["channels"]. A pattern's
+    endpoints are divmod(index, f)."""
     names = head["channels"]
-    inference = infer_nodes(zip(index, weight), len(names))
+    inference = infer_nodes((index, weight), len(names))
 
     def nodes(ids, scores):
         return [{"node": int(n), "name": names[n], "score": float(s)} for n, s in zip(ids, scores)]
@@ -124,7 +125,7 @@ def _report(head: dict, index: list, weight: list, fraction: list) -> dict:
         "aggregate": {
             "failed_patterns": [
                 {"index": i, "weight": w, "window_fraction": q}
-                for i, w, q in zip(index, weight, fraction)
+                for i, w, q in zip(index.tolist(), weight.tolist(), fraction.tolist())
             ],
             "nodes": nodes(inference.nodes, inference.scores[: inference.n_cover]),
             "ranking": nodes(inference.ranking, inference.scores),
@@ -197,8 +198,7 @@ def _rca_report(bundle, scanned, method, analyse, force, data_path=""):
         "energy_threshold": float(bundle.energy_threshold),
         "windows": windows,
     }
-    return _report(head, failed.tolist(), sums[failed].tolist(),
-                   (counts[failed] / max(n_analyzed, 1)).tolist())
+    return _report(head, failed, sums[failed], counts[failed] / max(n_analyzed, 1))
 
 
 def evaluate_case(report: dict, labels: dict) -> dict:
@@ -312,5 +312,5 @@ def _var_report(a_nom, test: TimeSeries, config: RunConfig, data_path: str = "")
         "forced": True,
         "windows": [],
     }
-    ones = [1.0] * len(failed)  # baseline weights fixed at 1
-    return _report(head, failed, ones, ones)
+    ones = np.ones(len(failed))  # baseline weights fixed at 1
+    return _report(head, np.array(failed, dtype=np.intp), ones, ones)

@@ -427,11 +427,5 @@ def var_rca_baseline(
     if peak == 0.0:
         warnings.warn("identical coefficient tensors: threshold undefined")
         return []
-    f = delta.shape[0]
-    failed = [
-        pattern_index(j, i, f)
-        for i in range(f)
-        for j in range(f)
-        if delta[i, j] > eta * peak
-    ]
-    return sorted(failed)
+    # pattern j->i is j*f + i, so the flat positions of delta.T are the indices
+    return np.flatnonzero(delta.T > eta * peak).tolist()

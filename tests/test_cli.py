@@ -171,6 +171,43 @@ class TestSimulate:
         assert "--mode" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_parser_builds_no_mode_graph(self, tmp_path, monkeypatch, capsys):
+        # --mode's choices come from the mode table, not from building the graphs
+        def refuse():
+            raise AssertionError("builtin_modes called")
+
+        assert len(synth.builtin_modes()) == len(synth.MODE_DROPPED)
+        monkeypatch.setattr(cli, "builtin_modes", refuse)
+        cli.build_parser()
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--cases", "1", "--mode", "6") == 1
+        assert "--mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("pattern-break:0-1:2", "bad fault spec 'pattern-break:0-1:2': "),
+            ("bogus:1", "bad fault spec 'bogus:1'; use node-delay:NODE:DELAY or "
+                        "pattern-break:SRC-DST[,SRC-DST...]"),
+            ("node-delay:-1:5", "bad fault spec 'node-delay:-1:5': node_delay needs a node index"),
+        ],
+        ids=["pattern-break-extra-field", "unknown-kind", "negative-node"],
+    )
+    def test_bad_fault_spec_is_usage_error(self, tmp_path, fault, message, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--samples", "200", "--fault", fault) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_delay_past_the_series_names_the_fault_flag(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["--fault", "node-delay:1:5000", "--samples", "4000"]
+        assert run("simulate", "--out", out, *argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --fault node-delay:1:5000: delay longer than the series\n")
+        assert not out.exists()
+
 
 class TestTrainDeterminism:
     def test_same_seed_byte_identical_bundles(self, tmp_path, toy_nominal):
@@ -531,6 +568,27 @@ class TestRca:
     def test_model_required_for_s3(self, workdir):
         assert run("rca", "--data", workdir / "fault.csv") == 1
 
+    def test_var_nominal_of_other_channels_is_data_error(self, workdir, tmp_path, capsys):
+        nominal = read_csv(workdir / "nominal.csv")
+        renamed = tmp_path / "renamed.csv"
+        write_csv(TimeSeries(("a", "b", "c", "d"), nominal.values), renamed)
+        code = run("rca", "--data", workdir / "fault.csv", "--method", "var",
+                   "--nominal", renamed)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: nominal and test series must share channels\n")
+
+    def test_var_rank_deficient_test_fit_is_numerical_failure(self, workdir, tmp_path, capsys):
+        test = read_csv(workdir / "fault.csv")
+        values = test.values.copy()
+        values[:, 1] = values[:, 0]  # two identical columns
+        twin = tmp_path / "twin.csv"
+        write_csv(TimeSeries(test.names, values), twin)
+        code = run("rca", "--data", twin, "--method", "var", "--nominal", workdir / "nominal.csv")
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: rank-deficient regressor matrix (rank ")
+
     @pytest.mark.parametrize("method", ["s3", "a3"])
     @pytest.mark.parametrize("flag", ["--set", "--config"])
     def test_config_flags_rejected_for_bundle_methods(
@@ -851,6 +909,29 @@ class TestUsageErrors:
         capsys.readouterr()
         assert run(*argv, flag) == 1
         assert flag.split("=")[0] in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = run("train", "--config", missing, "--nominal", tmp_path / "n.csv",
+                   "--out", tmp_path / "b")
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: config file not found: {missing}\n"
+
+    def test_config_file_comments_and_blank_lines_are_skipped(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# seeds every case\n\n   \nseed = 5  # the base seed\n")
+        out = tmp_path / "sim"
+        argv = ["--config", config, "--out", out, "--cases", "1", "--samples", "200"]
+        assert run("simulate", *argv) == 0
+        assert json.loads((out / "case01.labels.json").read_text())["seed"] == 5 + 9000
+
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a comment\n\nseed 5\n")
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", config, "--out", out, "--cases", "1") == 1
+        assert capsys.readouterr().err == f"usage error: {config}:3: expected 'key = value'\n"
+        assert not out.exists()
 
     def test_bad_set_syntax(self, tmp_path, toy_nominal):
         data = tmp_path / "n.csv"

@@ -22,11 +22,15 @@ def _load_tool():
 def test_counts_print_as_integers_and_flags_match_the_parser(capsys):
     assert _load_tool().main([str(REPO)]) == 0
     matches = [re.fullmatch(r"(.+): (\d+)", line) for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(path.name for path in (REPO / "src" / "stpnrca").glob("*.py"))
     assert [m and m.group(1) for m in matches] == [
-        "src/stpnrca lines", "src/stpnrca code lines", "settable parameters", "cli flags"
+        "src/stpnrca lines", "src/stpnrca code lines", "settable parameters", "cli flags",
+        *(f"code lines {name}" for name in modules),
     ]
     counts = {m.group(1): int(m.group(2)) for m in matches}
     assert 0 < counts["src/stpnrca code lines"] < counts["src/stpnrca lines"]
+    per_module = [counts[f"code lines {name}"] for name in modules]
+    assert sum(per_module) == counts["src/stpnrca code lines"]
     assert counts["settable parameters"] > 0
 
     parser = build_parser()

@@ -11,12 +11,21 @@ from stpnrca.stpn import index_pattern, pattern_index
 
 
 def as_failed(edges, f, weight=1.0):
-    return [(pattern_index(a, b, f), weight) for a, b in edges]
+    """The pool of `edges`, each of weight `weight`: (index, weight) arrays in
+    ascending index order."""
+    index = np.sort([pattern_index(a, b, f) for a, b in edges]).astype(int)
+    return index, np.full(index.size, weight)
+
+
+def pool(pairs):
+    """(index, weight) arrays from (index, weight) pairs given in pool order."""
+    index, weight = zip(*pairs) if pairs else ((), ())
+    return np.array(index, dtype=int), np.array(weight, dtype=float)
 
 
 class TestInferNodes:
     def test_empty_input(self):
-        result = infer_nodes([], f=5)
+        result = infer_nodes(([], []), f=5)
         assert result.nodes == ()
 
     def test_single_cross_pattern_tie_to_lower_endpoint(self):
@@ -36,19 +45,42 @@ class TestInferNodes:
         assert result.nodes == (2,)
         assert result.scores[: result.n_cover] == (0.5,)
 
-    def test_duplicate_indices_accumulate(self):
+    def test_duplicated_index_is_refused(self):
+        # the pool arrives pooled: a repeated index is an error, not a sum
         idx = pattern_index(0, 1, 3)
-        result = infer_nodes([(idx, 1.0), (idx, 2.0)], f=3)
-        assert result.scores[: result.n_cover] == (3.0,)
+        with pytest.raises(DataError, match=f"pattern index {idx} follows {idx}"):
+            infer_nodes(([idx, idx], [1.0, 2.0]), f=3)
+
+    def test_unsorted_index_is_refused(self):
+        with pytest.raises(DataError, match="pattern index 2 follows 5: indices must be strictly"):
+            infer_nodes(([1, 5, 2], [1.0, 1.0, 1.0]), f=3)
+
+    def test_lists_and_integral_float_indices_read_as_integer_arrays(self):
+        index, weight = as_failed([(0, 1), (1, 2), (2, 2)], f=3, weight=0.25)
+        expected = infer_nodes((index, weight), f=3)
+        assert infer_nodes((index.tolist(), weight.tolist()), f=3) == expected
+        assert infer_nodes((index.astype(float), weight), f=3) == expected
+        assert infer_nodes((index.astype(np.uint8), weight.astype(np.float32)), f=3) == expected
+
+    @pytest.mark.parametrize("failed", [
+        ([0, 1], [1.0]),
+        ([[0, 1]], [[1.0, 1.0]]),
+        (3, 1.0),
+        (np.array(["0"]), [1.0]),
+        ([0], [None]),
+        ([True], [1.0]),
+    ], ids=["lengths", "2-D", "scalars", "text-index", "object-weight", "bool-index"])
+    def test_arrays_of_another_shape_or_kind_are_refused(self, failed):
+        with pytest.raises(DataError, match="numeric 1-D index and weight arrays of one length"):
+            infer_nodes(failed, f=3)
 
     def test_termination_and_coverage(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             f = int(rng.integers(2, 7))
             n_patterns = int(rng.integers(1, f * f + 1))
-            indices = rng.choice(f * f, size=n_patterns, replace=False)
-            failed = [(int(i), float(rng.random() + 0.1)) for i in indices]
-            result = infer_nodes(failed, f=f)
+            indices = np.sort(rng.choice(f * f, size=n_patterns, replace=False))
+            result = infer_nodes((indices, rng.random(n_patterns) + 0.1), f=f)
             assert len(result.nodes) <= n_patterns
             uncovered = {int(i) for i in indices}
             for node in result.nodes:
@@ -59,35 +91,42 @@ class TestInferNodes:
 
     def test_selection_invariant_to_weight_scaling(self):
         rng = np.random.default_rng(1)
-        indices = rng.choice(25, size=8, replace=False)
-        failed = [(int(i), float(rng.random() + 0.05)) for i in indices]
-        base = infer_nodes(failed, f=5)
-        scaled = infer_nodes([(i, 7.3 * w) for i, w in failed], f=5)
+        indices = np.sort(rng.choice(25, size=8, replace=False))
+        weights = rng.random(8) + 0.05
+        base = infer_nodes((indices, weights), f=5)
+        scaled = infer_nodes((indices, 7.3 * weights), f=5)
         assert base.nodes == scaled.nodes
 
     def test_weights_of_zero_or_below_terminate(self):
         # s3 weights fall to zero or below when the original free energy is
         # zero or positive; an untouched channel then tops the score
-        assert infer_nodes([(pattern_index(2, 2, 3), 0.0)], f=3).nodes == (2,)
-        result = infer_nodes([(pattern_index(1, 2, 3), -1.0)], f=3)
+        assert infer_nodes(as_failed([(2, 2)], f=3, weight=0.0), f=3).nodes == (2,)
+        result = infer_nodes(as_failed([(1, 2)], f=3, weight=-1.0), f=3)
         assert result.nodes == (1,) and result.scores[: result.n_cover] == (-1.0,)
 
     def test_bad_index(self):
         with pytest.raises(DataError):
-            infer_nodes([(25, 1.0)], f=5)
+            infer_nodes(([25], [1.0]), f=5)
 
     def test_nonfinite_weight(self):
         with pytest.raises(DataError):
-            infer_nodes([(0, float("nan"))], f=5)
+            infer_nodes(([0], [float("nan")]), f=5)
 
     @pytest.mark.parametrize("failed, message", [
-        ([(0, float("nan")), (25, 1.0)], "non-finite weight for pattern 0"),
-        ([(25, 1.0), (0, float("nan"))], "pattern index 25 out of range for f=5"),
-        ([(25, float("nan"))], "pattern index 25 out of range for f=5"),
-        ([(0, 1.0), (-(10**400), 1.0)], f"pattern index {-(10**400)} out of range for f=5"),
+        (([0, 25], [float("nan"), 1.0]), "non-finite weight for pattern 0"),
+        (([25, 0], [1.0, float("nan")]), "pattern index 25 out of range for f=5"),
+        (([25], [float("nan")]), "pattern index 25 out of range for f=5"),
+        (([0, -(10**18)], [1.0, 1.0]), f"pattern index {-(10**18)} out of range for f=5"),
+        (([0, 2.5], [1.0, float("inf")]), "pattern index 2.5 is not an integer"),
+        (([float("nan")], [1.0]), "pattern index nan is not an integer"),
+        (([3, 3, 30], [1.0, 1.0, 1.0]),
+         "pattern index 3 follows 3: indices must be strictly ascending"),
+        (([4, 3], [float("nan"), 1.0]), "non-finite weight for pattern 4"),
+        (([4, 3], [1.0, float("nan")]),
+         "pattern index 3 follows 4: indices must be strictly ascending"),
     ])
     def test_first_bad_pair_is_named(self, failed, message):
-        # pairs are checked in input order, and a pair's index before its weight
+        # entries are checked in pool order, and an entry's index before its weight
         with pytest.raises(DataError) as err:
             infer_nodes(failed, f=5)
         assert str(err.value) == message
@@ -147,31 +186,36 @@ class TestRankNodes:
         assert len(result.scores) == 5
 
     def test_uninvolved_nodes_ranked_by_initial_score(self):
-        failed = as_failed([(0, 1)], f=4, weight=2.0) + as_failed([(2, 2)], f=4)
+        failed = pool([(pattern_index(0, 1, 4), 2.0), (pattern_index(2, 2, 4), 1.0)])
         ranking = infer_nodes(failed, f=4).ranking
         # node 0 covers 0->1; node 2 covers 2->2; node 1 has initial score 2,
         # node 3 has none
         assert ranking.index(1) < ranking.index(3)
 
     def test_empty_failed_list(self):
-        result = infer_nodes([], f=3)
+        result = infer_nodes(([], []), f=3)
         assert sorted(result.ranking) == [0, 1, 2]
         assert all(s == 0 for s in result.scores)
 
 
-@st.composite
-def failed_sets(draw):
-    """A channel count and weighted failed patterns, duplicates allowed."""
-    f = draw(st.integers(1, 7))
-    pairs = st.tuples(st.integers(0, f * f - 1), st.floats(-10.0, 10.0))
-    return f, draw(st.lists(pairs, max_size=2 * f * f))
+def failed_pools(weights):
+    """Strategy: a channel count up to 8 and a failed-pattern pool of its
+    patterns, as (index, weight) pairs in ascending index order."""
+
+    @st.composite
+    def draw_pool(draw):
+        f = draw(st.integers(1, 8))
+        pairs = st.tuples(st.integers(0, f * f - 1), weights)
+        return f, sorted(draw(st.lists(pairs, max_size=f * f, unique_by=lambda p: p[0])))
+
+    return draw_pool()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(case=failed_sets())
+@given(case=failed_pools(st.floats(-10.0, 10.0)))
 def test_cover_and_ranking_are_valid(case):
     f, failed = case
-    result = infer_nodes(failed, f)
+    result = infer_nodes(pool(failed), f)
     ranking, scores = result.ranking, result.scores
     for i, _ in failed:
         assert set(index_pattern(i, f)) & set(result.nodes)
@@ -182,11 +226,9 @@ def test_cover_and_ranking_are_valid(case):
 
 def loop_reference_cover(failed, f):
     """The greedy cover and ranking as plain Python loops over the pattern
-    pool: (ranking, scores, cover). Scores are summed in pool order, as
-    :func:`infer_nodes` must sum them."""
-    pool = {}
-    for idx, weight in failed:
-        pool[int(idx)] = pool.get(int(idx), 0.0) + float(weight)
+    pool, given as (index, weight) pairs: (ranking, scores, cover). Scores are
+    summed in pool order, as :func:`infer_nodes` must sum them."""
+    pool = {int(idx): float(weight) for idx, weight in failed}
 
     def node_scores():
         scores = np.zeros(f)
@@ -213,7 +255,7 @@ def loop_reference_cover(failed, f):
 
 
 def assert_matches_loop_reference(failed, f):
-    result = infer_nodes(failed, f)
+    result = infer_nodes(pool(failed), f)
     ranking, scores, cover = loop_reference_cover(failed, f)
     assert result.ranking == ranking
     assert result.nodes == cover
@@ -229,19 +271,8 @@ WEIGHTS = st.one_of(
 )
 
 
-@st.composite
-def pooled_failed_sets(draw):
-    """A channel count up to 8 and failed patterns drawn from a few indices,
-    so duplicates are common."""
-    f = draw(st.integers(1, 8))
-    indices = st.integers(0, f * f - 1)
-    hot = draw(st.lists(indices, min_size=1, max_size=f + 1))
-    index = st.one_of(indices, st.sampled_from(hot))
-    return f, draw(st.lists(st.tuples(index, WEIGHTS), max_size=3 * f * f))
-
-
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(case=pooled_failed_sets())
+@given(case=failed_pools(WEIGHTS))
 def test_cover_equals_loop_reference(case):
     f, failed = case
     assert_matches_loop_reference(failed, f)
@@ -251,8 +282,8 @@ def test_cover_equals_loop_reference_at_52_channels():
     # about as many failed patterns as an f = 52 upset window gives s3
     rng = np.random.default_rng(52)
     f = 52
-    indices = rng.choice(f * f, size=1_800, replace=False)
+    indices = np.sort(rng.choice(f * f, size=1_800, replace=False))
     weights = rng.lognormal(-6.0, 2.0, size=indices.size)
-    failed = [(int(i), float(w)) for i, w in zip(indices, weights)]
-    failed += [(int(i), 0.0) for i in indices[:20]] + [(int(indices[0]), -1e-4)]
-    assert_matches_loop_reference(failed, f)
+    weights[rng.choice(indices.size, size=20, replace=False)] = 0.0
+    weights[rng.integers(indices.size)] = -1e-4
+    assert_matches_loop_reference(list(zip(indices.tolist(), weights.tolist())), f)

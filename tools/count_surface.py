@@ -5,7 +5,8 @@ parameters and command-line flags.
 
 REPO defaults to the repository holding this script. Code lines are the
 source lines that hold a token other than a comment and lie outside every
-module, class and function docstring. Settable parameters
+module, class and function docstring; they are printed in total and then
+per module, as ``code lines <module>.py: N``. Settable parameters
 are the arguments of public functions and methods (without ``self``,
 ``cls`` and ``**kwargs``) plus the fields of public dataclasses, found with
 ``ast`` in ``src/stpnrca``. CLI flags are the options of every subcommand
@@ -94,12 +95,14 @@ def main(argv=None) -> int:
     files = sorted(package.glob("*.py"))
     sources = [f.read_text() for f in files]
     lines = sum(len(source.splitlines()) for source in sources)
-    code = sum(code_lines(source) for source in sources)
+    code = [code_lines(source) for source in sources]
     params = sum(settable_parameters(ast.parse(source)) for source in sources)
     print(f"src/stpnrca lines: {lines}")
-    print(f"src/stpnrca code lines: {code}")
+    print(f"src/stpnrca code lines: {sum(code)}")
     print(f"settable parameters: {params}")
     print(f"cli flags: {cli_flags(repo / 'src')}")
+    for path, n in zip(files, code):
+        print(f"code lines {path.name}: {n}")
     return 0
 
 
